@@ -9,7 +9,7 @@
 //
 //   - throughput (regions compiled per second),
 //   - request latency percentiles (p50 / p95 / p99),
-//   - region-cache hit rate and eviction count,
+//   - response-cache hit rate and eviction count,
 //   - a byte-identity audit: every repeat of a request must produce a
 //     response frame byte-identical to the first (cache replay is
 //     indistinguishable from a cold compile on the wire).
@@ -93,11 +93,11 @@ OptionTable buildOptions(Config &C) {
                 "seeded generator programs to include", C.FuzzPrograms);
   T.addUnsigned("--repeats", "<n>",
                 "times each unique program is requested per thread "
-                "count (repeats exercise the region cache)",
+                "count (repeats exercise the response cache)",
                 C.Repeats);
   T.addUnsigned("--seed", "<n>", "generator seed base", C.Seed);
   T.addUnsigned("--cache-mb", "<n>",
-                "region-cache budget in MiB (0 = unlimited)", C.CacheMB);
+                "response-cache budget in MiB (0 = unlimited)", C.CacheMB);
   T.addFlag("--chaos",
             "run the seeded chaos campaign (adversarial clients against "
             "a live faulted socket daemon) instead of the load run",
@@ -299,7 +299,9 @@ RunResultRow runLoad(const Config &C, const std::vector<WorkItem> &Items,
 //
 // Requests that carry a deadline are checked for the degrade contract
 // (ok + fell_back + deadline-exceeded) instead of byte identity: their
-// responses legitimately depend on the wall clock.
+// responses legitimately depend on the wall clock. The exception is a
+// response-cache hit, which does no work a deadline could bound: it is
+// audited for byte identity like any other ok response.
 //===----------------------------------------------------------------------===//
 
 /// One raw connection to the chaos daemon (frame in, frame out).
@@ -523,7 +525,8 @@ int runChaos(const Config &C, StatsRegistry &Stats) {
           K.Answered.fetch_add(1); // nothing owed: trivially satisfied
         } else {
           // An expired deadline must degrade fail-safe, never hang.
-          CompileRequest Req = MakeRequest(N % Programs.size(), Id);
+          size_t U = N % Programs.size();
+          CompileRequest Req = MakeRequest(U, Id);
           Req.DeadlineMs = 0.01;
           CompileResponse Res;
           if (!chaosCall(Path, encodeRequest(Req) + "\n", K, R, Res,
@@ -532,6 +535,12 @@ int runChaos(const Config &C, StatsRegistry &Stats) {
             continue;
           }
           K.Answered.fetch_add(1);
+          if (Res.CacheHits > 0) {
+            if (Res.Status != "ok" ||
+                canonicalFrame(std::move(Res), "ref") != RefFrames[U])
+              K.IdentityFailures.fetch_add(1);
+            continue;
+          }
           bool FellBackWithCode = Res.FellBack;
           if (FellBackWithCode) {
             bool Found = false;

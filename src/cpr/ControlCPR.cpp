@@ -8,7 +8,6 @@
 
 #include "cpr/OffTraceMotion.h"
 #include "cpr/PredicateSpeculation.h"
-#include "cpr/RegionMemo.h"
 #include "cpr/RegionTransaction.h"
 #include "cpr/Restructure.h"
 #include "regions/FRPConversion.h"
@@ -47,82 +46,6 @@ void reportBudgetExhausted(const CPRContext &Ctx, CPRResult &Result,
   Result.BudgetExhausted = true;
 }
 
-/// Applies a memoized region result: consume the budget steps the cold
-/// compile consumed, install the recorded ops and appended blocks,
-/// fast-forward the allocators, add the counter deltas. Returns false if
-/// the budget dies mid-replay, in which case the region is left untreated
-/// (with equal per-request budgets this cannot happen -- the committing
-/// cold run consumed the identical step prefix successfully -- but wall
-/// -clock budgets are not reproducible, so the path is kept defensive).
-bool replayRegionMemo(Function &F, Block &B, const RegionMemoEntry &E,
-                      CPRResult &Result, const CPRContext &Ctx) {
-  for (uint64_t I = 0; I < E.BudgetSteps; ++I) {
-    if (Ctx.Budget && !Ctx.Budget->consume()) {
-      reportBudgetExhausted(Ctx, Result,
-                            "remaining CPR blocks left untreated");
-      ++Result.RegionsSkippedBudget;
-      return false;
-    }
-  }
-  B.ops() = E.RegionOps;
-  for (const RegionMemoAppendedBlock &AB : E.AppendedBlocks) {
-    Block &NB = F.addBlock(AB.Name);
-    NB.setCompensation(AB.Compensation);
-    NB.ops() = AB.Ops;
-  }
-  F.setAllocatorState(E.PostAlloc);
-  Result.RegionsProcessed += E.Delta.RegionsProcessed;
-  Result.CPRBlocksFormed += E.Delta.CPRBlocksFormed;
-  Result.CPRBlocksTransformed += E.Delta.CPRBlocksTransformed;
-  Result.TakenVariants += E.Delta.TakenVariants;
-  Result.BranchesCovered += E.Delta.BranchesCovered;
-  Result.Promoted += E.Delta.Promoted;
-  Result.Demoted += E.Delta.Demoted;
-  Result.LookaheadsInserted += E.Delta.LookaheadsInserted;
-  Result.OpsMovedOffTrace += E.Delta.OpsMovedOffTrace;
-  Result.OpsSplit += E.Delta.OpsSplit;
-  for (unsigned I = 0; I < 6; ++I)
-    Result.StopReasons[I] += E.Delta.StopReasons[I];
-  return true;
-}
-
-/// Builds the memo entry for a region that just processed cleanly.
-/// \p PreNumBlocks is the function's block count before the region ran:
-/// everything behind it was appended by this region's restructure.
-RegionMemoEntry buildRegionMemoEntry(const Function &F, const Block &B,
-                                     const CPRResult &Before,
-                                     const CPRResult &After,
-                                     size_t PreNumBlocks,
-                                     uint64_t StepsUsed) {
-  RegionMemoEntry E;
-  E.RegionOps = B.ops();
-  for (size_t I = PreNumBlocks, N = F.numBlocks(); I != N; ++I) {
-    const Block &NB = F.block(I);
-    RegionMemoAppendedBlock AB;
-    AB.Name = NB.getName();
-    AB.Compensation = NB.isCompensation();
-    AB.Ops = NB.ops();
-    E.AppendedBlocks.push_back(std::move(AB));
-  }
-  E.PostAlloc = F.allocatorState();
-  E.Delta.RegionsProcessed = After.RegionsProcessed - Before.RegionsProcessed;
-  E.Delta.CPRBlocksFormed = After.CPRBlocksFormed - Before.CPRBlocksFormed;
-  E.Delta.CPRBlocksTransformed =
-      After.CPRBlocksTransformed - Before.CPRBlocksTransformed;
-  E.Delta.TakenVariants = After.TakenVariants - Before.TakenVariants;
-  E.Delta.BranchesCovered = After.BranchesCovered - Before.BranchesCovered;
-  E.Delta.Promoted = After.Promoted - Before.Promoted;
-  E.Delta.Demoted = After.Demoted - Before.Demoted;
-  E.Delta.LookaheadsInserted =
-      After.LookaheadsInserted - Before.LookaheadsInserted;
-  E.Delta.OpsMovedOffTrace = After.OpsMovedOffTrace - Before.OpsMovedOffTrace;
-  E.Delta.OpsSplit = After.OpsSplit - Before.OpsSplit;
-  for (unsigned I = 0; I < 6; ++I)
-    E.Delta.StopReasons[I] = After.StopReasons[I] - Before.StopReasons[I];
-  E.BudgetSteps = StepsUsed;
-  return E;
-}
-
 } // namespace
 
 CPRResult cpr::runControlCPR(Function &F, const ProfileData &Profile,
@@ -136,8 +59,7 @@ CPRResult cpr::runControlCPR(Function &F, const ProfileData &Profile,
     if (!F.block(I).isCompensation())
       Regions.push_back(F.block(I).getId());
 
-  for (size_t Ordinal = 0; Ordinal != Regions.size(); ++Ordinal) {
-    BlockId RId = Regions[Ordinal];
+  for (BlockId RId : Regions) {
     if (Ctx.Budget && Ctx.Budget->exhausted()) {
       // Baseline fallback for everything not yet treated; an ordinary
       // diagnostic, not a failure of the compilation.
@@ -149,27 +71,6 @@ CPRResult cpr::runControlCPR(Function &F, const ProfileData &Profile,
     Block &B = *F.blockById(RId);
     if (B.empty())
       continue;
-
-    // Memoization: on a hit, replay the recorded transform and move on.
-    // On a miss we now hold the in-flight claim for MemoKey and must
-    // commit (clean region) or abandon (rollback / budget activity) it
-    // on every exit from the region body below.
-    uint64_t MemoKey = 0;
-    bool MemoClaimed = false;
-    if (Ctx.Memo) {
-      MemoKey = regionMemoKey(Ctx.MemoSalt, static_cast<unsigned>(Ordinal),
-                              F, B, Profile, Opts);
-      if (std::optional<RegionMemoEntry> E = Ctx.Memo->lookup(MemoKey)) {
-        replayRegionMemo(F, B, *E, Result, Ctx);
-        continue;
-      }
-      MemoClaimed = true;
-    }
-    const CPRResult Before = Result;
-    const size_t PreNumBlocks = F.numBlocks();
-    bool CleanForMemo = true;
-    uint64_t StepsUsed = 0;
-
     ++Result.RegionsProcessed;
 
     // Snapshot: when no CPR block in this region turns out to be
@@ -179,123 +80,106 @@ CPRResult cpr::runControlCPR(Function &F, const ProfileData &Profile,
     // place without it they merely unchain exits for no benefit.)
     std::vector<Operation> Snapshot = B.ops();
 
-    // The region body, with `return` for the old `continue` so the memo
-    // claim can be resolved on every exit path.
-    [&] {
-      // Phase 0: FRP conversion (paper Section 4.1) prepares the region.
-      convertToFRP(F, B);
+    // Phase 0: FRP conversion (paper Section 4.1) prepares the region.
+    convertToFRP(F, B);
 
-      // Phase 1: predicate speculation.
-      SpeculationStats SS;
-      if (Opts.EnablePredicateSpeculation) {
-        SS = speculatePredicates(F, B);
-      }
+    // Phase 1: predicate speculation.
+    SpeculationStats SS;
+    if (Opts.EnablePredicateSpeculation) {
+      SS = speculatePredicates(F, B);
+    }
 
-      // Phase 2: match.
-      std::vector<CPRBlockInfo> Blocks = matchCPRBlocks(F, B, Profile, Opts);
-      bool AnyTransformable = false;
-      for (const CPRBlockInfo &Info : Blocks)
-        AnyTransformable |= Info.Transformable;
-      if (!AnyTransformable) {
-        B.ops() = std::move(Snapshot);
-        Result.CPRBlocksFormed += static_cast<unsigned>(Blocks.size());
-        for (const CPRBlockInfo &Info : Blocks)
-          ++Result.StopReasons[static_cast<unsigned>(Info.StopReason)];
-        return;
-      }
-      Result.Promoted += SS.Promoted;
-      Result.Demoted += SS.Demoted;
+    // Phase 2: match.
+    std::vector<CPRBlockInfo> Blocks = matchCPRBlocks(F, B, Profile, Opts);
+    bool AnyTransformable = false;
+    for (const CPRBlockInfo &Info : Blocks)
+      AnyTransformable |= Info.Transformable;
+    if (!AnyTransformable) {
+      B.ops() = std::move(Snapshot);
       Result.CPRBlocksFormed += static_cast<unsigned>(Blocks.size());
       for (const CPRBlockInfo &Info : Blocks)
         ++Result.StopReasons[static_cast<unsigned>(Info.StopReason)];
+      continue;
+    }
+    Result.Promoted += SS.Promoted;
+    Result.Demoted += SS.Demoted;
+    Result.CPRBlocksFormed += static_cast<unsigned>(Blocks.size());
+    for (const CPRBlockInfo &Info : Blocks)
+      ++Result.StopReasons[static_cast<unsigned>(Info.StopReason)];
 
-      // Phases 3 and 4, CPR block by CPR block in program order: the
-      // re-wiring performed by an earlier block's restructure establishes
-      // the root predicate the next block's restructure reads. Each block
-      // transforms inside its own transaction; a failure rolls back just
-      // that block's changes (strict mode escalates to a fatal error
-      // instead).
-      unsigned TransformedHere = 0;
-      bool RolledBackHere = false;
-      for (const CPRBlockInfo &Info : Blocks) {
-        if (!Info.Transformable)
-          continue;
-        if (Ctx.Budget && !Ctx.Budget->consume()) {
-          reportBudgetExhausted(Ctx, Result,
-                                "remaining CPR blocks left untreated");
-          CleanForMemo = false;
-          break;
-        }
-        ++StepsUsed;
-
-        RegionTransaction Txn(F, B.getId());
-        auto Fail = [&](Diagnostic Cause) {
-          if (!Ctx.FailSafe)
-            reportFatalError(Cause.Message);
-          unsigned Removed = Txn.rollback();
-          ++Result.BlocksRolledBack;
-          RolledBackHere = true;
-          reportRollback(Ctx, B.getId(), std::move(Cause), Removed);
-        };
-
-        Expected<RestructurePlan> Plan = restructureCPRBlock(F, B, Info);
-        if (!Plan) {
-          Fail(Plan.takeDiagnostic());
-          continue;
-        }
-        Expected<MotionStats> MS = moveOffTrace(F, *Plan);
-        if (!MS) {
-          Fail(MS.takeDiagnostic());
-          continue;
-        }
-        if (Status V = Txn.verify("after control CPR block transform",
-                                  Ctx.Diags);
-            !V) {
-          Fail(V.takeDiagnostic());
-          continue;
-        }
-        if (Ctx.RegionLint) {
-          if (Status LS = Ctx.RegionLint(F); !LS) {
-            Fail(LS.takeDiagnostic());
-            continue;
-          }
-        }
-        if (Ctx.RegionOracle) {
-          if (Status E = Ctx.RegionOracle(F); !E) {
-            Fail(E.takeDiagnostic());
-            continue;
-          }
-        }
-
-        ++TransformedHere;
-        ++Result.CPRBlocksTransformed;
-        if (Info.TakenVariation)
-          ++Result.TakenVariants;
-        Result.BranchesCovered += static_cast<unsigned>(Info.size());
-        Result.LookaheadsInserted +=
-            static_cast<unsigned>(Plan->LookaheadIds.size());
-        Result.OpsMovedOffTrace += MS->Moved;
-        Result.OpsSplit += MS->Split;
+    // Phases 3 and 4, CPR block by CPR block in program order: the
+    // re-wiring performed by an earlier block's restructure establishes
+    // the root predicate the next block's restructure reads. Each block
+    // transforms inside its own transaction; a failure rolls back just
+    // that block's changes (strict mode escalates to a fatal error
+    // instead).
+    unsigned TransformedHere = 0;
+    bool RolledBackHere = false;
+    for (const CPRBlockInfo &Info : Blocks) {
+      if (!Info.Transformable)
+        continue;
+      if (Ctx.Budget && !Ctx.Budget->consume()) {
+        reportBudgetExhausted(Ctx, Result,
+                              "remaining CPR blocks left untreated");
+        break;
       }
-      if (RolledBackHere) {
-        ++Result.RegionsRolledBack;
-        CleanForMemo = false;
-      }
-      if (TransformedHere == 0) {
-        // Every transformable block failed (or the budget ran out before
-        // any committed): restore the pre-pass form, as for
-        // untransformable regions -- FRP conversion alone is no benefit.
-        B.ops() = std::move(Snapshot);
-      }
-    }();
 
-    if (MemoClaimed) {
-      if (CleanForMemo)
-        Ctx.Memo->commit(MemoKey, buildRegionMemoEntry(F, B, Before, Result,
-                                                       PreNumBlocks,
-                                                       StepsUsed));
-      else
-        Ctx.Memo->abandon(MemoKey);
+      RegionTransaction Txn(F, B.getId());
+      auto Fail = [&](Diagnostic Cause) {
+        if (!Ctx.FailSafe)
+          reportFatalError(Cause.Message);
+        unsigned Removed = Txn.rollback();
+        ++Result.BlocksRolledBack;
+        RolledBackHere = true;
+        reportRollback(Ctx, B.getId(), std::move(Cause), Removed);
+      };
+
+      Expected<RestructurePlan> Plan = restructureCPRBlock(F, B, Info);
+      if (!Plan) {
+        Fail(Plan.takeDiagnostic());
+        continue;
+      }
+      Expected<MotionStats> MS = moveOffTrace(F, *Plan);
+      if (!MS) {
+        Fail(MS.takeDiagnostic());
+        continue;
+      }
+      if (Status V = Txn.verify("after control CPR block transform",
+                                Ctx.Diags);
+          !V) {
+        Fail(V.takeDiagnostic());
+        continue;
+      }
+      if (Ctx.RegionLint) {
+        if (Status LS = Ctx.RegionLint(F); !LS) {
+          Fail(LS.takeDiagnostic());
+          continue;
+        }
+      }
+      if (Ctx.RegionOracle) {
+        if (Status E = Ctx.RegionOracle(F); !E) {
+          Fail(E.takeDiagnostic());
+          continue;
+        }
+      }
+
+      ++TransformedHere;
+      ++Result.CPRBlocksTransformed;
+      if (Info.TakenVariation)
+        ++Result.TakenVariants;
+      Result.BranchesCovered += static_cast<unsigned>(Info.size());
+      Result.LookaheadsInserted +=
+          static_cast<unsigned>(Plan->LookaheadIds.size());
+      Result.OpsMovedOffTrace += MS->Moved;
+      Result.OpsSplit += MS->Split;
+    }
+    if (RolledBackHere)
+      ++Result.RegionsRolledBack;
+    if (TransformedHere == 0) {
+      // Every transformable block failed (or the budget ran out before
+      // any committed): restore the pre-pass form, as for
+      // untransformable regions -- FRP conversion alone is no benefit.
+      B.ops() = std::move(Snapshot);
     }
   }
 

@@ -34,11 +34,8 @@
 #include "support/Diagnostic.h"
 
 #include <functional>
-#include <string>
 
 namespace cpr {
-
-class RegionMemoStore;
 
 /// Summary of one ICBM run.
 struct CPRResult {
@@ -87,14 +84,6 @@ struct CPRContext {
   /// false: escalate the first failure to reportFatalError (legacy strict
   /// behavior; what the differential fuzzer relies on).
   bool FailSafe = true;
-  /// Optional content-addressed region memo store (cpr/RegionMemo.h).
-  /// When set, each region is looked up before processing and replayed on
-  /// a hit -- byte-identical to the cold compile. MemoSalt must
-  /// fingerprint the whole request (program text including inputs,
-  /// options, budget configuration, validation mode); see RegionMemo.h
-  /// for why. Unset (the default) disables memoization.
-  RegionMemoStore *Memo = nullptr;
-  std::string MemoSalt;
 };
 
 /// Runs ICBM over every non-compensation block of \p F, using \p Profile

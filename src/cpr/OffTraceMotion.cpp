@@ -10,7 +10,6 @@
 #include "analysis/Liveness.h"
 #include "analysis/PQS.h"
 #include "support/FaultInjector.h"
-#include "support/TestHooks.h"
 
 #include <unordered_map>
 #include <unordered_set>
@@ -348,13 +347,11 @@ Expected<MotionStats> cpr::moveOffTrace(Function &F,
     Block *Comp = F.blockById(Plan.CompBlock);
     if (!Comp)
       return motionFault("compensation block disappeared");
-    // Fault injection (site "cpr.restructure.compensation" and the legacy
-    // test-hook bool, support/TestHooks.h): drop the moved operations
-    // instead of compensating -- a planted miscompile the differential
-    // oracle must catch, and the region equivalence re-check must roll
-    // back (docs/ROBUSTNESS.md).
-    if (test_hooks::SkipCompensationInsertion ||
-        fault::shouldFail("cpr.restructure.compensation"))
+    // Fault injection (site "cpr.restructure.compensation"): drop the
+    // moved operations instead of compensating -- a planted miscompile
+    // the differential oracle must catch, and the region equivalence
+    // re-check must roll back (docs/ROBUSTNESS.md).
+    if (fault::shouldFail("cpr.restructure.compensation"))
       return Stats;
     // Before the trailing trap.
     if (Comp->ops().empty() ||

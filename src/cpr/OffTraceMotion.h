@@ -24,8 +24,7 @@
 /// Failure model: separability violations, lost operation ids, and
 /// injected faults (site "cpr.offtrace.move") come back as recoverable
 /// TransformFault diagnostics; the driver rolls the region's transaction
-/// back. Fault site "cpr.restructure.compensation" (and the legacy
-/// test_hooks::SkipCompensationInsertion bool) plants the deliberate
+/// back. Fault site "cpr.restructure.compensation" plants the deliberate
 /// miscompile of dropping the moved operations instead of compensating.
 ///
 //===----------------------------------------------------------------------===//

@@ -14,8 +14,8 @@
 #include "pipeline/PipelineRun.h"
 #include "regions/LoopUnroller.h"
 #include "support/Error.h"
+#include "support/FaultInjector.h"
 #include "support/Statistics.h"
-#include "support/TestHooks.h"
 #include "support/ThreadPool.h"
 
 #include <filesystem>
@@ -129,10 +129,11 @@ FuzzCampaignResult cpr::runFuzzCampaign(const FuzzCampaignOptions &Opts) {
       S = Base.next();
   }
 
-  // The fault-injection hook is a plain global: set it strictly before
-  // the worker pool exists (thread creation publishes it) and restore it
-  // after the pool has been joined.
-  test_hooks::ScopedSkipCompensation Inject(Opts.InjectDefect);
+  // The fault registry is process-global: arm the planted defect strictly
+  // before the worker pool exists and disarm it after the pool has been
+  // joined. NthHit 0 arms nothing.
+  fault::ScopedFault Inject("cpr.restructure.compensation",
+                            Opts.InjectDefect ? fault::EveryHit : 0);
 
   std::vector<CaseResult> Cases(Opts.Runs);
   {
@@ -264,7 +265,8 @@ cpr::runStaticLintCampaign(const FuzzCampaignOptions &Opts) {
       S = Base.next();
   }
 
-  test_hooks::ScopedSkipCompensation Inject(Opts.InjectDefect);
+  fault::ScopedFault Inject("cpr.restructure.compensation",
+                            Opts.InjectDefect ? fault::EveryHit : 0);
 
   /// Worst outcome of one case across the variant sweep.
   struct StaticCase {
@@ -481,7 +483,8 @@ cpr::runCrossValidationCampaign(const FuzzCampaignOptions &Opts) {
       S = Base.next();
   }
 
-  test_hooks::ScopedSkipCompensation Inject(Opts.InjectDefect);
+  fault::ScopedFault Inject("cpr.restructure.compensation",
+                            Opts.InjectDefect ? fault::EveryHit : 0);
 
   /// Worst discrepancy of one case across the variant sweep.
   struct CrossCase {

@@ -52,7 +52,8 @@ struct FuzzCampaignOptions {
   /// writing).
   std::string OutDir;
   /// Plant the hidden compensation-skip miscompile (self-test of the
-  /// oracle and reducer; see support/TestHooks.h).
+  /// oracle and reducer): arms fault site "cpr.restructure.compensation"
+  /// on every hit (support/FaultInjector.h).
   bool InjectDefect = false;
   /// Optional counter sink (campaign tallies, reduction sizes).
   StatsRegistry *Stats = nullptr;
@@ -101,8 +102,8 @@ struct FuzzCampaignResult {
 };
 
 /// Runs one campaign. Deterministic at any Opts.Threads (see file
-/// comment). InjectDefect toggles a process-global hook and must not be
-/// used concurrently with other campaigns.
+/// comment). InjectDefect arms the process-global fault registry and must
+/// not be used concurrently with other campaigns.
 FuzzCampaignResult runFuzzCampaign(const FuzzCampaignOptions &Opts);
 
 /// The static-oracle campaign (docs/LINT.md): same case construction as

@@ -110,26 +110,6 @@ std::unique_ptr<Function> Function::clone() const {
   return Copy;
 }
 
-AllocatorState Function::allocatorState() const {
-  AllocatorState S;
-  S.NextBlockId = NextBlockId;
-  for (unsigned I = 0; I < NumRegClasses; ++I)
-    S.NextRegId[I] = NextRegId[I];
-  S.NextOpId = NextOpId;
-  return S;
-}
-
-void Function::setAllocatorState(const AllocatorState &S) {
-  assert(S.NextBlockId >= NextBlockId && "allocator state moved backward");
-  assert(S.NextOpId >= NextOpId && "allocator state moved backward");
-  NextBlockId = S.NextBlockId;
-  for (unsigned I = 0; I < NumRegClasses; ++I) {
-    assert(S.NextRegId[I] >= NextRegId[I] && "allocator state moved backward");
-    NextRegId[I] = S.NextRegId[I];
-  }
-  NextOpId = S.NextOpId;
-}
-
 std::pair<int, int> Function::findOp(OpId Id) const {
   for (size_t BI = 0, BE = Blocks.size(); BI != BE; ++BI) {
     int OI = Blocks[BI]->indexOfOp(Id);

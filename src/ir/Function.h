@@ -60,27 +60,6 @@ private:
   bool Compensation = false;
 };
 
-/// Snapshot of a Function's id allocators (blocks, registers, ops). Two
-/// functions with equal text and equal allocator state allocate identical
-/// ids for identical request sequences -- the property the region
-/// memoization cache (cpr/RegionMemo.h) relies on to replay a cached
-/// transform with byte-identical output.
-struct AllocatorState {
-  BlockId NextBlockId = 0;
-  uint32_t NextRegId[NumRegClasses] = {1, 1, 1, 1};
-  OpId NextOpId = 1;
-
-  bool operator==(const AllocatorState &O) const {
-    if (NextBlockId != O.NextBlockId || NextOpId != O.NextOpId)
-      return false;
-    for (unsigned I = 0; I < NumRegClasses; ++I)
-      if (NextRegId[I] != O.NextRegId[I])
-        return false;
-    return true;
-  }
-  bool operator!=(const AllocatorState &O) const { return !(*this == O); }
-};
-
 /// A function: an ordered list of blocks plus register/op-id allocators.
 /// Block order is the code layout: control falls through block boundaries.
 class Function {
@@ -149,13 +128,6 @@ public:
 
   /// Deep copy, preserving block ids, operation ids, and allocator state.
   std::unique_ptr<Function> clone() const;
-
-  /// Reads / restores the id-allocator counters. setAllocatorState may
-  /// only move counters forward (it asserts ids already handed out are
-  /// not reissued); the region memo cache uses it to fast-forward a
-  /// function to the exact post-transform allocator position.
-  AllocatorState allocatorState() const;
-  void setAllocatorState(const AllocatorState &S);
 
 private:
   std::string Name;

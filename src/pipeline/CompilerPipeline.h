@@ -119,14 +119,6 @@ struct PipelineOptions {
   /// Optional sink for stage diagnostics and rollback remarks. Not
   /// owned; may be shared across sessions (it is thread-safe).
   DiagnosticEngine *Diags = nullptr;
-  /// Optional content-addressed region memo store (cpr/RegionMemo.h),
-  /// shared across sessions (thread-safe; not owned). MemoSalt must
-  /// fingerprint the whole request -- program text including inputs,
-  /// options, budgets, validation mode -- or cache hits are unsound; the
-  /// compile service computes it with serve::requestFingerprint. Null
-  /// (the default) compiles cold.
-  RegionMemoStore *Memo = nullptr;
-  std::string MemoSalt;
 };
 
 /// Per-machine timing comparison.

@@ -206,8 +206,6 @@ const Function &PipelineRun::treated() {
     CPRContext Ctx;
     Ctx.FailSafe = Opts.FailSafe;
     Ctx.Diags = Opts.Diags;
-    Ctx.Memo = Opts.Memo;
-    Ctx.MemoSalt = Opts.MemoSalt;
     BudgetTracker TransformBudget(Opts.TransformBudget, Opts.RequestDeadline,
                                   Opts.CancelFlag);
     // The tracker is live whenever *any* limit can trip: a plain budget,

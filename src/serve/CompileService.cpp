@@ -19,34 +19,6 @@ using namespace cpr::serve;
 
 namespace {
 
-/// Per-request view of the shared cache: forwards everything, counts this
-/// request's hits and misses (the shared counters aggregate across
-/// requests and would race).
-class CountingMemoStore : public RegionMemoStore {
-public:
-  explicit CountingMemoStore(RegionMemoStore &Inner) : Inner(Inner) {}
-
-  std::optional<RegionMemoEntry> lookup(uint64_t Key) override {
-    std::optional<RegionMemoEntry> R = Inner.lookup(Key);
-    if (R)
-      ++NHits;
-    else
-      ++NMisses;
-    return R;
-  }
-  void commit(uint64_t Key, RegionMemoEntry Entry) override {
-    Inner.commit(Key, std::move(Entry));
-  }
-  void abandon(uint64_t Key) override { Inner.abandon(Key); }
-
-  uint64_t hits() const { return NHits; }
-  uint64_t misses() const { return NMisses; }
-
-private:
-  RegionMemoStore &Inner;
-  uint64_t NHits = 0, NMisses = 0;
-};
-
 Diagnostic requestError(DiagCode Code, std::string Msg, std::string Site) {
   Diagnostic D;
   D.Severity = DiagSeverity::Error;
@@ -85,6 +57,11 @@ CompileService::CompileService(ServiceOptions Opts)
 CompileResponse CompileService::compile(const CompileRequest &Req,
                                         const std::atomic<bool> *Cancel) {
   auto T0 = std::chrono::steady_clock::now();
+  auto ElapsedMs = [&] {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - T0)
+        .count();
+  };
 
   CompileResponse Res;
   Res.Id = Req.Id;
@@ -118,18 +95,55 @@ CompileResponse CompileService::compile(const CompileRequest &Req,
     return Res;
   }
 
+  // Admission: resolve the request budgets against the service defaults
+  // and ceilings. The resolved values feed the fingerprint -- two
+  // requests clamped to the same effective budgets share a cache entry.
+  uint64_t InterpSteps = Req.InterpMaxSteps != 0 ? Req.InterpMaxSteps
+                                                 : Opts.DefaultInterpMaxSteps;
+  if (Opts.MaxInterpSteps != 0 &&
+      (InterpSteps == 0 || InterpSteps > Opts.MaxInterpSteps))
+    InterpSteps = Opts.MaxInterpSteps;
+  Budget TB = Req.TransformBudget.unlimited() ? Opts.DefaultTransformBudget
+                                              : Req.TransformBudget;
+  if (Opts.MaxTransformSteps != 0 &&
+      (TB.MaxSteps == 0 || TB.MaxSteps > Opts.MaxTransformSteps))
+    TB.MaxSteps = Opts.MaxTransformSteps;
+
+  // Anchor the request's relative deadline to this host's steady clock.
+  // It deliberately does NOT enter the fingerprint: it is wall-clock
+  // dependent, a compile it truncates carries a diagnostic and is never
+  // cached, and a hit does no work it could bound.
+  Deadline DL = Req.DeadlineMs > 0.0 ? Deadline::afterMs(Req.DeadlineMs)
+                                     : Deadline::never();
+
+  // The whole response is cached under the request fingerprint. A miss
+  // hands this request the key's in-flight claim, which every exit below
+  // commits or abandons.
+  std::string Key = requestFingerprint(Req, InterpSteps, TB);
+  if (std::optional<CompileResponse> Hit = Cache.lookup(Key)) {
+    Res = std::move(*Hit);
+    Res.Id = Req.Id;
+    Res.CacheHits = 1;
+    Res.CacheMisses = 0;
+    Res.WallMs = ElapsedMs();
+    return Res;
+  }
+
   // Failure isolation: everything below runs trapped -- an internal
   // fatal error becomes an error response, not a dead worker.
   DiagnosticEngine Diags;
   try {
     ScopedFatalErrorTrap Trap;
-    Res = compileLocked(Req, Diags, Cancel);
+    Res = compileLocked(Req, InterpSteps, TB, DL, Diags, Cancel);
   } catch (const FatalError &E) {
     Res = errorResponse(Req.Id,
                         requestError(DiagCode::Internal,
                                      std::string("internal fault: ") +
                                          E.message(),
                                      "cprd.request"));
+  } catch (...) {
+    Cache.abandon(Key); // waiters must not block on a claim nobody holds
+    throw;
   }
 
   // Attach every diagnostic the request produced (rollback remarks,
@@ -137,23 +151,25 @@ CompileResponse CompileService::compile(const CompileRequest &Req,
   // handlers above.
   for (const Diagnostic &D : Diags.diagnostics())
     Res.Diagnostics.push_back(toWire(D));
-  Res.WallMs = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - T0)
-                   .count();
+  Res.CacheMisses = 1;
+
+  // Only a clean response is cached: errors, fallbacks and any diagnostic
+  // may depend on the wall clock or on the client (deadline, cancel,
+  // wall budget), so those requests compile afresh every time.
+  if (Res.ok() && !Res.FellBack && Res.Diagnostics.empty())
+    Cache.commit(Key, Res);
+  else
+    Cache.abandon(Key);
+  Res.WallMs = ElapsedMs();
   return Res;
 }
 
 CompileResponse CompileService::compileLocked(const CompileRequest &Req,
+                                              uint64_t InterpSteps,
+                                              const Budget &TB,
+                                              const Deadline &DL,
                                               DiagnosticEngine &Diags,
                                               const std::atomic<bool> *Cancel) {
-  // Anchor the request's relative deadline to this host's steady clock.
-  // It deliberately does NOT enter the fingerprint: the deadline is
-  // wall-clock-dependent, and a deadline-truncated compile diverges in
-  // its downstream per-region keys anyway (the memo key hashes the
-  // evolving function text and allocator state), so equal-fingerprint
-  // replays stay sound.
-  Deadline DL = Req.DeadlineMs > 0.0 ? Deadline::afterMs(Req.DeadlineMs)
-                                     : Deadline::never();
   // Parse the fuzz-program payload (IR + input directives).
   FuzzParseResult FP = parseFuzzProgram(Req.IR);
   if (!FP)
@@ -170,20 +186,6 @@ CompileResponse CompileService::compileLocked(const CompileRequest &Req,
                                               "cprd.request.ir"));
   }
 
-  // Admission: resolve the request budgets against the service defaults
-  // and ceilings. The resolved values feed the fingerprint -- two
-  // requests clamped to the same effective budgets share cache entries.
-  uint64_t InterpSteps = Req.InterpMaxSteps != 0 ? Req.InterpMaxSteps
-                                                 : Opts.DefaultInterpMaxSteps;
-  if (Opts.MaxInterpSteps != 0 &&
-      (InterpSteps == 0 || InterpSteps > Opts.MaxInterpSteps))
-    InterpSteps = Opts.MaxInterpSteps;
-  Budget TB = Req.TransformBudget.unlimited() ? Opts.DefaultTransformBudget
-                                              : Req.TransformBudget;
-  if (Opts.MaxTransformSteps != 0 &&
-      (TB.MaxSteps == 0 || TB.MaxSteps > Opts.MaxTransformSteps))
-    TB.MaxSteps = Opts.MaxTransformSteps;
-
   PipelineOptions PO;
   PO.CPR = Req.CPR;
   PO.UnrollFactor = Req.UnrollFactor;
@@ -198,10 +200,6 @@ CompileResponse CompileService::compileLocked(const CompileRequest &Req,
   PO.RequestDeadline = DL;
   PO.CancelFlag = Cancel;
   PO.Diags = &Diags;
-
-  CountingMemoStore Counting(Cache);
-  PO.Memo = &Counting;
-  PO.MemoSalt = requestFingerprint(Req, InterpSteps, TB);
 
   // Keep the inputs: the response echoes them so it is itself a runnable
   // corpus entry.
@@ -230,7 +228,5 @@ CompileResponse CompileService::compileLocked(const CompileRequest &Req,
   Res.IR = serializeFuzzProgram(Out);
   Res.CPR = Run.cprResult();
   Res.FellBack = Run.fellBack();
-  Res.CacheHits = Counting.hits();
-  Res.CacheMisses = Counting.misses();
   return Res;
 }

@@ -20,10 +20,11 @@
 ///    service ceilings before any work starts, so one hostile request
 ///    cannot monopolize a worker;
 ///
-///  - *content-addressed memoization*: all requests share one
-///    RegionCache; the per-request salt (requestFingerprint) covers the
-///    program text, inputs, options and resolved budgets, so equal
-///    regions of equal requests replay byte-identically.
+///  - *whole-response caching*: all requests share one RegionCache keyed
+///    by requestFingerprint, which covers the program text, inputs,
+///    options and resolved budgets. A clean response (status ok, no
+///    diagnostic, no fallback) is stored whole, and an equal request is
+///    answered from it without parsing or compiling, byte-identically.
 ///
 /// compile() is thread-safe: the server calls it concurrently from its
 /// ThreadPool workers. See docs/SERVICE.md.
@@ -43,7 +44,7 @@ namespace serve {
 
 /// Service-level knobs (the daemon's command line maps onto these).
 struct ServiceOptions {
-  /// Region cache memory budget in bytes; 0 = unlimited.
+  /// Response cache memory budget in bytes; 0 = unlimited.
   size_t CacheBytes = 64u << 20;
   /// Interpreter step cap applied when a request does not set one.
   uint64_t DefaultInterpMaxSteps = 2000000;
@@ -61,10 +62,11 @@ struct ServiceOptions {
   size_t MaxIRBytes = 4u << 20;
 };
 
-/// The request fingerprint used as the region-memo salt: a stable hash
-/// over the protocol version, the program text (including its input
+/// The request fingerprint, the response cache's key: a stable hash over
+/// the protocol version, the program text (including its input
 /// directives), every CPR/pipeline option, and the *resolved* budgets
-/// (after service defaults and admission clamps). Exposed for tests.
+/// (after service defaults and admission clamps). The id and the
+/// deadline stay out of it. Exposed for tests.
 std::string requestFingerprint(const CompileRequest &Req,
                                uint64_t InterpMaxSteps,
                                const Budget &TransformBudget);
@@ -74,7 +76,10 @@ class CompileService {
 public:
   explicit CompileService(ServiceOptions Opts = ServiceOptions());
 
-  /// Handles one request (Compile, Ping or Stats). Thread-safe.
+  /// Handles one request (Compile, Ping or Stats). Thread-safe. A
+  /// compile request that passes admission reports exactly one cache hit
+  /// or one miss; an identical request already in flight is waited for
+  /// rather than compiled twice.
   ///
   /// The request's relative deadline (Req.DeadlineMs) is anchored to the
   /// steady clock *here* -- queueing time before the call does not count.
@@ -85,14 +90,17 @@ public:
   CompileResponse compile(const CompileRequest &Req,
                           const std::atomic<bool> *Cancel = nullptr);
 
-  /// Shared region-cache counters (for `cmd:"stats"` and the bench).
+  /// Shared response-cache counters (for `cmd:"stats"` and the bench).
   RegionCacheStats cacheStats() const { return Cache.stats(); }
 
   const ServiceOptions &options() const { return Opts; }
 
 private:
+  /// Parses, verifies and compiles one request whose budgets admission
+  /// has resolved; runs under the caller's fatal-error trap.
   CompileResponse compileLocked(const CompileRequest &Req,
-                                DiagnosticEngine &Diags,
+                                uint64_t InterpSteps, const Budget &TB,
+                                const Deadline &DL, DiagnosticEngine &Diags,
                                 const std::atomic<bool> *Cancel);
 
   ServiceOptions Opts;

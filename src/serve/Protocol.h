@@ -19,7 +19,7 @@
 ///
 /// \code
 /// {"proto":"cprd-v1","id":"r1","status":"ok","ir":"func @f {...}",
-///  "cpr":{...},"cache":{"hits":3,"misses":1},"diagnostics":[...]}
+///  "cpr":{...},"cache":{"hits":0,"misses":1},"diagnostics":[...]}
 /// \endcode
 ///
 /// Requests cross a trust boundary, so decoding is strict: the JSON
@@ -77,8 +77,8 @@ struct CompileRequest {
   /// cross the wire); 0 means none. An expiring request degrades like
   /// budget exhaustion: fail-safe fallback plus a `deadline-exceeded`
   /// diagnostic. Deliberately excluded from the cache fingerprint -- it
-  /// is wall-clock-dependent, and divergent deadline-truncated compiles
-  /// already diverge in their downstream per-region keys.
+  /// is wall-clock-dependent, a compile it truncates carries a diagnostic
+  /// and is never cached, and a cache hit does no work it could bound.
   double DeadlineMs = 0.0;
 };
 
@@ -100,8 +100,10 @@ struct CompileResponse {
   std::string IR;
   bool FellBack = false;
   CPRResult CPR; ///< transform counters (status "ok")
-  uint64_t CacheHits = 0;   ///< this request's region-cache hits
-  uint64_t CacheMisses = 0; ///< this request's region-cache misses
+  /// Response-cache outcome: 1 hit or 1 miss for a compile request that
+  /// passed admission, 0/0 otherwise.
+  uint64_t CacheHits = 0;
+  uint64_t CacheMisses = 0;
   std::vector<WireDiagnostic> Diagnostics;
   /// Service-side wall time. In-process only -- encodeResponse omits it
   /// so a response frame is a pure function of the request (cached and

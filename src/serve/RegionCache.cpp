@@ -1,4 +1,4 @@
-//===- serve/RegionCache.cpp - LRU region memo cache -----------------------===//
+//===- serve/RegionCache.cpp - LRU compile-response cache ------------------===//
 //
 // Part of the control-cpr project (PLDI 1999 Control CPR reproduction).
 //
@@ -13,9 +13,21 @@
 using namespace cpr;
 using namespace cpr::serve;
 
+namespace {
+
+/// Rough heap footprint of one cached response, for the memory budget.
+/// Only clean responses are cached (no diagnostics, no stats payload), so
+/// the treated program text dominates.
+size_t approximateBytes(const std::string &Key, const CompileResponse &R) {
+  return sizeof(CompileResponse) + Key.size() + R.Id.size() +
+         R.Status.size() + R.IR.size();
+}
+
+} // namespace
+
 RegionCache::RegionCache(size_t MaxBytes) : MaxBytes(MaxBytes) {}
 
-std::optional<RegionMemoEntry> RegionCache::lookup(uint64_t Key) {
+std::optional<CompileResponse> RegionCache::lookup(const std::string &Key) {
   std::unique_lock<std::mutex> Lock(Mu);
   for (;;) {
     auto It = Map.find(Key);
@@ -31,7 +43,7 @@ std::optional<RegionMemoEntry> RegionCache::lookup(uint64_t Key) {
       return std::nullopt;
     }
     // Coalesce: wait for the claimant instead of compiling the same
-    // region twice. shared_ptr keeps the claim alive past its erasure.
+    // request twice. shared_ptr keeps the claim alive past its erasure.
     std::shared_ptr<Claim> C = CIt->second;
     ++NCoalesced;
     CV.wait(Lock, [&] { return C->Done; });
@@ -43,9 +55,9 @@ std::optional<RegionMemoEntry> RegionCache::lookup(uint64_t Key) {
   }
 }
 
-void RegionCache::commit(uint64_t Key, RegionMemoEntry Entry) {
+void RegionCache::commit(const std::string &Key, CompileResponse Entry) {
   // Injected insert failure (docs/ROBUSTNESS.md site catalog): the clean
-  // entry is dropped as if the commit never happened. Waiters inherit
+  // response is dropped as if the commit never happened. Waiters inherit
   // the claim and recompute -- correctness must not depend on an insert
   // ever succeeding.
   if (fault::shouldFail("serve.cache.insert")) {
@@ -65,7 +77,7 @@ void RegionCache::commit(uint64_t Key, RegionMemoEntry Entry) {
   CV.notify_all();
 }
 
-void RegionCache::abandon(uint64_t Key) {
+void RegionCache::abandon(const std::string &Key) {
   std::lock_guard<std::mutex> Lock(Mu);
   auto CIt = Claims.find(Key);
   assert(CIt != Claims.end() && "abandon without a lookup miss");
@@ -76,12 +88,13 @@ void RegionCache::abandon(uint64_t Key) {
   CV.notify_all();
 }
 
-void RegionCache::insertLocked(uint64_t Key, RegionMemoEntry Entry) {
+void RegionCache::insertLocked(const std::string &Key,
+                               CompileResponse Entry) {
   // A racing commit for the same key cannot happen (the claim serializes
   // producers), but be safe against double insertion anyway.
   if (Map.count(Key))
     return;
-  size_t Bytes = Entry.approximateBytes();
+  size_t Bytes = approximateBytes(Key, Entry);
   LRU.push_front(Node{Key, std::move(Entry), Bytes});
   Map[Key] = LRU.begin();
   TotalBytes += Bytes;

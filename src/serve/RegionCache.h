@@ -1,13 +1,18 @@
-//===- serve/RegionCache.h - LRU region memo cache --------------*- C++ -*-===//
+//===- serve/RegionCache.h - LRU compile-response cache ---------*- C++ -*-===//
 //
 // Part of the control-cpr project (PLDI 1999 Control CPR reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The compile service's implementation of cpr::RegionMemoStore: a
-/// thread-safe, content-addressed LRU cache of per-region ICBM results
-/// with a configurable memory budget.
+/// The compile service's whole-response cache: a thread-safe LRU of clean
+/// CompileResponses keyed by the request fingerprint
+/// (serve::requestFingerprint), with a configurable memory budget.
+///
+/// lookup() either returns a recorded response (a hit) or returns nullopt
+/// and hands the caller an *in-flight claim* on the key: the caller now
+/// owns producing the response and must call commit() or abandon()
+/// exactly once.
 ///
 /// Determinism of the hit/miss counters at any thread count comes from
 /// *in-flight coalescing*: the first lookup of an uncached key claims it
@@ -21,7 +26,7 @@
 /// long as the budget does not force still-live keys out mid-run (the
 /// regression tests pin both regimes).
 ///
-/// Entries are stored and returned by value: a returned entry is the
+/// Entries are stored and returned by value: a returned response is the
 /// caller's copy, never invalidated by eviction.
 ///
 //===----------------------------------------------------------------------===//
@@ -29,19 +34,19 @@
 #ifndef SERVE_REGIONCACHE_H
 #define SERVE_REGIONCACHE_H
 
-#include "cpr/RegionMemo.h"
+#include "serve/Protocol.h"
 
 #include <condition_variable>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 namespace cpr {
 namespace serve {
 
-/// Counter snapshot for `cpr-stats-v1.3` / the `cache` section of cprd
-/// responses.
+/// Counter snapshot for `cpr-stats-v1.3` / the `stats` command of cprd.
 struct RegionCacheStats {
   uint64_t Hits = 0;
   uint64_t Misses = 0;
@@ -52,16 +57,23 @@ struct RegionCacheStats {
   uint64_t MaxBytes = 0;       ///< configured budget (0 = unlimited)
 };
 
-/// Thread-safe LRU RegionMemoStore (see file comment).
-class RegionCache : public RegionMemoStore {
+/// Thread-safe LRU response cache (see file comment).
+class RegionCache {
 public:
   /// \p MaxBytes bounds the resident entries' approximate footprint;
   /// 0 means unlimited.
   explicit RegionCache(size_t MaxBytes = 64u << 20);
 
-  std::optional<RegionMemoEntry> lookup(uint64_t Key) override;
-  void commit(uint64_t Key, RegionMemoEntry Entry) override;
-  void abandon(uint64_t Key) override;
+  /// Hit: returns a copy of the recorded response. Miss: returns nullopt
+  /// and transfers the in-flight claim for \p Key to the caller.
+  std::optional<CompileResponse> lookup(const std::string &Key);
+
+  /// Records \p Entry and releases the claim; pending waiters get hits.
+  void commit(const std::string &Key, CompileResponse Entry);
+
+  /// Drops the claim without recording (unclean response); one pending
+  /// waiter inherits the claim.
+  void abandon(const std::string &Key);
 
   RegionCacheStats stats() const;
 
@@ -71,25 +83,25 @@ public:
 
 private:
   struct Node {
-    uint64_t Key;
-    RegionMemoEntry Entry;
+    std::string Key;
+    CompileResponse Entry;
     size_t Bytes;
   };
   /// Resolution state of one in-flight claim, shared with its waiters.
   struct Claim {
     bool Done = false;
     bool Committed = false;
-    RegionMemoEntry Entry; ///< valid when Committed
+    CompileResponse Entry; ///< valid when Committed
   };
 
   /// Inserts under the lock and evicts from the LRU tail past the budget.
-  void insertLocked(uint64_t Key, RegionMemoEntry Entry);
+  void insertLocked(const std::string &Key, CompileResponse Entry);
 
   mutable std::mutex Mu;
   std::condition_variable CV;
   std::list<Node> LRU; ///< front = most recently used
-  std::unordered_map<uint64_t, std::list<Node>::iterator> Map;
-  std::unordered_map<uint64_t, std::shared_ptr<Claim>> Claims;
+  std::unordered_map<std::string, std::list<Node>::iterator> Map;
+  std::unordered_map<std::string, std::shared_ptr<Claim>> Claims;
   size_t MaxBytes;
   size_t TotalBytes = 0;
   uint64_t NHits = 0, NMisses = 0, NEvictions = 0, NCoalesced = 0;

@@ -241,10 +241,13 @@ void Server::handleLine(const std::shared_ptr<Connection> &Conn,
     }
     if (R.Kind == RequestKind::Stats)
       augmentStats(Res);
-    writeResponse(Conn, Res);
-    --Conn->InFlight;
+    // Free the admission slots before the response leaves: a client that
+    // has read its answer may send the next request at once, and must not
+    // be refused busy on account of the request it just saw complete.
     --Running;
     --Pending;
+    --Conn->InFlight;
+    writeResponse(Conn, Res);
   });
 }
 

@@ -113,7 +113,7 @@ bool fault::shouldFail(const char *Site) {
     Nth = R.Nth;
   }
   uint64_t Hit = Hits.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (Hit != Nth)
+  if (Nth != fault::EveryHit && Hit != Nth)
     return false;
   Fired.store(true, std::memory_order_relaxed);
   return true;

@@ -6,11 +6,12 @@
 ///
 /// \file
 /// A small stable (cross-run, cross-platform) content hasher used to build
-/// the content-addressed keys of the compile service's region cache
+/// the compile service's response-cache key, serve::requestFingerprint
 /// (docs/SERVICE.md): 64-bit FNV-1a over a byte stream, with convenience
 /// feeders for strings and integers and a fixed-width hex digest. Not
-/// cryptographic -- collisions are guarded by storing the full canonical
-/// key text next to the digest where it matters.
+/// cryptographic: the cache treats equal digests as equal requests, which
+/// holds for accidental collisions (about n^2 / 2^65 for n entries) but
+/// not against a client that crafts one.
 ///
 /// Determinism contract: the digest is a pure function of the fed bytes;
 /// integer feeders serialize little-endian with a fixed width so the same

@@ -11,8 +11,8 @@
 
 #include "fuzz/Fuzzer.h"
 
+#include "support/FaultInjector.h"
 #include "support/Statistics.h"
-#include "support/TestHooks.h"
 
 #include <gtest/gtest.h>
 
@@ -88,11 +88,11 @@ TEST(DifferentialTest, InjectedDefectIsCaughtAsMismatch) {
 }
 
 TEST(DifferentialTest, InjectionHookRestoresItself) {
-  ASSERT_FALSE(test_hooks::SkipCompensationInsertion);
+  ASSERT_EQ(fault::armedSite(), "");
   FuzzCampaignOptions Opts = smallCampaign(1, 2);
   Opts.InjectDefect = true;
   (void)runFuzzCampaign(Opts);
-  EXPECT_FALSE(test_hooks::SkipCompensationInsertion);
+  EXPECT_EQ(fault::armedSite(), "");
 }
 
 TEST(DifferentialTest, StatsCountersTallyTheCampaign) {

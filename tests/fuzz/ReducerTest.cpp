@@ -13,7 +13,7 @@
 #include "fuzz/Corpus.h"
 #include "fuzz/Generator.h"
 #include "ir/Verifier.h"
-#include "support/TestHooks.h"
+#include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>
 
@@ -38,7 +38,8 @@ KernelProgram findFailingProgram(const DifferentialRunner &Runner,
 }
 
 TEST(ReducerTest, PlantedDefectReducesToTinyReproducer) {
-  test_hooks::ScopedSkipCompensation Inject(true);
+  fault::ScopedFault Inject("cpr.restructure.compensation",
+                            fault::EveryHit);
   DifferentialRunner Runner({{"default", CPROptions(), 1}},
                             {MachineDesc::medium()});
   size_t Seed = 0;
@@ -65,7 +66,8 @@ TEST(ReducerTest, PlantedDefectReducesToTinyReproducer) {
 }
 
 TEST(ReducerTest, ReductionIsDeterministic) {
-  test_hooks::ScopedSkipCompensation Inject(true);
+  fault::ScopedFault Inject("cpr.restructure.compensation",
+                            fault::EveryHit);
   DifferentialRunner Runner({{"default", CPROptions(), 1}},
                             {MachineDesc::medium()});
   size_t Seed = 0;
@@ -89,7 +91,8 @@ TEST(ReducerTest, PassingProgramIsReturnedUnreduced) {
 }
 
 TEST(ReducerTest, OracleBudgetIsRespected) {
-  test_hooks::ScopedSkipCompensation Inject(true);
+  fault::ScopedFault Inject("cpr.restructure.compensation",
+                            fault::EveryHit);
   DifferentialRunner Runner({{"default", CPROptions(), 1}},
                             {MachineDesc::medium()});
   size_t Seed = 0;

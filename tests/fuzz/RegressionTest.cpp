@@ -15,7 +15,7 @@
 
 #include "fuzz/Differential.h"
 #include "ir/Verifier.h"
-#include "support/TestHooks.h"
+#include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>
 
@@ -59,7 +59,8 @@ TEST(FuzzRegressionTest, EveryReproducerPassesTheProductionPipeline) {
 }
 
 TEST(FuzzRegressionTest, InjectReproducersStillTripThePlantedDefect) {
-  test_hooks::ScopedSkipCompensation Inject(true);
+  fault::ScopedFault Inject("cpr.restructure.compensation",
+                            fault::EveryHit);
   DifferentialRunner Runner;
   bool SawOne = false;
   for (const std::string &Path : regressionFiles()) {

@@ -19,8 +19,8 @@
 #include "ir/Verifier.h"
 #include "pipeline/PipelineRun.h"
 #include "support/Error.h"
+#include "support/FaultInjector.h"
 #include "support/Statistics.h"
-#include "support/TestHooks.h"
 #include "workloads/SyntheticProgram.h"
 
 #include <gtest/gtest.h>
@@ -75,7 +75,8 @@ KernelProgram syntheticProgram(uint64_t Seed) {
 TEST(LintRollback, WithoutHookDefectCommitsAndLintFlagsIt) {
   std::unique_ptr<Function> F = cprKernel();
   ProfileData Prof = biasedProfile(*F);
-  test_hooks::ScopedSkipCompensation Skip(true);
+  fault::ScopedFault Skip("cpr.restructure.compensation",
+                          fault::EveryHit);
   CPRContext Ctx;
   Ctx.FailSafe = true;
   CPRResult R = runControlCPR(*F, Prof, CPROptions(), Ctx);
@@ -99,7 +100,8 @@ TEST(LintRollback, RegionLintHookRollsBackByteExactly) {
   std::unique_ptr<Function> F = cprKernel();
   std::string Before = printFunction(*F);
   ProfileData Prof = biasedProfile(*F);
-  test_hooks::ScopedSkipCompensation Skip(true);
+  fault::ScopedFault Skip("cpr.restructure.compensation",
+                          fault::EveryHit);
 
   LintDriver Linter = LintDriver::withBuiltinPasses();
   CPRContext Ctx;
@@ -128,7 +130,8 @@ TEST(LintRollback, PipelineLintStageRollsBackPlantedDefect) {
   Memory Mem = P.InitMem;
   std::vector<RegBinding> Regs = P.InitRegs;
 
-  test_hooks::ScopedSkipCompensation Skip(true);
+  fault::ScopedFault Skip("cpr.restructure.compensation",
+                          fault::EveryHit);
   PipelineOptions Opts;
   Opts.Lint = true;
   Opts.FailSafe = true;
@@ -153,7 +156,8 @@ TEST(LintRollback, PipelineLintStageRollsBackPlantedDefect) {
 /// finding on a clean baseline is a fatal stage failure.
 TEST(LintRollback, StrictModeLintFindingIsFatal) {
   KernelProgram P = syntheticProgram(404);
-  test_hooks::ScopedSkipCompensation Skip(true);
+  fault::ScopedFault Skip("cpr.restructure.compensation",
+                          fault::EveryHit);
   PipelineOptions Opts;
   Opts.Lint = true;
   Opts.FailSafe = false;

@@ -18,8 +18,8 @@
 #include "ir/IRParser.h"
 #include "ir/Verifier.h"
 #include "pipeline/PipelineRun.h"
+#include "support/FaultInjector.h"
 #include "support/JSON.h"
-#include "support/TestHooks.h"
 
 #include <gtest/gtest.h>
 
@@ -80,7 +80,8 @@ TEST(WitnessTest, EveryFixtureFindingConfirms) {
 /// error with a solved witness, and every solved witness confirms --
 /// static detection backed by concrete replay evidence.
 TEST(WitnessTest, PlantedCompensationSkipYieldsConfirmedWitness) {
-  test_hooks::ScopedSkipCompensation Inject(true);
+  fault::ScopedFault Inject("cpr.restructure.compensation",
+                            fault::EveryHit);
   LintDriver Linter = LintDriver::withBuiltinPasses();
   unsigned SolvedConfirmed = 0, SolvedTotal = 0, Errors = 0;
   GeneratorConfig Cfg;

@@ -22,6 +22,11 @@ struct KernelCase {
   KernelProgram (*Build)();
 };
 
+// Without a printer gtest lists the param as its raw bytes, i.e. two
+// pointers that ASLR moves on every run; ctest test names are taken from
+// that listing, so they would change from build to build.
+void PrintTo(const KernelCase &C, std::ostream *OS) { *OS << C.Name; }
+
 KernelProgram buildStrcpy() { return buildStrcpyKernel(8, 4096, 11); }
 KernelProgram buildCmp() { return buildCmpKernel(8, 4096, 4000, 12); }
 KernelProgram buildGrep() { return buildGrepKernel(8, 8192, 0.02, 13); }

@@ -273,8 +273,15 @@ TEST(Chaos, PipelinedFloodIsShedWithRetryHints) {
   RawClient C(D.path());
   ASSERT_TRUE(C.connected());
   const unsigned N = 8;
+  // Distinct programs, every frame built before any is sent: each
+  // accepted request is a full compile while the next frames are already
+  // queued. (Repeats of one program would be response-cache hits,
+  // answered faster than a client under load sends.)
+  std::vector<CompileRequest> Flood;
   for (unsigned I = 0; I < N; ++I)
-    ASSERT_TRUE(C.sendFrame(compileRequest("f" + std::to_string(I), 104)));
+    Flood.push_back(compileRequest("f" + std::to_string(I), 104 + I));
+  for (const CompileRequest &Req : Flood)
+    ASSERT_TRUE(C.sendFrame(Req));
   C.halfClose();
   std::set<std::string> Ids;
   unsigned Busy = 0;

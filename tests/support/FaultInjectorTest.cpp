@@ -94,4 +94,20 @@ TEST(FaultInjectorTest, ZeroNthHitArmsNothing) {
   EXPECT_FALSE(fault::shouldFail("alloc"));
 }
 
+TEST(FaultInjectorTest, EveryHitFiresOnEveryHit) {
+  {
+    fault::ScopedFault Armed("cpr.restructure.compensation",
+                             fault::EveryHit);
+    for (int I = 0; I < 5; ++I)
+      EXPECT_TRUE(fault::shouldFail("cpr.restructure.compensation")) << I;
+    EXPECT_FALSE(fault::shouldFail("alloc"));
+    EXPECT_EQ(fault::armedHits(), 5u);
+    // A scoped armer given NthHit 0 arms nothing and, on exit, leaves the
+    // outer arming in place.
+    { fault::ScopedFault Off("alloc", 0); }
+    EXPECT_EQ(fault::armedSite(), "cpr.restructure.compensation");
+  }
+  EXPECT_EQ(fault::armedSite(), "");
+}
+
 } // namespace

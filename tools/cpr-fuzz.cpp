@@ -30,7 +30,6 @@
 #include "support/FaultInjector.h"
 #include "support/OptionParser.h"
 #include "support/Statistics.h"
-#include "support/TestHooks.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -219,7 +218,8 @@ int main(int argc, char **argv) {
 
   // Replay mode: positional reproducer files, no campaign.
   if (!Positional.empty()) {
-    test_hooks::ScopedSkipCompensation Inject(C.Campaign.InjectDefect);
+    fault::ScopedFault Inject("cpr.restructure.compensation",
+                              C.Campaign.InjectDefect ? fault::EveryHit : 0);
     int Failing = 0, Unloadable = 0;
     replayFiles(Positional, C, Failing, Unloadable);
     if (C.ExpectFailures)

@@ -302,7 +302,7 @@ OptionTable buildOptions(Config &C) {
 /// the way a local compile would have. The file is normalized through the
 /// fuzz-program serializer first so --reg/--mem flags merge with any
 /// `; reg`/`; mem` directives the file already carries, and so the frame
-/// is deterministic (docs/SERVICE.md: equal frames hit the region cache).
+/// is deterministic (docs/SERVICE.md: equal frames hit the response cache).
 int runServerMode(const Config &C, const std::string &Text) {
   FuzzParseResult FP = parseFuzzProgram(Text);
   if (!FP) {
@@ -327,7 +327,7 @@ int runServerMode(const Config &C, const std::string &Text) {
   Req.TransformBudget.MaxWallMs = C.TransformMs;
   // The daemon gets the full deadline, not the remainder after retries:
   // the frame must stay byte-identical across attempts so every retry
-  // lands on the same cache entries.
+  // lands on the same cache entry.
   Req.DeadlineMs = C.DeadlineMs;
 
   serve::RetryPolicy Policy;
@@ -373,11 +373,10 @@ int runServerMode(const Config &C, const std::string &Text) {
 
   std::fprintf(stderr,
                "cpr: %u region(s), %u CPR block(s) formed, %u "
-               "transformed; cache: %llu hit(s), %llu miss(es)\n",
+               "transformed; response cache %s\n",
                Res->CPR.RegionsProcessed, Res->CPR.CPRBlocksFormed,
                Res->CPR.CPRBlocksTransformed,
-               static_cast<unsigned long long>(Res->CacheHits),
-               static_cast<unsigned long long>(Res->CacheMisses));
+               Res->CacheHits > 0 ? "hit" : "miss");
   std::printf("%s", Res->IR.c_str());
   if (Errors > 0)
     return exit_codes::Failure;

@@ -5,8 +5,8 @@
 // A persistent compile service: accepts cprd-v1 frames (newline-delimited
 // JSON; see docs/SERVICE.md) over a Unix-domain socket (--socket=) or the
 // stdin/stdout pipe (--stdio), compiles each request through the
-// fail-safe pipeline on a shared thread pool, and memoizes per-region
-// transform results in a content-addressed cache shared by all requests.
+// fail-safe pipeline on a shared thread pool, and caches every clean
+// response under its request fingerprint in one LRU shared by all requests.
 //
 //   cprd --socket=/tmp/cprd.sock --threads=8 --cache-mb=64
 //   cprc input.cpr --server=/tmp/cprd.sock
@@ -64,7 +64,7 @@ OptionTable buildOptions(Config &C) {
                 "\"busy\" (0 = unbounded)",
                 C.MaxQueue);
   T.addUnsigned("--cache-mb", "<n>",
-                "region-cache memory budget in MiB (0 = unlimited)",
+                "response-cache memory budget in MiB (0 = unlimited)",
                 C.CacheMB);
   T.addUnsigned("--interp-max-steps", "<n>",
                 "interpreter step cap for requests that set none",

@@ -6,9 +6,10 @@
 ///
 /// \file
 /// A bundle of the solved whole-function dataflow analyses several
-/// pipeline stages consume: lint (predicate-aware checks), the CPR
-/// transformation's liveness queries, the list scheduler's dependence
-/// construction, and the performance model. PipelineRun computes one
+/// pipeline stages consume: lint (predicate-aware checks), the performance
+/// model's dependence construction, and the trace simulator. (The CPR
+/// transformation re-solves liveness itself after each region it
+/// mutates.) PipelineRun computes one
 /// FunctionAnalyses per treated function *serially, before any parallel
 /// stage*, and hands const references to every consumer -- so the work is
 /// done once, and the pipeline's output stays byte-identical at any
@@ -36,15 +37,14 @@ namespace cpr {
 /// The solved analyses of one function at one point in time.
 struct FunctionAnalyses {
   explicit FunctionAnalyses(const Function &F)
-      : LV(F), N(F), Reach(F, N) {}
+      : LV(F), Reach(F, LV.numbering()) {}
 
   FunctionAnalyses(const FunctionAnalyses &) = delete;
   FunctionAnalyses &operator=(const FunctionAnalyses &) = delete;
 
-  /// Backward/union liveness over the dense solver.
+  /// Backward/union liveness over the dense solver; its numbering is the
+  /// register universe every analysis in the bundle shares.
   Liveness LV;
-  /// The dense register universe the dataflow clients share.
-  RegNumbering N;
   /// Forward/union cross-block reaching definitions.
   ReachingDefBlocks Reach;
 };

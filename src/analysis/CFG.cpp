@@ -53,6 +53,17 @@ std::vector<BlockExit> cpr::blockExits(const Function &F, size_t LayoutIdx) {
   return Exits;
 }
 
+std::vector<int> cpr::layoutIndexMap(const Function &F) {
+  std::vector<int> Map;
+  for (size_t L = 0, E = F.numBlocks(); L != E; ++L) {
+    BlockId Id = F.block(L).getId();
+    if (Id >= Map.size())
+      Map.resize(static_cast<size_t>(Id) + 1, -1);
+    Map[Id] = static_cast<int>(L);
+  }
+  return Map;
+}
+
 std::vector<BlockId> cpr::blockSuccessors(const Function &F,
                                           size_t LayoutIdx) {
   std::vector<BlockId> Succs;

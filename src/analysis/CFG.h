@@ -44,6 +44,10 @@ std::vector<BlockExit> blockExits(const Function &F, size_t LayoutIdx);
 /// excluding InvalidBlockId).
 std::vector<BlockId> blockSuccessors(const Function &F, size_t LayoutIdx);
 
+/// Block id -> layout index over \p F (Function::layoutIndex for every id
+/// at once): -1 where no block has the id; ids past the end have no block.
+std::vector<int> layoutIndexMap(const Function &F);
+
 } // namespace cpr
 
 #endif // ANALYSIS_CFG_H

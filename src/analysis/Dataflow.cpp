@@ -22,7 +22,7 @@ RegNumbering::RegNumbering(const Function &F) {
     // client (every transfer skips it as a guard), so it earns no bit.
     if (!R.isValid() || R.isTruePred())
       return;
-    if (Index.emplace(R, Regs.size()).second)
+    if (Index.try_emplace(R, Regs.size()).second)
       Regs.push_back(R);
   };
   for (Reg R : F.observableRegs())
@@ -90,9 +90,10 @@ DataflowSolver::DataflowSolver(const Function &F, const DataflowProblem &P) {
   // Per block: layout indices of exit targets; -1 = boundary (halt/trap/
   // fall-off-end).
   std::vector<std::vector<int>> ExitTargets(NBlocks);
+  std::vector<int> LayoutOf = layoutIndexMap(F);
   for (size_t L = 0; L < NBlocks; ++L) {
     for (const BlockExit &E : blockExits(F, L)) {
-      int T = E.Target == InvalidBlockId ? -1 : F.layoutIndex(E.Target);
+      int T = E.Target < LayoutOf.size() ? LayoutOf[E.Target] : -1;
       ExitTargets[L].push_back(T);
       if (T >= 0)
         Preds[static_cast<size_t>(T)].push_back(L);

@@ -47,7 +47,7 @@ void DepGraph::addEdge(uint32_t From, uint32_t To, DepKind Kind,
   PredIdx[To].push_back(Idx);
 }
 
-DepGraph::DepGraph(const Function &F, const Block &B, const MachineDesc &MD,
+DepGraph::DepGraph(const Function &, const Block &B, const MachineDesc &MD,
                    RegionPQS &PQS, const Liveness &LV,
                    const DepGraphOptions &Opts) {
   const std::vector<Operation> &Ops = B.ops();
@@ -168,7 +168,13 @@ DepGraph::DepGraph(const Function &F, const Block &B, const MachineDesc &MD,
   };
 
   // --- Control state ----------------------------------------------------
-  std::vector<uint32_t> PriorBranches; // branch/halt/trap indices so far
+  // Branch/halt/trap indices so far, each with the registers live where it
+  // leaves the block.
+  struct PriorExit {
+    uint32_t Idx;
+    LiveSet Live;
+  };
+  std::vector<PriorExit> PriorBranches;
   int BrLat = MD.branchLatency();
 
   for (uint32_t I = 0; I < NumNodes; ++I) {
@@ -227,7 +233,8 @@ DepGraph::DepGraph(const Function &F, const Block &B, const MachineDesc &MD,
     bool SideEffects = Op.hasSideEffects();
     BDD::NodeRef MyCond =
         Op.isBranch() ? PQS.takenExpr(I) : PQS.guardExpr(I);
-    for (uint32_t Br : PriorBranches) {
+    for (const PriorExit &PE : PriorBranches) {
+      uint32_t Br = PE.Idx;
       const Operation &BrOp = Ops[Br];
       BDD::NodeRef ExitCond = BrOp.isBranch() ? PQS.takenExpr(Br)
                                               : PQS.guardExpr(Br);
@@ -249,10 +256,8 @@ DepGraph::DepGraph(const Function &F, const Block &B, const MachineDesc &MD,
       // live on the exit path. Unconditional cmpp targets write even under
       // a false guard, so the guard-disjointness exemption above does not
       // apply to them; re-check per destination.
-      RegSet ExitLive = LV.liveAtExit(F, B, Br);
       for (const DefSlot &D : Op.defs()) {
-        bool Clobbers = ExitLive.count(D.R) != 0;
-        if (!Clobbers)
+        if (!PE.Live.count(D.R))
           continue;
         bool AlwaysWrites =
             Op.isCmpp()
@@ -286,7 +291,7 @@ DepGraph::DepGraph(const Function &F, const Block &B, const MachineDesc &MD,
         int ExitLat = Op.isBranch() ? BrLat : 1;
         addEdge(J, I, DepKind::Control, 1 - ExitLat);
       }
-      PriorBranches.push_back(I);
+      PriorBranches.push_back(PriorExit{I, LV.liveAtExit(B, I)});
     }
 
     // Definitions.

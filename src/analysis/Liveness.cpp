@@ -10,9 +10,9 @@
 #include "analysis/Dataflow.h"
 #include "support/Error.h"
 
-using namespace cpr;
+#include <algorithm>
 
-const RegSet Liveness::EmptySet;
+using namespace cpr;
 
 namespace {
 
@@ -29,18 +29,21 @@ bool defAlwaysWrites(const Operation &Op, const DefSlot &D) {
 
 /// Backward/union liveness over the dense dataflow solver
 /// (analysis/Dataflow.h). The transfer folds interior exits at their op
-/// positions — the same precision the per-register-set implementation
-/// had — but runs on BitVector words instead of hash-set elements
-/// (ROADMAP O3; see bench/bench_liveness.cpp for the before/after).
+/// positions. Each block's transfer is compiled once, before the solve,
+/// into a list of bit operations in reverse op order; iterations of the
+/// fixed point then touch no IR.
 class LivenessProblem : public DataflowProblem {
 public:
-  LivenessProblem(const Function &F, const RegNumbering &N)
-      : F(F), N(N), Observable(N.size()) {
-    for (Reg R : F.observableRegs()) {
-      int I = N.indexOf(R);
-      if (I >= 0)
-        Observable.set(static_cast<size_t>(I));
+  LivenessProblem(const Function &F, const RegNumbering &N,
+                  const BitVector &Observable,
+                  const std::vector<int> &LayoutOf)
+      : N(N), Observable(Observable) {
+    Begin.reserve(F.numBlocks() + 1);
+    for (size_t L = 0, E = F.numBlocks(); L != E; ++L) {
+      Begin.push_back(Steps.size());
+      compile(F, L, LayoutOf);
     }
+    Begin.push_back(Steps.size());
   }
 
   Direction direction() const override { return Direction::Backward; }
@@ -50,8 +53,43 @@ public:
 
   void transfer(size_t LayoutIdx, BitVector &V,
                 const std::vector<BitVector> &InSets) const override {
+    for (size_t I = Begin[LayoutIdx], E = Begin[LayoutIdx + 1]; I != E; ++I) {
+      const Step &S = Steps[I];
+      switch (S.K) {
+      case Step::OrObservable:
+        V.orWith(Observable);
+        break;
+      case Step::OrTarget:
+        V.orWith(InSets[S.Idx]);
+        break;
+      case Step::Kill:
+        V.reset(S.Idx);
+        break;
+      case Step::Gen:
+        V.set(S.Idx);
+        break;
+      }
+    }
+  }
+
+private:
+  /// One bit operation of a compiled block transfer.
+  struct Step {
+    enum Kind : uint8_t { OrObservable, OrTarget, Kill, Gen } K;
+    /// Target layout index (OrTarget) or register bit (Kill, Gen).
+    uint32_t Idx;
+  };
+
+  /// Appends block \p LayoutIdx's transfer to Steps.
+  void compile(const Function &F, size_t LayoutIdx,
+               const std::vector<int> &LayoutOf) {
     const Block &B = F.block(LayoutIdx);
     std::vector<BlockExit> Exits = blockExits(F, LayoutIdx);
+    auto Add = [&](Step::Kind K, Reg R) {
+      int I = N.indexOf(R);
+      if (I >= 0)
+        Steps.push_back(Step{K, static_cast<uint32_t>(I)});
+    };
     for (size_t OI = B.size(); OI-- > 0;) {
       const Operation &Op = B.ops()[OI];
       // Interior exits add their targets' live-ins at the exit point.
@@ -60,109 +98,106 @@ public:
           if (E.OpIdx != static_cast<int>(OI))
             continue;
           if (E.Target == InvalidBlockId) {
-            V.orWith(Observable);
-          } else {
-            int T = F.layoutIndex(E.Target);
-            if (T >= 0)
-              V.orWith(InSets[static_cast<size_t>(T)]);
+            Steps.push_back(Step{Step::OrObservable, 0});
+            continue;
           }
+          int T = E.Target < LayoutOf.size() ? LayoutOf[E.Target] : -1;
+          if (T >= 0)
+            Steps.push_back(Step{Step::OrTarget, static_cast<uint32_t>(T)});
         }
       }
       // Backward transfer: kill sure definitions, then gen reads.
       for (const DefSlot &D : Op.defs())
-        if (defAlwaysWrites(Op, D)) {
-          int I = N.indexOf(D.R);
-          if (I >= 0)
-            V.reset(static_cast<size_t>(I));
-        }
-      if (!Op.getGuard().isTruePred()) {
-        int I = N.indexOf(Op.getGuard());
-        if (I >= 0)
-          V.set(static_cast<size_t>(I));
-      }
+        if (defAlwaysWrites(Op, D))
+          Add(Step::Kill, D.R);
+      if (!Op.getGuard().isTruePred())
+        Add(Step::Gen, Op.getGuard());
       for (const Operand &S : Op.srcs())
-        if (S.isReg()) {
-          int I = N.indexOf(S.getReg());
-          if (I >= 0)
-            V.set(static_cast<size_t>(I));
-        }
+        if (S.isReg())
+          Add(Step::Gen, S.getReg());
     }
   }
 
-private:
-  const Function &F;
   const RegNumbering &N;
-  BitVector Observable;
+  const BitVector &Observable;
+  /// Every block's compiled transfer, in reverse op order; block L's steps
+  /// are Steps[Begin[L]] up to Steps[Begin[L + 1]].
+  std::vector<Step> Steps;
+  std::vector<size_t> Begin;
 };
+
+/// The observable registers of \p F as a set over \p N.
+BitVector observableBits(const Function &F, const RegNumbering &N) {
+  BitVector V(N.size());
+  for (Reg R : F.observableRegs()) {
+    int I = N.indexOf(R);
+    if (I >= 0)
+      V.set(static_cast<size_t>(I));
+  }
+  return V;
+}
 
 } // namespace
 
-Liveness::Liveness(const Function &F) {
-  for (Reg R : F.observableRegs())
-    ObservableSet.insert(R);
+Liveness::Liveness(const Function &F)
+    : N(F), Observable(observableBits(F, N)), LayoutOf(layoutIndexMap(F)),
+      Solution(F, LivenessProblem(F, N, Observable, LayoutOf)) {}
 
-  RegNumbering N(F);
-  LivenessProblem P(F, N);
-  DataflowSolver S(F, P);
-
-  // Materialize the dense solution into the RegSet API every existing
-  // client (scheduler, DCE, off-trace motion, perf model) consumes.
-  auto ToSet = [&](const BitVector &V) {
-    RegSet Out;
-    for (size_t I = V.findFirst(); I != BitVector::npos; I = V.findNext(I + 1))
-      Out.insert(N.regOf(I));
-    return Out;
-  };
-  for (size_t L = 0, E = F.numBlocks(); L != E; ++L) {
-    BlockId Id = F.block(L).getId();
-    LiveInMap[Id] = ToSet(S.in(L));
-    LiveOutMap[Id] = ToSet(S.out(L));
-  }
+LiveSet Liveness::liveIn(BlockId B) const {
+  int L = layoutOf(B);
+  return L < 0 ? LiveSet() : LiveSet(Solution.in(static_cast<size_t>(L)), N);
 }
 
-const RegSet &Liveness::liveIn(BlockId B) const {
-  auto It = LiveInMap.find(B);
-  return It == LiveInMap.end() ? EmptySet : It->second;
+LiveSet Liveness::liveOut(BlockId B) const {
+  int L = layoutOf(B);
+  return L < 0 ? LiveSet() : LiveSet(Solution.out(static_cast<size_t>(L)), N);
 }
 
-const RegSet &Liveness::liveOut(BlockId B) const {
-  auto It = LiveOutMap.find(B);
-  return It == LiveOutMap.end() ? EmptySet : It->second;
-}
-
-RegSet Liveness::liveAtExit(const Function &F, const Block &B,
-                            size_t OpIdx) const {
+LiveSet Liveness::liveAtExit(const Block &B, size_t OpIdx) const {
   const Operation &Op = B.ops()[OpIdx];
   assert(Op.isControl() && "liveAtExit requires a control operation");
   if (Op.isBranch()) {
     BlockId Target = resolveBranchTarget(B, OpIdx);
     if (Target != InvalidBlockId)
       return liveIn(Target);
-    (void)F;
-    return ObservableSet;
   }
-  return ObservableSet; // halt/trap observe the observable registers
+  // Halt/trap (and an unresolved branch) observe the observable registers.
+  return LiveSet(Observable, N);
 }
 
 //===----------------------------------------------------------------------===//
 // PredicatedLiveness
 //===----------------------------------------------------------------------===//
 
-BDD::NodeRef PredicatedLiveness::get(const LiveMap &M, Reg R) {
-  auto It = M.find(R);
-  return It == M.end() ? BDD::False : It->second;
-}
-
 PredicatedLiveness::PredicatedLiveness(const Function &F, const Block &B,
-                                       RegionPQS &PQS, const Liveness &L) {
+                                       RegionPQS &PQS, const Liveness &L)
+    : N(L.numbering()) {
   BDD &Mgr = PQS.bdd();
   const std::vector<Operation> &Ops = B.ops();
   LiveBeforeOp.resize(Ops.size() + 1);
 
-  // Block-end map: the layout successor's live-in, but only when control
+  // The state at the current program point, dense over the numbering:
+  // Cur[I] is the condition under which register I is live, and Live
+  // marks the entries that are not False. The true predicate has no
+  // index; it is never written, so no query asks about it.
+  std::vector<BDD::NodeRef> Cur(N.size(), BDD::False);
+  BitVector Live(N.size());
+  auto Set = [&](size_t I, BDD::NodeRef Cond) {
+    Cur[I] = Cond;
+    if (Cond == BDD::False)
+      Live.reset(I);
+    else
+      Live.set(I);
+  };
+  auto Snapshot = [&](std::vector<LiveCond> &Out) {
+    for (size_t I = Live.findFirst(); I != BitVector::npos;
+         I = Live.findNext(I + 1))
+      Out.push_back(LiveCond{static_cast<uint32_t>(I), Cur[I]});
+  };
+
+  // Block-end state: the layout successor's live-in, but only when control
   // can actually reach the end of the block (an unguarded halt/trap makes
   // the fall-through point unreachable).
-  LiveMap Cur;
   int LayoutIdx = F.layoutIndex(B.getId());
   bool FallsThrough = false;
   if (LayoutIdx >= 0) {
@@ -172,20 +207,28 @@ PredicatedLiveness::PredicatedLiveness(const Function &F, const Block &B,
   }
   if (FallsThrough && LayoutIdx >= 0 &&
       static_cast<size_t>(LayoutIdx) + 1 < F.numBlocks()) {
-    for (Reg R : L.liveIn(F.block(static_cast<size_t>(LayoutIdx) + 1).getId()))
-      Cur[R] = BDD::True;
+    L.liveIn(F.block(static_cast<size_t>(LayoutIdx) + 1).getId())
+        .orInto(Live);
+    for (size_t I = Live.findFirst(); I != BitVector::npos;
+         I = Live.findNext(I + 1))
+      Cur[I] = BDD::True;
   } else if (FallsThrough) {
-    for (Reg R : F.observableRegs())
-      Cur[R] = BDD::True;
+    for (Reg R : F.observableRegs()) {
+      int I = N.indexOf(R);
+      if (I >= 0)
+        Set(static_cast<size_t>(I), BDD::True);
+    }
   }
-  LiveBeforeOp[Ops.size()] = Cur;
+  Snapshot(LiveBeforeOp[Ops.size()]);
 
-  auto OrInto = [&](LiveMap &M, Reg R, BDD::NodeRef Cond) {
-    BDD::NodeRef Old = get(M, R);
-    BDD::NodeRef New = Mgr.mkOr(Old, Cond);
+  auto OrInto = [&](Reg R, BDD::NodeRef Cond) {
+    int I = N.indexOf(R);
+    if (I < 0)
+      return;
+    BDD::NodeRef New = Mgr.mkOr(Cur[static_cast<size_t>(I)], Cond);
     if (New == BDD::Invalid)
       New = BDD::True; // conservative: live
-    M[R] = New;
+    Set(static_cast<size_t>(I), New);
   };
 
   for (size_t I = Ops.size(); I-- > 0;) {
@@ -194,14 +237,13 @@ PredicatedLiveness::PredicatedLiveness(const Function &F, const Block &B,
 
     // Exits merge in their target's live set under the exit condition.
     if (Op.isBranch()) {
-      RegSet ExitLive = L.liveAtExit(F, B, I);
       BDD::NodeRef Taken = PQS.takenExpr(I);
-      for (Reg R : ExitLive)
-        OrInto(Cur, R, Taken);
+      for (Reg R : L.liveAtExit(B, I))
+        OrInto(R, Taken);
     } else if (Op.getOpcode() == Opcode::Halt ||
                Op.getOpcode() == Opcode::Trap) {
       for (Reg R : F.observableRegs())
-        OrInto(Cur, R, G);
+        OrInto(R, G);
     }
 
     // Kill definitions under their write conditions.
@@ -221,15 +263,13 @@ PredicatedLiveness::PredicatedLiveness(const Function &F, const Block &B,
         // Positional (FRP) guards are true whenever the op is reached.
         WriteCond = Op.isFrpGuard() ? BDD::True : G;
       }
-      if (WriteCond != BDD::False) {
-        BDD::NodeRef Old = get(Cur, D.R);
+      int DI = N.indexOf(D.R);
+      if (WriteCond != BDD::False && DI >= 0) {
+        BDD::NodeRef Old = Cur[static_cast<size_t>(DI)];
         BDD::NodeRef New = Mgr.mkAnd(Old, Mgr.mkNot(WriteCond));
         if (New == BDD::Invalid)
           New = Old; // conservative: keep live
-        if (New == BDD::False)
-          Cur.erase(D.R);
-        else
-          Cur[D.R] = New;
+        Set(static_cast<size_t>(DI), New);
       }
     }
 
@@ -238,28 +278,40 @@ PredicatedLiveness::PredicatedLiveness(const Function &F, const Block &B,
     // the guard is false); the guard register itself is read
     // unconditionally to decide nullification.
     if (!Op.getGuard().isTruePred())
-      OrInto(Cur, Op.getGuard(), BDD::True);
+      OrInto(Op.getGuard(), BDD::True);
     if (Op.isBranch()) {
       // The predicate decides whether the branch takes (read whenever the
       // branch issues); the target register matters only when it takes.
-      OrInto(Cur, Op.branchPred(), BDD::True);
-      OrInto(Cur, Op.branchTargetReg(), PQS.takenExpr(I));
+      OrInto(Op.branchPred(), BDD::True);
+      OrInto(Op.branchTargetReg(), PQS.takenExpr(I));
     } else {
       for (const Operand &S : Op.srcs())
         if (S.isReg())
-          OrInto(Cur, S.getReg(), G);
+          OrInto(S.getReg(), G);
     }
 
-    LiveBeforeOp[I] = Cur;
+    Snapshot(LiveBeforeOp[I]);
   }
 }
 
+BDD::NodeRef PredicatedLiveness::get(size_t Point, Reg R) const {
+  int I = N.indexOf(R);
+  if (I < 0)
+    return BDD::False;
+  const std::vector<LiveCond> &At = LiveBeforeOp[Point];
+  auto It = std::lower_bound(
+      At.begin(), At.end(), static_cast<uint32_t>(I),
+      [](const LiveCond &C, uint32_t Idx) { return C.Idx < Idx; });
+  return It != At.end() && It->Idx == static_cast<uint32_t>(I) ? It->Cond
+                                                               : BDD::False;
+}
+
 BDD::NodeRef PredicatedLiveness::liveAfter(size_t OpIdx, Reg R) const {
-  assert(OpIdx + 1 < LiveBeforeOp.size() + 1);
-  return get(LiveBeforeOp[OpIdx + 1], R);
+  assert(OpIdx + 1 < LiveBeforeOp.size());
+  return get(OpIdx + 1, R);
 }
 
 BDD::NodeRef PredicatedLiveness::liveBefore(size_t OpIdx, Reg R) const {
   assert(OpIdx < LiveBeforeOp.size());
-  return get(LiveBeforeOp[OpIdx], R);
+  return get(OpIdx, R);
 }

@@ -10,7 +10,12 @@
 ///  - Function-level set liveness (iterative dataflow over blocks), used by
 ///    the scheduler's speculation legality check and by dead-code
 ///    elimination. Predicated definitions under a non-true guard do not
-///    kill (conservative).
+///    kill (conservative). The solution stays in the dense solver's
+///    bitsets (analysis/Dataflow.h): every query returns a LiveSet, a
+///    non-owning view of one solved set over the function's RegNumbering.
+///    A LiveSet points into the Liveness that returned it and must not
+///    outlive it; Liveness is neither copyable nor movable so that views
+///    never dangle behind a relocation.
 ///
 ///  - Predicated (expression-valued) intra-block liveness, following the
 ///    predicate-aware dataflow of [JS96] that the paper's predicate
@@ -24,41 +29,120 @@
 #ifndef ANALYSIS_LIVENESS_H
 #define ANALYSIS_LIVENESS_H
 
+#include "analysis/Dataflow.h"
 #include "analysis/PQS.h"
 #include "ir/Function.h"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <iterator>
 #include <vector>
 
 namespace cpr {
 
-/// A set of registers.
-using RegSet = std::unordered_set<Reg>;
+/// A read-only view of one solved liveness set: the set bits of a
+/// BitVector over a RegNumbering. Cheap to copy; iterates registers in
+/// numbering order. The default-constructed view is the empty set.
+class LiveSet {
+public:
+  LiveSet() = default;
+
+  /// 1 when \p R is in the set, 0 otherwise (including registers the
+  /// function never mentions).
+  size_t count(Reg R) const {
+    if (!Bits)
+      return 0;
+    int I = N->indexOf(R);
+    return I >= 0 && Bits->test(static_cast<size_t>(I)) ? 1 : 0;
+  }
+  bool empty() const { return !Bits || Bits->none(); }
+  /// Adds this set to \p V, a set over the same RegNumbering.
+  void orInto(BitVector &V) const {
+    if (Bits)
+      V.orWith(*Bits);
+  }
+
+  class iterator {
+  public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Reg;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Reg *;
+    using reference = Reg;
+
+    iterator() = default;
+    Reg operator*() const { return N->regOf(I); }
+    iterator &operator++() {
+      I = Bits->findNext(I + 1);
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator Old = *this;
+      ++*this;
+      return Old;
+    }
+    bool operator==(const iterator &O) const { return I == O.I; }
+    bool operator!=(const iterator &O) const { return I != O.I; }
+
+  private:
+    friend class LiveSet;
+    iterator(const BitVector *Bits, const RegNumbering *N, size_t I)
+        : Bits(Bits), N(N), I(I) {}
+    const BitVector *Bits = nullptr;
+    const RegNumbering *N = nullptr;
+    size_t I = BitVector::npos;
+  };
+
+  iterator begin() const {
+    return Bits ? iterator(Bits, N, Bits->findFirst()) : end();
+  }
+  iterator end() const { return iterator(Bits, N, BitVector::npos); }
+
+private:
+  friend class Liveness;
+  LiveSet(const BitVector &Bits, const RegNumbering &N) : Bits(&Bits), N(&N) {}
+
+  const BitVector *Bits = nullptr;
+  const RegNumbering *N = nullptr;
+};
 
 /// Function-level set liveness.
 class Liveness {
 public:
   explicit Liveness(const Function &F);
 
-  const RegSet &liveIn(BlockId B) const;
-  const RegSet &liveOut(BlockId B) const;
+  // LiveSet views point into this object.
+  Liveness(const Liveness &) = delete;
+  Liveness &operator=(const Liveness &) = delete;
+
+  /// Registers live into / out of block \p B; empty for an unknown block.
+  LiveSet liveIn(BlockId B) const;
+  LiveSet liveOut(BlockId B) const;
 
   /// Registers live when the branch/halt at op \p OpIdx of block \p B
   /// leaves the block (the live-in of its target, or the observable set
-  /// for halt).
-  RegSet liveAtExit(const Function &F, const Block &B, size_t OpIdx) const;
+  /// for halt). \p B need not belong to the function: lint asks about
+  /// synthesized path blocks whose branches target the function's blocks.
+  LiveSet liveAtExit(const Block &B, size_t OpIdx) const;
+
+  /// The register universe every view is over.
+  const RegNumbering &numbering() const { return N; }
 
 private:
-  std::unordered_map<BlockId, RegSet> LiveInMap;
-  std::unordered_map<BlockId, RegSet> LiveOutMap;
-  RegSet ObservableSet;
-  static const RegSet EmptySet;
+  /// Layout index of \p B, or -1 when the function has no such block.
+  int layoutOf(BlockId B) const {
+    return B < LayoutOf.size() ? LayoutOf[B] : -1;
+  }
+
+  RegNumbering N;
+  BitVector Observable;
+  /// Block id -> layout index (-1 for ids without a block).
+  std::vector<int> LayoutOf;
+  DataflowSolver Solution;
 };
 
-/// Predicated intra-block liveness: per operation index, a map from
-/// register to the BDD condition under which it is live *before* the
-/// operation executes.
+/// Predicated intra-block liveness: per operation index, the BDD
+/// condition under which each register is live *before* the operation
+/// executes. Registers are indexed by the function-level Liveness's
+/// numbering, so that Liveness must outlive this object.
 class PredicatedLiveness {
 public:
   /// \param F the function; \p B the analyzed block; \p PQS expressions
@@ -74,12 +158,19 @@ public:
   BDD::NodeRef liveBefore(size_t OpIdx, Reg R) const;
 
 private:
-  using LiveMap = std::unordered_map<Reg, BDD::NodeRef>;
-  static BDD::NodeRef get(const LiveMap &M, Reg R);
+  /// A register (its numbering index) live under a condition other than
+  /// False at one program point.
+  struct LiveCond {
+    uint32_t Idx;
+    BDD::NodeRef Cond;
+  };
+  /// \p R's condition at program point \p Point (before op \p Point).
+  BDD::NodeRef get(size_t Point, Reg R) const;
 
-  // LiveBeforeOp[I] = liveness map at the program point before op I.
-  // An extra trailing entry holds the block-end (fall-through) map.
-  std::vector<LiveMap> LiveBeforeOp;
+  const RegNumbering &N;
+  // LiveBeforeOp[I] = the registers live before op I, in numbering order.
+  // An extra trailing entry holds the block-end (fall-through) state.
+  std::vector<std::vector<LiveCond>> LiveBeforeOp;
 };
 
 } // namespace cpr

@@ -8,9 +8,15 @@
 
 #include "analysis/CFG.h"
 
+#include <unordered_set>
+
 using namespace cpr;
 
 namespace {
+
+/// The registers live at one program point. Unlike the liveness solution,
+/// it also holds the true predicate once an operation reads it.
+using RegSet = std::unordered_set<Reg>;
 
 PressureReport snapshot(const RegSet &Live) {
   PressureReport R;
@@ -27,7 +33,8 @@ PressureReport cpr::measureBlockPressure(const Function &F, const Block &B,
 
   // Backward walk mirroring the liveness transfer, taking a pressure
   // snapshot at every program point.
-  RegSet Live = LV.liveOut(B.getId());
+  LiveSet Out = LV.liveOut(B.getId());
+  RegSet Live(Out.begin(), Out.end());
   Peak.mergeMax(snapshot(Live));
 
   int LayoutIdx = F.layoutIndex(B.getId());
@@ -41,7 +48,7 @@ PressureReport cpr::measureBlockPressure(const Function &F, const Block &B,
       for (const BlockExit &E : Exits) {
         if (E.OpIdx != static_cast<int>(OI) || E.Target == InvalidBlockId)
           continue;
-        const RegSet &SuccIn = LV.liveIn(E.Target);
+        LiveSet SuccIn = LV.liveIn(E.Target);
         Live.insert(SuccIn.begin(), SuccIn.end());
       }
       if (Op.getOpcode() == Opcode::Halt || Op.getOpcode() == Opcode::Trap)

@@ -123,13 +123,12 @@ Expected<MotionStats> cpr::moveOffTrace(Function &F,
                                   Plan.OnTracePred);
   }
   std::unordered_set<uint32_t> SplitSet;
-  const RegSet &FallLive = [&]() -> const RegSet & {
+  LiveSet FallLive;
+  {
     int LI = F.layoutIndex(B.getId());
-    static const RegSet Empty;
     if (LI >= 0 && static_cast<size_t>(LI) + 1 < F.numBlocks())
-      return LV.liveIn(F.block(static_cast<size_t>(LI) + 1).getId());
-    return Empty;
-  }();
+      FallLive = LV.liveIn(F.block(static_cast<size_t>(LI) + 1).getId());
+  }
 
   // Indices of the CPR block's controlling compares: their predicates are
   // re-wired to the on-trace FRP, so they never need on-trace copies.

@@ -61,10 +61,10 @@ SpeculationStats cpr::speculatePredicates(Function &F, Block &B) {
     // removal *above* the original branches, so promotion is speculation:
     // the destination must be dead at the target of every branch that
     // precedes... more precisely, that originally guarded the operation.
-    std::vector<std::pair<size_t, RegSet>> BranchExitLive;
+    std::vector<std::pair<size_t, LiveSet>> BranchExitLive;
     for (size_t I = 0; I < B.size(); ++I)
       if (B.ops()[I].isBranch())
-        BranchExitLive.emplace_back(I, LV.liveAtExit(F, B, I));
+        BranchExitLive.emplace_back(I, LV.liveAtExit(B, I));
 
     for (size_t I = B.size(); I-- > 0;) {
       Operation &Op = B.ops()[I];

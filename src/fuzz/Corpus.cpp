@@ -36,7 +36,8 @@ std::string cpr::serializeFuzzProgram(const KernelProgram &P) {
 
 namespace {
 
-/// Parses "r12" / "f3" / "p2" / "b1" (plain digits, no pretty names).
+/// Parses "r12" / "f3" / "p2" / "b1" (plain digits up to MaxRegId, no
+/// pretty names).
 bool parseRegName(const std::string &Name, Reg &Out) {
   if (Name.size() < 2)
     return false;
@@ -57,11 +58,10 @@ bool parseRegName(const std::string &Name, Reg &Out) {
   default:
     return false;
   }
-  char *End = nullptr;
-  unsigned long Id = std::strtoul(Name.c_str() + 1, &End, 10);
-  if (End != Name.c_str() + Name.size())
+  uint32_t Id;
+  if (!parseRegId(std::string_view(Name).substr(1), Id))
     return false;
-  Out = Reg(RC, static_cast<uint32_t>(Id));
+  Out = Reg(RC, Id);
   return true;
 }
 

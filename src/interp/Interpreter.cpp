@@ -35,7 +35,7 @@ public:
 private:
   template <typename T> static T &grow(std::vector<T> &V, uint32_t Id) {
     if (Id >= V.size())
-      V.resize(Id + 1, T{});
+      V.resize(static_cast<size_t>(Id) + 1, T{});
     return V[Id];
   }
   std::vector<int64_t> Gpr;

@@ -167,6 +167,12 @@ private:
     return S;
   }
 
+  /// The error for register name \p S whose digits exceed MaxRegId.
+  static std::string regIdRangeError(const std::string &S) {
+    return "register id out of range in '" + S + "' (the largest is " +
+           std::to_string(MaxRegId) + ")";
+  }
+
   /// Parses a register name: T, r21, p61, f3, b41.
   Reg parseReg() {
     if (Cur.Kind != Tok::Ident) {
@@ -205,8 +211,12 @@ private:
           error("register needs a numeric id");
           return Reg();
         }
-      R = Reg(RC, static_cast<uint32_t>(std::strtoul(S.c_str() + 1, nullptr,
-                                                     10)));
+      uint32_t Id;
+      if (!parseRegId(std::string_view(S).substr(1), Id)) {
+        error(regIdRangeError(S));
+        return Reg();
+      }
+      R = Reg(RC, Id);
     }
     advance();
     F->reserveRegId(R);
@@ -456,7 +466,12 @@ private:
         error("expected register, got '" + S + "'");
         return Reg();
       }
-    Reg R(RC, static_cast<uint32_t>(std::strtoul(S.c_str() + 1, nullptr, 10)));
+    uint32_t Id;
+    if (!parseRegId(std::string_view(S).substr(1), Id)) {
+      error(regIdRangeError(S));
+      return Reg();
+    }
+    Reg R(RC, Id);
     F->reserveRegId(R);
     return R;
   }

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 namespace cpr {
 
@@ -36,6 +37,16 @@ inline constexpr unsigned NumRegClasses = 4;
 
 /// Returns the printable single-letter prefix for \p RC ("r", "f", "p", "b").
 const char *regClassPrefix(RegClass RC);
+
+/// The largest register id a textual register name may carry. The cap
+/// keeps names clear of the invalid-register sentinel and bounds each
+/// register class of an interpreter run at 2^20 slots.
+inline constexpr uint32_t MaxRegId = (1u << 20) - 1;
+
+/// Parses the decimal id of a register name (the text after the class
+/// letter). Returns false unless \p Digits is one or more decimal digits
+/// whose value is at most MaxRegId.
+bool parseRegId(std::string_view Digits, uint32_t &Id);
 
 /// A virtual register: a class plus an id. Ids are unique per class within a
 /// Function. Value type; freely copyable.

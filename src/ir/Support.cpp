@@ -27,6 +27,21 @@ const char *cpr::regClassPrefix(RegClass RC) {
   CPR_UNREACHABLE("bad register class");
 }
 
+bool cpr::parseRegId(std::string_view Digits, uint32_t &Id) {
+  if (Digits.empty())
+    return false;
+  uint32_t V = 0;
+  for (char C : Digits) {
+    if (C < '0' || C > '9')
+      return false;
+    V = V * 10 + static_cast<uint32_t>(C - '0');
+    if (V > MaxRegId)
+      return false; // stops before V * 10 can overflow
+  }
+  Id = V;
+  return true;
+}
+
 std::string Reg::str() const {
   if (isTruePred())
     return "T";

@@ -95,6 +95,11 @@ private:
       error(&B, &Op, "compare condition mismatch");
     if (!opcodeIsMemory(Op.getOpcode()) && Op.getAliasClass() != 0)
       error(&B, &Op, "alias class on a non-memory operation");
+    // p0 is hardwired: the interpreter cannot write it, and the dataflow
+    // analyses give it no bit.
+    for (const DefSlot &D : Op.defs())
+      if (D.R.isTruePred())
+        error(&B, &Op, "operation may not write the hardwired true predicate");
 
     // Label operands must reference existing blocks.
     for (const Operand &S : Op.srcs())
@@ -180,8 +185,6 @@ private:
       for (const DefSlot &D : Op.defs()) {
         if (D.R.getClass() != RegClass::PR)
           error(&B, &Op, "cmpp destination must be a predicate");
-        if (D.R.isTruePred())
-          error(&B, &Op, "cmpp may not write the hardwired true predicate");
         if (D.Act == CmppAction::None)
           error(&B, &Op, "cmpp destination needs an action specifier");
       }

@@ -66,7 +66,6 @@ struct LintContext::Impl {
   /// Caller-declared environment inputs; null when none were declared.
   const std::vector<RegBinding> *Inputs = nullptr;
   std::unique_ptr<Liveness> LV;
-  std::unique_ptr<RegNumbering> N;
   std::unique_ptr<ReachingDefBlocks> Reach;
   std::unique_ptr<DefiniteAssignment> Definite;
 };
@@ -81,7 +80,7 @@ LintContext::LintContext(const Function &F, const LintOptions &Opts,
 
 LintContext::~LintContext() = default;
 
-Liveness &LintContext::liveness() {
+const Liveness &LintContext::liveness() {
   if (I->Shared)
     return I->Shared->LV;
   if (!I->LV)
@@ -92,10 +91,8 @@ Liveness &LintContext::liveness() {
 const ReachingDefBlocks &LintContext::reachingDefs() {
   if (I->Shared)
     return I->Shared->Reach;
-  if (!I->Reach) {
-    I->N.reset(new RegNumbering(F));
-    I->Reach.reset(new ReachingDefBlocks(F, *I->N));
-  }
+  if (!I->Reach)
+    I->Reach.reset(new ReachingDefBlocks(F, liveness().numbering()));
   return *I->Reach;
 }
 

@@ -78,7 +78,6 @@ class Liveness;
 struct LintWitness;
 class ReachingDefBlocks;
 struct RegBinding;
-class RegNumbering;
 
 /// One lint finding: a violated invariant at a program location.
 struct LintFinding {
@@ -157,7 +156,7 @@ public:
   const LintOptions &options() const { return Opts; }
 
   /// Lazily built (or borrowed) function-level liveness.
-  Liveness &liveness();
+  const Liveness &liveness();
 
   /// Lazily built (or borrowed) cross-block reaching definitions.
   const ReachingDefBlocks &reachingDefs();

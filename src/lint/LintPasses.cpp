@@ -183,7 +183,7 @@ namespace {
 /// frp-consistency separately proves the trap unreachable, so a value
 /// only matters off-trace if a compensation op reads it, an exit leaves
 /// with it live, or a halt makes it observable first.
-bool compNeedsValue(const Function &F, Liveness &LV, const Block &Comp,
+bool compNeedsValue(const Function &F, const Liveness &LV, const Block &Comp,
                     Reg R) {
   for (size_t K = 0; K < Comp.size(); ++K) {
     const Operation &Op = Comp.ops()[K];
@@ -420,7 +420,7 @@ public:
 
   void run(LintContext &Ctx, std::vector<LintFinding> &Out) override {
     const Function &F = Ctx.func();
-    Liveness &LV = Ctx.liveness();
+    const Liveness &LV = Ctx.liveness();
     for (size_t L = 0; L < F.numBlocks(); ++L) {
       const Block &B = F.block(L);
       if (B.isCompensation())
@@ -428,7 +428,7 @@ public:
       for (const Bypass &BP : findBypasses(F, B)) {
         if (BP.Lookaheads.empty())
           continue;
-        const RegSet &BlockLive = LV.liveIn(B.getId());
+        LiveSet BlockLive = LV.liveIn(B.getId());
         // The off-trace path PQS, built on the first finding: witnesses
         // need the bypass-taken condition and the compensation guards.
         Block Path = makePathBlock(B, BP);
@@ -536,7 +536,7 @@ public:
 
   void run(LintContext &Ctx, std::vector<LintFinding> &Out) override {
     const Function &F = Ctx.func();
-    Liveness &LV = Ctx.liveness();
+    const Liveness &LV = Ctx.liveness();
     for (size_t L = 0; L < F.numBlocks(); ++L) {
       const Block &B = F.block(L);
       if (B.isCompensation())
@@ -587,9 +587,8 @@ public:
               Op.isBranch() ? PQS.takenExpr(K) : PQS.execExpr(K);
           if (!Mgr.isValid(ExitE))
             continue;
-          RegSet Need = LV.liveAtExit(F, Path, K);
           int CompIdx = static_cast<int>(K - (BP.BranchIdx + 1));
-          for (Reg R : sorted(Need)) {
+          for (Reg R : sorted(LV.liveAtExit(Path, K))) {
             // Same conventions as use-before-def: the true predicate is
             // always available, registers defined in predecessor blocks
             // (or around a loop) arrive at the region entry, and a
@@ -634,8 +633,9 @@ public:
   }
 
 private:
-  /// Deterministic iteration order over an unordered register set.
-  static std::vector<Reg> sorted(const RegSet &S) {
+  /// The registers of \p S in register order (the order findings are
+  /// reported in), not the numbering order the view iterates in.
+  static std::vector<Reg> sorted(LiveSet S) {
     std::vector<Reg> V(S.begin(), S.end());
     std::sort(V.begin(), V.end());
     return V;
@@ -656,7 +656,7 @@ public:
 
   void run(LintContext &Ctx, std::vector<LintFinding> &Out) override {
     const Function &F = Ctx.func();
-    Liveness &LV = Ctx.liveness();
+    const Liveness &LV = Ctx.liveness();
     for (size_t L = 0; L < F.numBlocks(); ++L) {
       const Block &B = F.block(L);
       if (B.empty())

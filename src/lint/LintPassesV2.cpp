@@ -296,7 +296,7 @@ public:
 
   void run(LintContext &Ctx, std::vector<LintFinding> &Out) override {
     const Function &F = Ctx.func();
-    Liveness &LV = Ctx.liveness();
+    const Liveness &LV = Ctx.liveness();
     for (size_t L = 0; L < F.numBlocks(); ++L) {
       const Block &B = F.block(L);
       if (B.empty())

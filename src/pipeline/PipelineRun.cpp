@@ -525,12 +525,16 @@ SimComparison PipelineRun::simulate(const MachineDesc &MD, PredictorKind K,
   PredictorConfig CB;
   CB.Profile = &BaseProfile;
   std::unique_ptr<BranchPredictor> PB = makePredictor(K, CB);
-  SC.Baseline = simulateTrace(*Program.Func, MD, BaseTrace, *PB, SO);
+  // Like estimateMachine: the shared bundles when prepare() solved them,
+  // else the simulator solves its own liveness.
+  SC.Baseline = simulateTrace(*Program.Func, MD, BaseTrace, *PB, SO,
+                              BaseFA ? &BaseFA->LV : nullptr);
 
   PredictorConfig CT;
   CT.Profile = &TreatedProf;
   std::unique_ptr<BranchPredictor> PT = makePredictor(K, CT);
-  SC.Treated = simulateTrace(*Treated, MD, TreatedTraceData, *PT, SO);
+  SC.Treated = simulateTrace(*Treated, MD, TreatedTraceData, *PT, SO,
+                             TreatedFA ? &TreatedFA->LV : nullptr);
 
   if (!SC.Baseline.ok() || !SC.Treated.ok())
     reportFatalError(

@@ -12,6 +12,7 @@
 #include "analysis/PQS.h"
 #include "sched/ListScheduler.h"
 
+#include <memory>
 #include <optional>
 
 using namespace cpr;
@@ -22,8 +23,9 @@ namespace {
 /// scheduling cost, and loop bodies are scheduled once.
 class ScheduleCache {
 public:
-  ScheduleCache(const Function &F, const MachineDesc &MD, bool Speculation)
-      : F(F), MD(MD), Speculation(Speculation), LV(F),
+  ScheduleCache(const Function &F, const MachineDesc &MD, bool Speculation,
+                const Liveness &LV)
+      : F(F), MD(MD), Speculation(Speculation), LV(LV),
         Cache(F.numBlocks()) {}
 
   const Schedule &get(size_t LayoutIdx) {
@@ -47,7 +49,7 @@ private:
   const Function &F;
   const MachineDesc &MD;
   bool Speculation;
-  Liveness LV;
+  const Liveness &LV;
   std::vector<std::optional<Schedule>> Cache;
 };
 
@@ -56,7 +58,7 @@ private:
 SimEstimate cpr::simulateTrace(const Function &F, const MachineDesc &MD,
                                const BranchTrace &Trace,
                                BranchPredictor &Pred,
-                               const SimOptions &Opts) {
+                               const SimOptions &Opts, const Liveness *LV) {
   SimEstimate Est;
   std::vector<SimBlockStats> BlockStats(F.numBlocks());
   std::optional<BTB> TargetBuffer;
@@ -94,7 +96,12 @@ SimEstimate cpr::simulateTrace(const Function &F, const MachineDesc &MD,
   int FetchWidth = FE.FetchWidth > 0 ? FE.FetchWidth : MD.fetchWidth();
   if (FE.UseBTB)
     TargetBuffer.emplace(FE.BTB);
-  ScheduleCache Schedules(F, MD, Opts.AllowSpeculation);
+  std::unique_ptr<Liveness> Owned;
+  if (!LV) {
+    Owned = std::make_unique<Liveness>(F);
+    LV = Owned.get();
+  }
+  ScheduleCache Schedules(F, MD, Opts.AllowSpeculation, *LV);
 
   // Decoupled frontend: a block entry that dispatches N operations needs
   // ceil(N / FetchWidth) fetch cycles (the taken branch or halt that ends

@@ -48,6 +48,8 @@
 
 namespace cpr {
 
+class Liveness;
+
 /// The decoupled-frontend cost model, off by default (the legacy flat
 /// mispredict-penalty accounting, which preserves the penalty-0 ==
 /// ExitAware invariant above).
@@ -139,9 +141,13 @@ struct SimEstimate {
 /// branch with \p Pred (which is trained in place; reset it between runs).
 /// The trace must be complete (no ring drops) and carry a terminal marker,
 /// i.e. come from a halted interpreter run of exactly this function.
+/// \p LV, when given, is a pre-solved liveness for \p F (e.g. from a
+/// shared analysis/AnalysisCache.h bundle); otherwise one is computed, as
+/// estimatePerformance does.
 SimEstimate simulateTrace(const Function &F, const MachineDesc &MD,
                           const BranchTrace &Trace, BranchPredictor &Pred,
-                          const SimOptions &Opts = SimOptions());
+                          const SimOptions &Opts = SimOptions(),
+                          const Liveness *LV = nullptr);
 
 } // namespace cpr
 

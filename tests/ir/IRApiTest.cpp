@@ -171,6 +171,26 @@ block @B:
   EXPECT_EQ(Exits[0].Target, F->block(1).getId());
 }
 
+TEST(CFGTest, LayoutIndexMapAgreesWithLayoutIndex) {
+  std::unique_ptr<Function> F = parseFunctionOrDie(R"(
+func @f {
+block @A:
+  r1 = mov(1)
+block @B:
+  r1 = mov(2)
+block @C:
+  halt
+}
+)");
+  BlockId Removed = F->block(1).getId();
+  ASSERT_TRUE(F->removeBlock(Removed));
+  std::vector<int> Map = layoutIndexMap(*F);
+  for (BlockId Id = 0; Id < Map.size(); ++Id)
+    EXPECT_EQ(Map[Id], F->layoutIndex(Id)) << "block id " << Id;
+  EXPECT_EQ(Map[Removed], -1);
+  EXPECT_EQ(Map.size(), static_cast<size_t>(F->block(1).getId()) + 1);
+}
+
 TEST(CFGTest, GuardedHaltDoesNotStopFallThrough) {
   std::unique_ptr<Function> F = parseFunctionOrDie(R"(
 func @f {

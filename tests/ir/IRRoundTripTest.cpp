@@ -130,6 +130,26 @@ TEST(IRRoundTripTest, ParserReportsErrors) {
       {"func @x {\nblock @A:\n  halt\nblock @A:\n  halt\n}",
        "duplicate block"},
       {"block @A:\n halt", "expected 'func'"},
+      // Register ids past MaxRegId, each as a definition and as a source:
+      // one that wraps to r1 in 32 bits, the invalid-register sentinel,
+      // one that would size a 32 GB register file, and the first id past
+      // the cap.
+      {"func @x {\nblock @A:\n  r4294967297 = add(r1, 7)\n  halt\n}",
+       "out of range in 'r4294967297'"},
+      {"func @x {\nblock @A:\n  r1 = add(r4294967297, 7)\n  halt\n}",
+       "out of range in 'r4294967297'"},
+      {"func @x {\nblock @A:\n  r4294967295 = add(r1, 7)\n  halt\n}",
+       "out of range in 'r4294967295'"},
+      {"func @x {\nblock @A:\n  r1 = add(r4294967295, 7)\n  halt\n}",
+       "out of range in 'r4294967295'"},
+      {"func @x {\nblock @A:\n  r4000000000 = add(r1, 7)\n  halt\n}",
+       "out of range in 'r4000000000'"},
+      {"func @x {\nblock @A:\n  r1 = add(r4000000000, 7)\n  halt\n}",
+       "out of range in 'r4000000000'"},
+      {"func @x {\nblock @A:\n  p1048576:un = cmpp.eq(r1, 0)\n  halt\n}",
+       "out of range in 'p1048576'"},
+      {"func @x {\nblock @A:\n  r1 = add(r2, 7) if p1048576\n  halt\n}",
+       "out of range in 'p1048576'"},
   };
   for (const Case &C : Cases) {
     ParseResult R = parseFunction(C.Src);
@@ -144,6 +164,14 @@ TEST(IRRoundTripTest, ParserReportsErrors) {
     EXPECT_NE(R.Error.find(C.ErrorFragment), std::string::npos)
         << "error was: " << R.Error;
   }
+}
+
+TEST(IRRoundTripTest, LargestRegisterIdRoundTrips) {
+  const std::string Src = "func @x {\n  observable r1048575\nblock @A:\n"
+                          "  r1048575 = add(r1048575, 1)\n  halt\n}\n";
+  std::unique_ptr<Function> F = parseFunctionOrDie(Src);
+  EXPECT_EQ(F->observableRegs()[0], Reg::gpr(MaxRegId));
+  EXPECT_EQ(printFunction(*F), Src);
 }
 
 TEST(IRRoundTripTest, CommentsAndTrueGuardsAccepted) {

@@ -67,6 +67,17 @@ block @A:
                 "hardwired true");
 }
 
+TEST(VerifierTest, MovWritingTruePredicate) {
+  expectInvalid(R"(
+func @bad {
+block @A:
+  p0 = mov(1) if p1
+  halt
+}
+)",
+                "hardwired true");
+}
+
 TEST(VerifierTest, CmppDestinationWithoutAction) {
   expectInvalid(R"(
 func @bad {

@@ -195,16 +195,40 @@ TEST(CompileService, ParseErrorIsIsolated) {
   EXPECT_TRUE(Service.compile(requestFor(IR, "ok")).ok());
 }
 
+TEST(CompileService, OutOfRangeRegisterIsAParseError) {
+  CompileService Service;
+  // The invalid-register sentinel as a register name, in the IR and in a
+  // reg directive: each is refused before anything runs.
+  for (const char *IR :
+       {"func @x {\nblock @A:\n  r4294967295 = add(r1, 7)\n  halt\n}\n",
+        "; reg r4294967295=5\nfunc @x {\nblock @A:\n  halt\n}\n"}) {
+    CompileResponse Res = Service.compile(requestFor(IR, "big"));
+    EXPECT_EQ(Res.Status, "error") << IR;
+    ASSERT_FALSE(Res.Diagnostics.empty()) << IR;
+    EXPECT_EQ(Res.Diagnostics[0].Code, "parse-error") << IR;
+    EXPECT_NE(Res.Diagnostics[0].Message.find("r4294967295"),
+              std::string::npos)
+        << Res.Diagnostics[0].Message;
+  }
+
+  // The service survives and still compiles.
+  std::string IR = serializeFuzzProgram(buildWcKernel(4, 256, 4));
+  EXPECT_TRUE(Service.compile(requestFor(IR, "ok")).ok());
+}
+
 TEST(CompileService, VerifierRejectIsIsolated) {
   CompileService Service;
-  // Parses, but moves a GPR into a float register: a class mismatch the
-  // verifier rejects (same shape as tests/fixtures/verify_error.ir).
-  CompileResponse Res = Service.compile(
-      requestFor("func @bad {\nblock @A:\n  f1 = mov(r1)\n  halt\n}\n",
-                 "v"));
-  EXPECT_EQ(Res.Status, "error");
-  ASSERT_FALSE(Res.Diagnostics.empty());
-  EXPECT_EQ(Res.Diagnostics[0].Code, "verify-failed");
+  // Each parses, but the verifier rejects it: a GPR moved into a float
+  // register (same shape as tests/fixtures/verify_error.ir), and a write
+  // of the hardwired true predicate, which the interpreter would abort on.
+  for (const char *IR :
+       {"func @bad {\nblock @A:\n  f1 = mov(r1)\n  halt\n}\n",
+        "func @bad {\nblock @A:\n  p0 = mov(1)\n  halt\n}\n"}) {
+    CompileResponse Res = Service.compile(requestFor(IR, "v"));
+    EXPECT_EQ(Res.Status, "error") << IR;
+    ASSERT_FALSE(Res.Diagnostics.empty()) << IR;
+    EXPECT_EQ(Res.Diagnostics[0].Code, "verify-failed") << IR;
+  }
 }
 
 TEST(CompileService, PayloadCapRefusesAdmission) {

@@ -113,8 +113,10 @@ bool parseReg(const std::string &Spec, RegBinding &Out) {
   default:
     return false;
   }
-  Out.R = Reg(RC, static_cast<uint32_t>(std::strtoul(Name.c_str() + 1,
-                                                     nullptr, 10)));
+  uint32_t Id;
+  if (!parseRegId(std::string_view(Name).substr(1), Id))
+    return false;
+  Out.R = Reg(RC, Id);
   Out.Value = std::strtoll(Spec.c_str() + Eq + 1, nullptr, 10);
   return true;
 }

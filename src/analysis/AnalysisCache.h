@@ -7,11 +7,12 @@
 /// \file
 /// A bundle of the solved whole-function dataflow analyses several
 /// pipeline stages consume: lint (predicate-aware checks), the performance
-/// model's dependence construction, and the trace simulator. (The CPR
-/// transformation re-solves liveness itself after each region it
-/// mutates.) PipelineRun computes one
-/// FunctionAnalyses per treated function *serially, before any parallel
-/// stage*, and hands const references to every consumer -- so the work is
+/// model's dependence construction, and the trace simulator. (The ICBM
+/// driver keeps its own LivenessCache, analysis/Liveness.h, and re-solves
+/// liveness only after a phase actually edited the function.) PipelineRun
+/// computes one FunctionAnalyses per treated function *serially, before
+/// any parallel stage*, and hands const references to every consumer --
+/// so the work is
 /// done once, and the pipeline's output stays byte-identical at any
 /// `--threads` (the analyses are pure functions of the IR; sharing them
 /// removes per-stage recomputation, not determinism).

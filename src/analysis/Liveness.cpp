@@ -165,6 +165,15 @@ LiveSet Liveness::liveAtExit(const Block &B, size_t OpIdx) const {
   return LiveSet(Observable, N);
 }
 
+const Liveness &LivenessCache::get() {
+  std::optional<Liveness> &Current = Editing ? Tentative : Committed;
+  if (!Current) {
+    Current.emplace(F);
+    ++Solves;
+  }
+  return *Current;
+}
+
 //===----------------------------------------------------------------------===//
 // PredicatedLiveness
 //===----------------------------------------------------------------------===//

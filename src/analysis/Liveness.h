@@ -17,6 +17,10 @@
 ///    outlive it; Liveness is neither copyable nor movable so that views
 ///    never dangle behind a relocation.
 ///
+///    LivenessCache shares one solution among the phases of a pass that
+///    edits its function region by region (the ICBM driver) and solves
+///    again only after an edit the pass reports.
+///
 ///  - Predicated (expression-valued) intra-block liveness, following the
 ///    predicate-aware dataflow of [JS96] that the paper's predicate
 ///    speculation phase depends on: the liveness of each register at each
@@ -34,6 +38,7 @@
 #include "ir/Function.h"
 
 #include <iterator>
+#include <optional>
 #include <vector>
 
 namespace cpr {
@@ -137,6 +142,62 @@ private:
   /// Block id -> layout index (-1 for ids without a block).
   std::vector<int> LayoutOf;
   DataflowSolver Solution;
+};
+
+/// The function-level liveness of a function that a pass edits region by
+/// region (cpr/ControlCPR.h). It holds at most two solutions: the
+/// *committed* one, for the function as the pass has committed it so far,
+/// and a *tentative* one, for the current region's in-flight edits. get()
+/// returns the solution for the function as it is now, solving on first
+/// use. The pass reports every edit:
+///
+///  - noteEdit(): the function changed; drops the tentative solution.
+///  - noteRestore(): every edit since the last commit was undone byte for
+///    byte; the committed solution is current again without a solve.
+///  - noteCommit(): the function as it is now is the committed one;
+///    drops both solutions.
+///
+/// Exactness: Liveness(F) is a deterministic function of F's blocks,
+/// operations and observable registers, so the solution of an unchanged
+/// function is the one a fresh solve would build -- same sets, same
+/// numbering, same iteration order. Only the reports need an argument:
+/// one must precede the next get() after any change to those inputs.
+/// Reporting an edit that changed nothing costs a solve, never a wrong
+/// answer.
+///
+/// Lifetime: a report may destroy the solution it drops. A phase must not
+/// hold a Liveness & from get(), a LiveSet view into it or a
+/// PredicatedLiveness built on it across an edit report.
+class LivenessCache {
+public:
+  explicit LivenessCache(const Function &F) : F(F) {}
+
+  /// The solution for the function as it is now; solves on first use.
+  const Liveness &get();
+
+  void noteEdit() {
+    Tentative.reset();
+    Editing = true;
+  }
+  void noteRestore() {
+    Tentative.reset();
+    Editing = false;
+  }
+  void noteCommit() {
+    Committed.reset();
+    noteRestore();
+  }
+
+  /// Liveness solves performed so far.
+  unsigned solves() const { return Solves; }
+
+private:
+  const Function &F;
+  std::optional<Liveness> Committed;
+  std::optional<Liveness> Tentative;
+  /// True between an edit report and the next restore or commit.
+  bool Editing = false;
+  unsigned Solves = 0;
 };
 
 /// Predicated intra-block liveness: per operation index, the BDD

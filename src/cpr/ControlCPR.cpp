@@ -6,6 +6,7 @@
 
 #include "cpr/ControlCPR.h"
 
+#include "analysis/Liveness.h"
 #include "cpr/OffTraceMotion.h"
 #include "cpr/PredicateSpeculation.h"
 #include "cpr/RegionTransaction.h"
@@ -51,6 +52,9 @@ void reportBudgetExhausted(const CPRContext &Ctx, CPRResult &Result,
 CPRResult cpr::runControlCPR(Function &F, const ProfileData &Profile,
                              const CPROptions &Opts, const CPRContext &Ctx) {
   CPRResult Result;
+  // Every edit below is reported to the cache, so each phase gets the
+  // solution for the function as it is when the phase runs.
+  LivenessCache LC(F);
 
   // Snapshot the regions to process: restructure appends compensation
   // blocks which must not themselves be processed.
@@ -81,21 +85,28 @@ CPRResult cpr::runControlCPR(Function &F, const ProfileData &Profile,
     std::vector<Operation> Snapshot = B.ops();
 
     // Phase 0: FRP conversion (paper Section 4.1) prepares the region.
+    // It edits only B's operations (the register and op-id allocators it
+    // advances are not liveness inputs), so comparing them is exact.
     convertToFRP(F, B);
+    if (B.ops() != Snapshot)
+      LC.noteEdit();
 
     // Phase 1: predicate speculation.
     SpeculationStats SS;
     if (Opts.EnablePredicateSpeculation) {
-      SS = speculatePredicates(F, B);
+      SS = speculatePredicates(F, B, &LC);
     }
 
     // Phase 2: match.
-    std::vector<CPRBlockInfo> Blocks = matchCPRBlocks(F, B, Profile, Opts);
+    std::vector<CPRBlockInfo> Blocks =
+        matchCPRBlocks(F, B, Profile, Opts, &LC);
     bool AnyTransformable = false;
     for (const CPRBlockInfo &Info : Blocks)
       AnyTransformable |= Info.Transformable;
     if (!AnyTransformable) {
+      // Only B's operations were edited: the committed function is back.
       B.ops() = std::move(Snapshot);
+      LC.noteRestore();
       Result.CPRBlocksFormed += static_cast<unsigned>(Blocks.size());
       for (const CPRBlockInfo &Info : Blocks)
         ++Result.StopReasons[static_cast<unsigned>(Info.StopReason)];
@@ -135,11 +146,16 @@ CPRResult cpr::runControlCPR(Function &F, const ProfileData &Profile,
       };
 
       Expected<RestructurePlan> Plan = restructureCPRBlock(F, B, Info);
+      // Restructure always counts as an edit, so motion solves afresh.
+      // Motion and rollback edit too; the cache's next reader is the next
+      // block's motion, after this same report, or the next region, after
+      // the commit report below.
+      LC.noteEdit();
       if (!Plan) {
         Fail(Plan.takeDiagnostic());
         continue;
       }
-      Expected<MotionStats> MS = moveOffTrace(F, *Plan);
+      Expected<MotionStats> MS = moveOffTrace(F, *Plan, &LC);
       if (!MS) {
         Fail(MS.takeDiagnostic());
         continue;
@@ -181,7 +197,11 @@ CPRResult cpr::runControlCPR(Function &F, const ProfileData &Profile,
       // untransformable regions -- FRP conversion alone is no benefit.
       B.ops() = std::move(Snapshot);
     }
+    // Conservatively, a region with a transformable block changed the
+    // function even when every block rolled back.
+    LC.noteCommit();
   }
+  Result.LivenessSolves = LC.solves();
 
   // Final cleanup, as in the paper: dead code elimination removes
   // operations computing predicates that are no longer referenced.

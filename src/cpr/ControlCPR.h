@@ -59,6 +59,11 @@ struct CPRResult {
   unsigned RegionsRolledBack = 0;
   unsigned RegionsSkippedBudget = 0;
   bool BudgetExhausted = false;
+  /// Whole-function liveness solves of the phases (the driver's
+  /// LivenessCache; DCE's own solves are not counted). A cost, not an
+  /// outcome: the service wire and the benchmark's session digest leave
+  /// it out.
+  unsigned LivenessSolves = 0;
 };
 
 /// How the driver reacts to a failing transformation.
@@ -89,6 +94,8 @@ struct CPRContext {
 /// Runs ICBM over every non-compensation block of \p F, using \p Profile
 /// for the match heuristics. \p F is verified after the pass; in
 /// fail-safe mode the result is runnable even when regions rolled back.
+/// The phases share one liveness solution (analysis/Liveness.h,
+/// LivenessCache), solved again only after a phase edited the function.
 CPRResult runControlCPR(Function &F, const ProfileData &Profile,
                         const CPROptions &Opts, const CPRContext &Ctx);
 

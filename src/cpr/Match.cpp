@@ -124,7 +124,8 @@ private:
 std::vector<CPRBlockInfo> cpr::matchCPRBlocks(const Function &F,
                                               const Block &B,
                                               const ProfileData &Profile,
-                                              const CPROptions &Opts) {
+                                              const CPROptions &Opts,
+                                              LivenessCache *Cache) {
   std::vector<CPRBlockInfo> Result;
 
   // Preliminary pass: list branches in sequential order with their
@@ -161,9 +162,9 @@ std::vector<CPRBlockInfo> cpr::matchCPRBlocks(const Function &F,
   // Analyses for separability. The machine only affects edge latencies,
   // which the successor closure ignores.
   RegionPQS PQS(F, B);
-  Liveness LV(F);
+  LivenessCache Local(F);
   MachineDesc MD = MachineDesc::medium();
-  DepGraph DG(F, B, MD, PQS, LV);
+  DepGraph DG(F, B, MD, PQS, (Cache ? *Cache : Local).get());
   SeparabilityState Sep(B, DG, Branches);
 
   size_t Next = 0; // index into Branches of the next seed

@@ -36,6 +36,8 @@
 
 namespace cpr {
 
+class LivenessCache;
+
 /// Why a CPR block stopped growing (for reporting and tests).
 enum class MatchStopReason : uint8_t {
   NoMoreBranches,
@@ -66,10 +68,13 @@ struct CPRBlockInfo {
   size_t size() const { return BranchIds.size(); }
 };
 
-/// Runs match over block \p B of \p F, consuming \p Profile.
+/// Runs match over block \p B of \p F, consuming \p Profile. \p Cache,
+/// when given, supplies the function's liveness (an ICBM driver's
+/// LivenessCache over \p F); null solves with a local cache.
 std::vector<CPRBlockInfo> matchCPRBlocks(const Function &F, const Block &B,
                                          const ProfileData &Profile,
-                                         const CPROptions &Opts);
+                                         const CPROptions &Opts,
+                                         LivenessCache *Cache = nullptr);
 
 } // namespace cpr
 

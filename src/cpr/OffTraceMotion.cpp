@@ -36,7 +36,8 @@ Diagnostic motionLostTrack(OpId Id) {
 } // namespace
 
 Expected<MotionStats> cpr::moveOffTrace(Function &F,
-                                        const RestructurePlan &Plan) {
+                                        const RestructurePlan &Plan,
+                                        LivenessCache *Cache) {
   if (fault::shouldFail("cpr.offtrace.move"))
     return motionFault("injected fault");
 
@@ -49,7 +50,8 @@ Expected<MotionStats> cpr::moveOffTrace(Function &F,
 
   // Fresh analyses on the restructured code.
   RegionPQS PQS(F, B);
-  Liveness LV(F);
+  LivenessCache Local(F);
+  const Liveness &LV = (Cache ? *Cache : Local).get();
   MachineDesc MD = MachineDesc::medium();
   DepGraph DG(F, B, MD, PQS, LV);
 

@@ -36,6 +36,8 @@
 
 namespace cpr {
 
+class LivenessCache;
+
 /// Statistics from one motion run.
 struct MotionStats {
   unsigned Moved = 0; ///< operations moved off-trace (sets 1 and 3)
@@ -44,8 +46,11 @@ struct MotionStats {
 
 /// Performs off-trace motion for one restructured CPR block. On failure
 /// \p F may be left mid-motion -- callers roll the enclosing region
-/// transaction back.
-Expected<MotionStats> moveOffTrace(Function &F, const RestructurePlan &Plan);
+/// transaction back. \p Cache, when given, supplies the liveness of the
+/// restructured function (an ICBM driver's LivenessCache over \p F, told
+/// of the restructure); null solves with a local cache.
+Expected<MotionStats> moveOffTrace(Function &F, const RestructurePlan &Plan,
+                                   LivenessCache *Cache = nullptr);
 
 } // namespace cpr
 

@@ -38,8 +38,11 @@ bool isPromotionCandidate(const Operation &Op) {
 
 } // namespace
 
-SpeculationStats cpr::speculatePredicates(Function &F, Block &B) {
+SpeculationStats cpr::speculatePredicates(Function &F, Block &B,
+                                          LivenessCache *Cache) {
   SpeculationStats Stats;
+  LivenessCache Local(F);
+  LivenessCache &LC = Cache ? *Cache : Local;
 
   // --- Pass 1: promotion (bottom-up) -----------------------------------
   // Predicate-aware liveness is computed on the original guards; since
@@ -52,7 +55,7 @@ SpeculationStats cpr::speculatePredicates(Function &F, Block &B) {
   std::vector<bool> WasPromoted(B.size(), false);
   {
     RegionPQS PQS(F, B);
-    Liveness LV(F);
+    const Liveness &LV = LC.get();
     PredicatedLiveness PLV(F, B, PQS, LV);
     BDD &Mgr = PQS.bdd();
 
@@ -106,6 +109,9 @@ SpeculationStats cpr::speculatePredicates(Function &F, Block &B) {
       ++Stats.Promoted;
     }
   }
+  // Promotion changes guards only, and counts each change.
+  if (Stats.Promoted)
+    LC.noteEdit();
 
   // --- Pass 2: demotion (bottom-up) -------------------------------------
   // Undo promotions that cannot reduce dependence height: if the
@@ -116,9 +122,8 @@ SpeculationStats cpr::speculatePredicates(Function &F, Block &B) {
   // register allocation -- paper Section 5.1).
   {
     RegionPQS PQS(F, B);
-    Liveness LV(F);
     MachineDesc MD = MachineDesc::infinite();
-    DepGraph DG(F, B, MD, PQS, LV);
+    DepGraph DG(F, B, MD, PQS, LC.get());
     std::vector<int> Depth = DG.depths();
 
     // Operations on a data path into a branch-controlling compare keep
@@ -172,5 +177,7 @@ SpeculationStats cpr::speculatePredicates(Function &F, Block &B) {
       }
     }
   }
+  if (Stats.Demoted)
+    LC.noteEdit();
   return Stats;
 }

@@ -33,14 +33,20 @@
 
 namespace cpr {
 
+class LivenessCache;
+
 /// Statistics from one speculation run.
 struct SpeculationStats {
   unsigned Promoted = 0;
   unsigned Demoted = 0;
 };
 
-/// Runs predicate speculation over block \p B of \p F in place.
-SpeculationStats speculatePredicates(Function &F, Block &B);
+/// Runs predicate speculation over block \p B of \p F in place. \p Cache,
+/// when given, supplies the function's liveness (an ICBM driver's
+/// LivenessCache over \p F) and receives an edit report for each pass
+/// that changed a guard; null solves with a local cache.
+SpeculationStats speculatePredicates(Function &F, Block &B,
+                                     LivenessCache *Cache = nullptr);
 
 } // namespace cpr
 

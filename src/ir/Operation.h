@@ -138,6 +138,9 @@ public:
     return false;
   }
 
+  /// Field-by-field equality, id included.
+  bool operator==(const Operation &) const = default;
+
 private:
   OpId Id = InvalidOpId;
   Opcode Opc = Opcode::Nop;

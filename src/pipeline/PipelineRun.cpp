@@ -169,6 +169,7 @@ void PipelineRun::recordTransformStats() {
   Stats->addCount(Prefix + "cpr/branches_merged", CPR.BranchesCovered);
   Stats->addCount(Prefix + "cpr/ops_moved_off_trace", CPR.OpsMovedOffTrace);
   Stats->addCount(Prefix + "cpr/ops_split", CPR.OpsSplit);
+  Stats->addCount(Prefix + "cpr/liveness_solves", CPR.LivenessSolves);
   Stats->addCount(Prefix + "cpr/blocks_rolled_back", CPR.BlocksRolledBack);
   Stats->addCount(Prefix + "cpr/regions_rolled_back", CPR.RegionsRolledBack);
   Stats->addCount(Prefix + "cpr/regions_skipped_budget",

@@ -406,4 +406,73 @@ block @X:
   EXPECT_EQ(LiveB, PQS.takenExpr(2));
 }
 
+//===----------------------------------------------------------------------===//
+// LivenessCache: the report protocol
+//===----------------------------------------------------------------------===//
+
+/// A two-block function whose first op can be edited to read r1.
+std::unique_ptr<Function> cacheFixture() {
+  return parseFunctionOrDie(R"(
+func @f {
+  observable r9
+block @A:
+  r9 = mov(0)
+  r2 = mov(1)
+block @B:
+  r9 = add(r9, r2)
+  halt
+}
+)");
+}
+
+TEST(LivenessCacheTest, RestoreHandsBackTheCommittedSolutionWithoutASolve) {
+  std::unique_ptr<Function> F = cacheFixture();
+  Block &A = F->block(0);
+  LivenessCache LC(*F);
+  const Liveness *Committed = &LC.get();
+  EXPECT_EQ(LC.solves(), 1u);
+  EXPECT_EQ(&LC.get(), Committed);
+  EXPECT_EQ(LC.solves(), 1u);
+
+  std::vector<Operation> Snapshot = A.ops();
+  A.ops()[0].srcs()[0] = Operand::reg(Reg::gpr(1));
+  LC.noteEdit();
+  EXPECT_EQ(LC.get().liveIn(A.getId()).count(Reg::gpr(1)), 1u);
+  EXPECT_EQ(LC.solves(), 2u);
+
+  A.ops() = std::move(Snapshot);
+  LC.noteRestore();
+  EXPECT_EQ(&LC.get(), Committed);
+  EXPECT_EQ(LC.solves(), 2u);
+  EXPECT_EQ(LC.get().liveIn(A.getId()).count(Reg::gpr(1)), 0u);
+}
+
+TEST(LivenessCacheTest, EachReportThatDropsTheSolutionCostsOneSolve) {
+  std::unique_ptr<Function> F = cacheFixture();
+  Block &A = F->block(0);
+  LivenessCache LC(*F);
+  EXPECT_EQ(LC.solves(), 0u) << "solves lazily";
+
+  // An edit: exactly one solve on the next get(), none on later ones.
+  A.ops()[0].srcs()[0] = Operand::reg(Reg::gpr(1));
+  LC.noteEdit();
+  const Liveness *Edited = &LC.get();
+  EXPECT_EQ(LC.solves(), 1u);
+  EXPECT_EQ(&LC.get(), Edited);
+  EXPECT_EQ(LC.solves(), 1u);
+
+  // A second edit drops the tentative solution again.
+  A.ops()[1].srcs()[0] = Operand::reg(Reg::gpr(3));
+  LC.noteEdit();
+  EXPECT_EQ(LC.get().liveIn(A.getId()).count(Reg::gpr(3)), 1u);
+  EXPECT_EQ(LC.solves(), 2u);
+
+  // A commit keeps the edits: the next get() solves the function as it
+  // is now, once.
+  LC.noteCommit();
+  EXPECT_EQ(LC.get().liveIn(A.getId()).count(Reg::gpr(3)), 1u);
+  LC.get();
+  EXPECT_EQ(LC.solves(), 3u);
+}
+
 } // namespace

@@ -6,13 +6,22 @@
 
 #include "cpr/ControlCPR.h"
 
+#include "analysis/Liveness.h"
+#include "cpr/OffTraceMotion.h"
+#include "cpr/PredicateSpeculation.h"
+#include "cpr/RegionTransaction.h"
+#include "cpr/Restructure.h"
+#include "fuzz/Generator.h"
 #include "interp/Profiler.h"
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "pipeline/CompilerPipeline.h"
+#include "regions/FRPConversion.h"
 #include "workloads/SyntheticProgram.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace cpr;
 
@@ -137,6 +146,154 @@ TEST(ControlCPRDriverTest, TrapNeverExecutes) {
   RunResult R = interpret(*T, Mem2, P.InitRegs);
   EXPECT_TRUE(R.halted()) << R.ErrorMsg;
   EXPECT_NE(R.St, RunResult::Status::Trapped);
+}
+
+TEST(ControlCPRDriverTest, UnchangedRegionsShareOneLivenessSolve) {
+  // Straight-line regions with nothing to convert, speculate or match:
+  // no phase edits the function, so one solve serves every region.
+  std::unique_ptr<Function> F = parseFunctionOrDie(R"(
+func @f {
+  observable r9
+block @A:
+  r1 = mov(3)
+  r2 = add(r1, 1)
+block @B:
+  r3 = mul(r2, r1)
+  r9 = add(r3, r2)
+block @C:
+  r4 = sub(r9, r1)
+  r9 = add(r9, r4)
+block @D:
+  r9 = add(r9, 1)
+  halt
+}
+)");
+  std::string Before = printFunction(*F);
+  CPRResult R = runControlCPR(*F, ProfileData(), CPROptions());
+  EXPECT_EQ(R.RegionsProcessed, 4u);
+  EXPECT_EQ(R.Promoted, 0u);
+  EXPECT_EQ(R.LivenessSolves, 1u);
+  EXPECT_EQ(printFunction(*F), Before);
+}
+
+/// Registers of \p S in iteration order.
+std::vector<Reg> regsOf(LiveSet S) { return {S.begin(), S.end()}; }
+
+/// Expects the cache's current solution to iterate exactly the registers
+/// of a fresh solve, in the same order, for every block and exit of \p F.
+void expectFreshSolution(LivenessCache &LC, const Function &F,
+                         const std::string &Where) {
+  SCOPED_TRACE(Where);
+  const Liveness &Cached = LC.get();
+  Liveness Fresh(F);
+  for (size_t L = 0; L < F.numBlocks(); ++L) {
+    const Block &B = F.block(L);
+    ASSERT_EQ(regsOf(Cached.liveIn(B.getId())),
+              regsOf(Fresh.liveIn(B.getId())))
+        << "live-in of @" << B.getName();
+    ASSERT_EQ(regsOf(Cached.liveOut(B.getId())),
+              regsOf(Fresh.liveOut(B.getId())))
+        << "live-out of @" << B.getName();
+    for (size_t OI = 0; OI < B.size(); ++OI) {
+      if (!B.ops()[OI].isControl())
+        continue;
+      ASSERT_EQ(regsOf(Cached.liveAtExit(B, OI)),
+                regsOf(Fresh.liveAtExit(B, OI)))
+          << "exit at op " << OI << " of @" << B.getName();
+    }
+  }
+}
+
+TEST(ControlCPRDriverTest, CachedLivenessMatchesAFreshSolveAtEveryHandOff) {
+  // Replays runControlCPR's region sequence and edit reports on generated
+  // programs, checking the solution at each point where a phase takes it
+  // from the cache. The demotion hand-off inside speculation reuses the
+  // solution checked before speculation whenever promotion changed
+  // nothing, which the replay checks as an operation-list identity. The
+  // replay must then agree with the driver on the output and on the
+  // number of solves, so a report the driver misses or adds shows up as
+  // a count mismatch.
+  unsigned HandOffs = 0, Restored = 0, Committed = 0;
+  for (unsigned MaxBlocks : {40u, 120u}) {
+    GeneratorConfig Cfg;
+    Cfg.MaxBlocks = MaxBlocks;
+    Cfg.MaxLoopDepth = 3;
+    Cfg.MaxItemsPerRegion = 8;
+    Cfg.SyntheticFrac = 0.0;
+    for (uint64_t Seed = 1; Seed <= 5; ++Seed) {
+      SCOPED_TRACE("MaxBlocks " + std::to_string(MaxBlocks) + " seed " +
+                   std::to_string(Seed));
+      KernelProgram P = generateProgram(Seed * 7919, Cfg);
+      Memory Mem = P.InitMem;
+      ProfileData Prof = profileRun(*P.Func, Mem, P.InitRegs);
+      std::unique_ptr<Function> Driven = P.Func->clone();
+      CPRResult R = runControlCPR(*Driven, Prof, CPROptions());
+
+      Function &F = *P.Func;
+      LivenessCache LC(F);
+      std::vector<BlockId> Regions;
+      for (size_t I = 0; I < F.numBlocks(); ++I)
+        if (!F.block(I).isCompensation())
+          Regions.push_back(F.block(I).getId());
+      for (BlockId RId : Regions) {
+        Block &B = *F.blockById(RId);
+        if (B.empty())
+          continue;
+        const std::string Region = "region @" + B.getName();
+        std::vector<Operation> Snapshot = B.ops();
+        convertToFRP(F, B);
+        if (B.ops() != Snapshot)
+          LC.noteEdit();
+        expectFreshSolution(LC, F, Region + " before speculation");
+        ++HandOffs;
+        std::vector<Operation> BeforeSpeculation = B.ops();
+        SpeculationStats SS = speculatePredicates(F, B, &LC);
+        if (SS.Promoted == 0) {
+          EXPECT_EQ(B.ops(), BeforeSpeculation) << Region;
+        }
+        // Match takes the solution only for a region with a branch.
+        if (std::any_of(B.ops().begin(), B.ops().end(),
+                        [](const Operation &Op) { return Op.isBranch(); })) {
+          expectFreshSolution(LC, F, Region + " before match");
+          ++HandOffs;
+        }
+        std::vector<CPRBlockInfo> Blocks =
+            matchCPRBlocks(F, B, Prof, CPROptions(), &LC);
+        bool AnyTransformable = false, Kept = false;
+        for (const CPRBlockInfo &Info : Blocks) {
+          if (!Info.Transformable)
+            continue;
+          AnyTransformable = true;
+          RegionTransaction Txn(F, B.getId());
+          Expected<RestructurePlan> Plan = restructureCPRBlock(F, B, Info);
+          LC.noteEdit();
+          ASSERT_TRUE(Plan.ok()) << Region << ": " << Plan.diagnostic().str();
+          expectFreshSolution(LC, F, Region + " before motion");
+          ++HandOffs;
+          Expected<MotionStats> MS = moveOffTrace(F, *Plan, &LC);
+          ASSERT_TRUE(MS.ok()) << Region << ": " << MS.diagnostic().str();
+          Status V = Txn.verify("replay");
+          ASSERT_TRUE(V.ok()) << Region << ": " << V.diagnostic().str();
+          Kept = true;
+        }
+        if (!Kept)
+          B.ops() = std::move(Snapshot);
+        if (AnyTransformable) {
+          LC.noteCommit();
+          ++Committed;
+        } else {
+          LC.noteRestore();
+          ++Restored;
+        }
+      }
+      eliminateDeadCode(F);
+      EXPECT_EQ(printFunction(F), printFunction(*Driven));
+      EXPECT_EQ(LC.solves(), R.LivenessSolves);
+    }
+  }
+  EXPECT_GT(HandOffs, 1000u);
+  EXPECT_GT(Restored, 400u);
+  EXPECT_GT(Committed, 30u);
 }
 
 } // namespace

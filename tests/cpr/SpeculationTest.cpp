@@ -6,6 +6,7 @@
 
 #include "cpr/PredicateSpeculation.h"
 
+#include "analysis/Liveness.h"
 #include "interp/Profiler.h"
 #include "ir/IRParser.h"
 
@@ -169,6 +170,53 @@ block @X:
                                        {{Reg::gpr(1), 1000}});
       EXPECT_TRUE(E.Equivalent) << V1 << "," << V2 << ": " << E.Detail;
     }
+}
+
+TEST(SpeculationTest, ReportsEachGuardEditToTheLivenessCache) {
+  // Each pass's guard edits change the function's live-in set, so each
+  // must report them for the cache to hand the next phase the right
+  // solution. In @f promotion removes the only read of p7 (live-in from
+  // outside, so demotion keeps it); in @g promotion removes the only read
+  // of p2 and demotion restores it (its non-killing definition leaves p2
+  // live-in).
+  struct Case {
+    const char *Src;
+    unsigned Promoted, Demoted, Solves;
+  };
+  for (const Case &C : {Case{R"(
+func @f {
+block @A:
+  r5 = add(r9, 1) if p7
+  halt
+}
+)",
+                             1, 0, 2},
+                        Case{R"(
+func @g {
+block @A:
+  r6 = load.m1(r1)
+  p2 = mov(1) if p9
+  r7 = mul(r6, r6)
+  r8 = mul(r7, r7) if p2
+  halt
+}
+)",
+                             1, 1, 3}}) {
+    std::unique_ptr<Function> F = parseFunctionOrDie(C.Src);
+    SCOPED_TRACE(F->getName());
+    Block &A = F->block(0);
+    LivenessCache LC(*F);
+    LC.get();
+    SpeculationStats S = speculatePredicates(*F, A, &LC);
+    EXPECT_EQ(S.Promoted, C.Promoted);
+    EXPECT_EQ(S.Demoted, C.Demoted);
+    Liveness Fresh(*F);
+    LiveSet Cached = LC.get().liveIn(A.getId());
+    std::vector<Reg> After(Cached.begin(), Cached.end());
+    EXPECT_EQ(After, std::vector<Reg>(Fresh.liveIn(A.getId()).begin(),
+                                      Fresh.liveIn(A.getId()).end()));
+    EXPECT_EQ(LC.solves(), C.Solves) << "one solve per reported pass";
+  }
 }
 
 } // namespace

@@ -637,6 +637,7 @@ int main(int argc, char **argv) {
       StatsPtr->addCount(P + "cpr/branches_merged", CR.BranchesCovered);
       StatsPtr->addCount(P + "cpr/ops_moved_off_trace", CR.OpsMovedOffTrace);
       StatsPtr->addCount(P + "cpr/ops_split", CR.OpsSplit);
+      StatsPtr->addCount(P + "cpr/liveness_solves", CR.LivenessSolves);
       StatsPtr->addCount(P + "cpr/blocks_rolled_back", CR.BlocksRolledBack);
       StatsPtr->addCount(P + "cpr/regions_rolled_back",
                          CR.RegionsRolledBack);

@@ -5,17 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A bundle of the solved whole-function dataflow analyses several
-/// pipeline stages consume: lint (predicate-aware checks), the performance
-/// model's dependence construction, and the trace simulator. (The ICBM
-/// driver keeps its own LivenessCache, analysis/Liveness.h, and re-solves
-/// liveness only after a phase actually edited the function.) PipelineRun
-/// computes one FunctionAnalyses per treated function *serially, before
-/// any parallel stage*, and hands const references to every consumer --
-/// so the work is
-/// done once, and the pipeline's output stays byte-identical at any
-/// `--threads` (the analyses are pure functions of the IR; sharing them
-/// removes per-stage recomputation, not determinism).
+/// A bundle of the solved whole-function analyses several pipeline stages
+/// consume: lint (predicate-aware checks), the performance model, and the
+/// trace simulator. (The ICBM driver keeps its own LivenessCache,
+/// analysis/Liveness.h, and re-solves liveness only after a phase actually
+/// edited the function.) PipelineRun computes one FunctionAnalyses per
+/// side *serially, before any parallel stage*, and hands const references
+/// to every consumer -- so the work is done once, and the pipeline's
+/// output stays byte-identical at any `--threads` (the analyses are pure
+/// functions of the IR; sharing them removes per-stage recomputation, not
+/// determinism).
+///
+/// Given a machine to build them for, the bundle also holds every block's
+/// dependence graph for that machine's branch latency (analysis/DepGraph.h,
+/// BlockGraphs): the paper's five machines differ only in issue resources,
+/// so one graph per block serves all five estimates and simulations.
 ///
 /// Invalidation is by construction: the bundle describes the function
 /// text it was built from, and every mutation point (region transform,
@@ -31,23 +35,41 @@
 #define ANALYSIS_ANALYSISCACHE_H
 
 #include "analysis/Dataflow.h"
+#include "analysis/DepGraph.h"
 #include "analysis/Liveness.h"
+
+#include <optional>
 
 namespace cpr {
 
 /// The solved analyses of one function at one point in time.
 struct FunctionAnalyses {
-  explicit FunctionAnalyses(const Function &F)
-      : LV(F), Reach(F, LV.numbering()) {}
+  /// Solves the analyses of \p F and, given \p GraphMachine, builds its
+  /// dependence graphs for that machine's branch latency under
+  /// \p GraphOpts.
+  explicit FunctionAnalyses(const Function &F,
+                            const MachineDesc *GraphMachine = nullptr,
+                            const DepGraphOptions &GraphOpts =
+                                DepGraphOptions())
+      : LV(F), Reach(F, LV.numbering()) {
+    if (GraphMachine)
+      Graphs.emplace(F, LV, *GraphMachine, GraphOpts);
+  }
 
   FunctionAnalyses(const FunctionAnalyses &) = delete;
   FunctionAnalyses &operator=(const FunctionAnalyses &) = delete;
+
+  /// The dependence graphs, or null when none were built. A consumer
+  /// checks BlockGraphs::fits before scheduling them for a machine.
+  const BlockGraphs *graphs() const { return Graphs ? &*Graphs : nullptr; }
 
   /// Backward/union liveness over the dense solver; its numbering is the
   /// register universe every analysis in the bundle shares.
   Liveness LV;
   /// Forward/union cross-block reaching definitions.
   ReachingDefBlocks Reach;
+  /// Per-block dependence graphs for one branch latency, if built.
+  std::optional<BlockGraphs> Graphs;
 };
 
 } // namespace cpr

@@ -332,6 +332,20 @@ DepGraph::DepGraph(const Function &, const Block &B, const MachineDesc &MD,
   }
 }
 
+BlockGraphs::BlockGraphs(const Function &F, const Liveness &LV,
+                         const MachineDesc &MD, const DepGraphOptions &Opts)
+    : BranchLatency(MD.branchLatency()),
+      AllowSpeculation(Opts.AllowSpeculation), Graphs(F.numBlocks()) {
+  for (size_t BI = 0; BI < F.numBlocks(); ++BI) {
+    const Block &B = F.block(BI);
+    if (B.empty())
+      continue;
+    RegionPQS PQS(F, B);
+    Graphs[BI].emplace(F, B, MD, PQS, LV, Opts);
+    ++NumGraphs;
+  }
+}
+
 std::vector<int> DepGraph::depths() const {
   std::vector<int> D(NumNodes, 0);
   // Nodes are in program order, and all edges go forward, so one pass

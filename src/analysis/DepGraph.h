@@ -31,6 +31,8 @@
 #include "ir/Function.h"
 #include "machine/MachineDesc.h"
 
+#include <cassert>
+#include <optional>
 #include <vector>
 
 namespace cpr {
@@ -116,6 +118,42 @@ private:
   std::vector<std::vector<uint32_t>> SuccIdx;
   std::vector<std::vector<uint32_t>> PredIdx;
   std::vector<int> NodeLatency;
+};
+
+/// The dependence graphs of every block of one function for one branch
+/// latency. A DepGraph sees its machine only through MachineDesc::latency,
+/// a function of the opcode and the branch latency alone, so every machine
+/// with that branch latency shares these graphs; only the scheduler needs
+/// the machine's issue resources. Immutable after construction: share
+/// across threads through const access.
+class BlockGraphs {
+public:
+  /// Builds the graph of every non-empty block of \p F for \p MD's
+  /// latencies. \p LV must be solved for \p F.
+  BlockGraphs(const Function &F, const Liveness &LV, const MachineDesc &MD,
+              const DepGraphOptions &Opts = DepGraphOptions());
+
+  /// Whether \p MD under \p Opts builds exactly these graphs.
+  bool fits(const MachineDesc &MD, const DepGraphOptions &Opts) const {
+    return MD.branchLatency() == BranchLatency &&
+           Opts.AllowSpeculation == AllowSpeculation;
+  }
+
+  /// The graph of the block at layout index \p LayoutIdx; null for an
+  /// empty block.
+  const DepGraph *graph(size_t LayoutIdx) const {
+    assert(LayoutIdx < Graphs.size() && "graphs of another function");
+    return Graphs[LayoutIdx] ? &*Graphs[LayoutIdx] : nullptr;
+  }
+
+  /// Graphs built: the function's non-empty blocks.
+  size_t size() const { return NumGraphs; }
+
+private:
+  int BranchLatency;
+  bool AllowSpeculation;
+  std::vector<std::optional<DepGraph>> Graphs;
+  size_t NumGraphs = 0;
 };
 
 } // namespace cpr

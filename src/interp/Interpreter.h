@@ -116,9 +116,13 @@ struct OpWatch {
   int64_t FirstValue = 0;
 };
 
+/// The interpreter's step cap unless a caller budgets its own; the
+/// equivalence oracle (interp/Profiler.h) always runs under it.
+inline constexpr uint64_t DefaultMaxSteps = 100'000'000;
+
 /// Interpreter options.
 struct InterpOptions {
-  uint64_t MaxSteps = 100'000'000;
+  uint64_t MaxSteps = DefaultMaxSteps;
   /// When set, branch/block frequencies are accumulated here.
   ProfileData *Profile = nullptr;
   /// When set, every executed store appends an event here.

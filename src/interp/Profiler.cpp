@@ -7,21 +7,25 @@
 #include "interp/Profiler.h"
 
 #include "support/Error.h"
+#include "support/FaultInjector.h"
 
 using namespace cpr;
 
 ProfileData cpr::profileRun(const Function &F, Memory &Mem,
                             const std::vector<RegBinding> &InitRegs,
                             DynStats *StatsOut, BranchTrace *TraceOut) {
-  Expected<ProfileData> P = tryProfileRun(F, Mem, InitRegs, StatsOut, TraceOut);
+  RunResult R;
+  Expected<ProfileData> P = tryProfileRun(F, Mem, InitRegs, &R, TraceOut);
   if (!P)
     reportFatalError(P.diagnostic().Message);
+  if (StatsOut)
+    *StatsOut = R.Stats;
   return P.takeValue();
 }
 
 Expected<ProfileData> cpr::tryProfileRun(const Function &F, Memory &Mem,
                                          const std::vector<RegBinding> &InitRegs,
-                                         DynStats *StatsOut,
+                                         RunResult *RunOut,
                                          BranchTrace *TraceOut,
                                          uint64_t MaxSteps) {
   ProfileData Profile;
@@ -30,22 +34,37 @@ Expected<ProfileData> cpr::tryProfileRun(const Function &F, Memory &Mem,
   Opts.Trace = TraceOut;
   if (MaxSteps != 0)
     Opts.MaxSteps = MaxSteps;
-  RunResult R = interpret(F, Mem, InitRegs, Opts);
+  RunResult Local;
+  RunResult &R = RunOut ? *RunOut : Local;
+  R = interpret(F, Mem, InitRegs, Opts);
   if (!R.halted()) {
-    std::string Msg = "profiling run of @" + F.getName() +
-                      " did not halt: " + R.ErrorMsg;
     if (R.St == RunResult::Status::StepLimit)
       return Status::error(DiagCode::BudgetExhausted,
                            "profiling run of @" + F.getName() +
                                " exhausted its step budget (" +
                                std::to_string(Opts.MaxSteps) + " steps)",
                            "interp.profile");
-    return Status::error(DiagCode::RunFailed, std::move(Msg),
+    return Status::error(DiagCode::RunFailed,
+                         "profiling run of @" + F.getName() +
+                             " did not halt: " + R.ErrorMsg,
                          "interp.profile");
   }
-  if (StatsOut)
-    *StatsOut = R.Stats;
   return Profile;
+}
+
+RunState cpr::recordRun(const Function &F, const Memory &InitMem,
+                        const std::vector<RegBinding> &InitRegs) {
+  RunState S;
+  S.Mem = InitMem;
+  S.Result = interpret(F, S.Mem, InitRegs);
+  return S;
+}
+
+bool cpr::matchesOracleRun(const RunResult &R, uint64_t MaxSteps) {
+  uint64_t Cap = MaxSteps != 0 ? MaxSteps : DefaultMaxSteps;
+  if (R.St == RunResult::Status::StepLimit)
+    return Cap == DefaultMaxSteps;
+  return Cap <= DefaultMaxSteps || R.Steps < DefaultMaxSteps;
 }
 
 const char *cpr::divergenceName(EquivResult::Divergence Kind) {
@@ -92,19 +111,13 @@ std::string describeLastStore(const std::vector<StoreEvent> &Trace,
 
 } // namespace
 
-EquivResult cpr::checkEquivalence(const Function &A, const Function &B,
-                                  const Memory &Mem,
-                                  const std::vector<RegBinding> &InitRegs) {
+EquivResult cpr::compareRuns(const Function &A, const RunState &SA,
+                             const Function &B, const RunState &SB,
+                             const std::vector<StoreEvent> *StoresA,
+                             const std::vector<StoreEvent> *StoresB) {
   EquivResult Res;
-  Memory MemA = Mem;
-  Memory MemB = Mem;
-  std::vector<StoreEvent> StoresA, StoresB;
-  InterpOptions OptsA, OptsB;
-  OptsA.StoreTrace = &StoresA;
-  OptsB.StoreTrace = &StoresB;
-  RunResult RA = interpret(A, MemA, InitRegs, OptsA);
-  RunResult RB = interpret(B, MemB, InitRegs, OptsB);
-
+  const RunResult &RA = SA.Result;
+  const RunResult &RB = SB.Result;
   if (RA.St != RB.St) {
     Res.Kind = EquivResult::Divergence::ExitPath;
     Res.Detail = "exit path differs: @" + A.getName() + " " +
@@ -144,6 +157,8 @@ EquivResult cpr::checkEquivalence(const Function &A, const Function &B,
   // read identically (a write of zero to an otherwise-untouched cell is
   // equivalent to no write). Report the lowest diverging address so the
   // diagnostic is deterministic regardless of hash-map iteration order.
+  const Memory &MemA = SA.Mem;
+  const Memory &MemB = SB.Mem;
   bool HaveDiverging = false;
   int64_t DivergingAddr = 0;
   auto NoteDivergence = [&](int64_t Addr) {
@@ -163,12 +178,76 @@ EquivResult cpr::checkEquivalence(const Function &A, const Function &B,
     Res.Detail = "memory differs at address " +
                  std::to_string(DivergingAddr) + ": " +
                  std::to_string(MemA.load(DivergingAddr)) + " vs " +
-                 std::to_string(MemB.load(DivergingAddr)) + "; @" +
-                 A.getName() + " " + describeLastStore(StoresA, DivergingAddr) +
-                 ", @" + B.getName() + " " +
-                 describeLastStore(StoresB, DivergingAddr);
+                 std::to_string(MemB.load(DivergingAddr));
+    if (StoresA && StoresB)
+      Res.Detail += "; @" + A.getName() + " " +
+                    describeLastStore(*StoresA, DivergingAddr) + ", @" +
+                    B.getName() + " " +
+                    describeLastStore(*StoresB, DivergingAddr);
     return Res;
   }
   Res.Equivalent = true;
   return Res;
+}
+
+EquivResult cpr::checkEquivalence(const Function &A, const Function &B,
+                                  const Memory &Mem,
+                                  const std::vector<RegBinding> &InitRegs) {
+  RunState SA, SB;
+  SA.Mem = Mem;
+  SB.Mem = Mem;
+  std::vector<StoreEvent> StoresA, StoresB;
+  InterpOptions OptsA, OptsB;
+  OptsA.StoreTrace = &StoresA;
+  OptsB.StoreTrace = &StoresB;
+  SA.Result = interpret(A, SA.Mem, InitRegs, OptsA);
+  SB.Result = interpret(B, SB.Mem, InitRegs, OptsB);
+  return compareRuns(A, SA, B, SB, &StoresA, &StoresB);
+}
+
+EquivResult cpr::checkAgainstBaseline(const Function &Baseline,
+                                      const RunState &BaselineFinal,
+                                      const Function &Candidate,
+                                      const RunState *CandidateFinal,
+                                      const Memory &InitMem,
+                                      const std::vector<RegBinding> &InitRegs,
+                                      uint64_t *Runs) {
+  uint64_t Made = 0;
+  RunState Fresh;
+  if (!CandidateFinal) {
+    Fresh = recordRun(Candidate, InitMem, InitRegs);
+    CandidateFinal = &Fresh;
+    ++Made;
+  }
+  EquivResult E =
+      compareRuns(Baseline, BaselineFinal, Candidate, *CandidateFinal);
+  // Only a memory divergence's detail needs what the recorded states
+  // lack: each run's store trace.
+  if (E.Kind == EquivResult::Divergence::Memory) {
+    E = checkEquivalence(Baseline, Candidate, InitMem, InitRegs);
+    Made += 2;
+  }
+  if (Runs)
+    *Runs += Made;
+  return E;
+}
+
+Status cpr::checkRegionEquivalence(const Function &Baseline,
+                                   const RunState &BaselineFinal,
+                                   const Function &Candidate,
+                                   const Memory &InitMem,
+                                   const std::vector<RegBinding> &InitRegs,
+                                   uint64_t *Runs) {
+  if (fault::shouldFail("interp.oracle"))
+    return Status::error(DiagCode::OracleMismatch, "injected fault",
+                         "interp.oracle");
+  EquivResult E = checkAgainstBaseline(Baseline, BaselineFinal, Candidate,
+                                       nullptr, InitMem, InitRegs, Runs);
+  if (!E.Equivalent)
+    return Status::error(DiagCode::OracleMismatch,
+                         "region equivalence re-check failed [" +
+                             std::string(divergenceName(E.Kind)) +
+                             "]: " + E.Detail,
+                         "interp.oracle");
+  return Status::success();
 }

@@ -9,6 +9,12 @@
 /// functions for observational equivalence on identical inputs (the
 /// correctness oracle of the transformation property tests).
 ///
+/// The oracle compares final run states (RunState). A state recorded once
+/// -- by a profiling run, or by recordRun -- can stand in for a fresh run
+/// of the same function on the same inputs, so a caller that checks many
+/// candidates against one baseline, or that profiles the candidate anyway,
+/// pays one interpreter run per candidate instead of two.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef INTERP_PROFILER_H
@@ -30,12 +36,35 @@ ProfileData profileRun(const Function &F, Memory &Mem,
 /// Non-fatal, budget-aware form of profileRun (docs/ROBUSTNESS.md). A run
 /// that hits the step cap comes back as a BudgetExhausted diagnostic, any
 /// other non-halt as RunFailed; both at site "interp.profile".
-/// \p MaxSteps of 0 keeps the interpreter's default cap.
+/// \p MaxSteps of 0 keeps the interpreter's default cap. \p RunOut, when
+/// non-null, receives the run's result (exit status, steps, dynamic
+/// counts, observable registers) whether or not it halted; \p Mem holds
+/// its final memory.
 Expected<ProfileData> tryProfileRun(const Function &F, Memory &Mem,
                                     const std::vector<RegBinding> &InitRegs,
-                                    DynStats *StatsOut = nullptr,
+                                    RunResult *RunOut = nullptr,
                                     BranchTrace *TraceOut = nullptr,
                                     uint64_t MaxSteps = 0);
+
+/// The final state of one run, as the equivalence oracle compares it. The
+/// oracle runs under DefaultMaxSteps, so a recorded state stands in for
+/// the oracle's own run only if the run ended as it would have there
+/// (recordRun, or matchesOracleRun).
+struct RunState {
+  RunResult Result; ///< exit status, steps, observable registers
+  Memory Mem;       ///< final memory
+};
+
+/// Runs \p F once from \p InitMem and \p InitRegs under the oracle's step
+/// cap and returns its final state.
+RunState recordRun(const Function &F, const Memory &InitMem,
+                   const std::vector<RegBinding> &InitRegs);
+
+/// Whether run \p R, made under a step cap of \p MaxSteps (0 = the
+/// interpreter's default), ended exactly as the same run under the
+/// oracle's cap would have: a run that stopped at a tighter cap might
+/// have gone on, and one past DefaultMaxSteps would have stopped sooner.
+bool matchesOracleRun(const RunResult &R, uint64_t MaxSteps);
 
 /// Result of an equivalence comparison. On a mismatch, \c Detail names the
 /// first diverging artifact -- the exit path, an observable register (by
@@ -60,12 +89,48 @@ struct EquivResult {
 /// Name of \p Kind for reports ("exit-path", "register", ...).
 const char *divergenceName(EquivResult::Divergence Kind);
 
+/// Compares the final states of runs of \p A and \p B from identical
+/// inputs: halt status, observable register values, and final memory (in
+/// that order). \p StoresA and \p StoresB are the runs' store traces; a
+/// memory divergence names each run's last store to the address, or no
+/// store when the traces are absent.
+EquivResult compareRuns(const Function &A, const RunState &SA,
+                        const Function &B, const RunState &SB,
+                        const std::vector<StoreEvent> *StoresA = nullptr,
+                        const std::vector<StoreEvent> *StoresB = nullptr);
+
 /// Runs \p A and \p B from identical initial memory (\p Mem, copied) and
-/// register bindings, then compares halt status, observable register
-/// values, and final memory (in that order).
+/// register bindings, recording their stores, then compares them with
+/// compareRuns.
 EquivResult checkEquivalence(const Function &A, const Function &B,
                              const Memory &Mem,
                              const std::vector<RegBinding> &InitRegs);
+
+/// The oracle's verdict on \p Candidate against \p Baseline from \p InitMem
+/// and \p InitRegs, given the baseline's recorded final state
+/// \p BaselineFinal and, when one exists, the candidate's
+/// (\p CandidateFinal; null runs the candidate once). A memory divergence,
+/// whose detail names each run's last store to the address, is re-derived
+/// by checkEquivalence, so the result always equals checkEquivalence's.
+/// Adds the interpreter runs it makes to \p Runs when given.
+EquivResult checkAgainstBaseline(const Function &Baseline,
+                                 const RunState &BaselineFinal,
+                                 const Function &Candidate,
+                                 const RunState *CandidateFinal,
+                                 const Memory &InitMem,
+                                 const std::vector<RegBinding> &InitRegs,
+                                 uint64_t *Runs = nullptr);
+
+/// The per-region equivalence re-check (CPRContext::RegionOracle,
+/// docs/ROBUSTNESS.md): checkAgainstBaseline of one fresh run of
+/// \p Candidate, as a Status at fault site "interp.oracle". A mismatch is
+/// an OracleMismatch error there.
+Status checkRegionEquivalence(const Function &Baseline,
+                              const RunState &BaselineFinal,
+                              const Function &Candidate,
+                              const Memory &InitMem,
+                              const std::vector<RegBinding> &InitRegs,
+                              uint64_t *Runs = nullptr);
 
 } // namespace cpr
 

@@ -59,6 +59,9 @@ public:
 
   /// Result latency of \p Op in cycles. Branch latency is the cycle count
   /// before a taken branch redirects fetch (its exposed delay region).
+  /// Depends on nothing but the opcode and the branch latency, so
+  /// machines of one branch latency share their dependence graphs
+  /// (analysis/DepGraph.h, BlockGraphs).
   int latency(const Operation &Op) const;
 
   /// The configured branch latency.

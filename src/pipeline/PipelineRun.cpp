@@ -18,6 +18,7 @@
 #include "support/Statistics.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace cpr;
@@ -35,10 +36,10 @@ PipelineRun::PipelineRun(KernelProgram ProgramIn, PipelineOptions OptsIn,
 PipelineRun::~PipelineRun() = default;
 
 void PipelineRun::setBaselineProfile(ProfileData Profile) {
-  if (HaveBaselineProfile)
+  if (BaseRun.Done)
     reportFatalError("PipelineRun: baseline profile already computed");
-  BaseProfile = std::move(Profile);
-  HaveBaselineProfile = true;
+  BaseRun.Profile = std::move(Profile);
+  BaseRun.Done = true;
   BaselineProfileInjected = true;
 }
 
@@ -76,10 +77,7 @@ void PipelineRun::fallbackToBaseline(DiagCode Code, std::string Msg,
   FellBack = true;
   // Invalidate the treated-side artifacts: they described the abandoned
   // function.
-  HaveTreatedProfile = false;
-  TreatedProf = ProfileData();
-  TreatedStats = DynStats();
-  TreatedTraceData = BranchTrace();
+  TreatedRun = ProfiledRun();
   EquivalenceDone = false;
   if (Stats)
     Stats->addCount(Prefix + "cpr/fallback_baseline", 1);
@@ -106,48 +104,97 @@ const Function &PipelineRun::baseline() {
   return *Program.Func;
 }
 
+/// Dependence-graph options of every schedule the session builds.
+static DepGraphOptions graphOptions(const PipelineOptions &Opts) {
+  DepGraphOptions D;
+  D.AllowSpeculation = Opts.Perf.AllowSpeculation;
+  return D;
+}
+
+void PipelineRun::countRuns(uint64_t N) const {
+  if (Stats && N != 0)
+    Stats->addCount(Prefix + "interp/runs", static_cast<double>(N));
+}
+
+Status PipelineRun::profileInto(const Function &F, uint64_t MaxSteps,
+                                const char *Side, ProfiledRun &Out,
+                                std::optional<RunState> *FinalOut) {
+  PassTimer T(Stats, Prefix + "profile_" + Side);
+  Out = ProfiledRun();
+  Memory Mem = Program.InitMem;
+  RunResult R;
+  Expected<ProfileData> P =
+      tryProfileRun(F, Mem, Program.InitRegs, &R,
+                    Opts.Simulate ? &Out.Trace : nullptr, MaxSteps);
+  countRuns(1);
+  Status S = Status::success();
+  if (P) {
+    Out.Done = true;
+    Out.Profile = P.takeValue();
+    Out.Stats = R.Stats;
+    if (Stats) {
+      Stats->addCount(Prefix + "dyn_ops_" + Side,
+                      static_cast<double>(Out.Stats.OpsDispatched));
+      Stats->addCount(Prefix + "dyn_branches_" + Side,
+                      static_cast<double>(Out.Stats.BranchesDispatched));
+    }
+  } else {
+    Out = ProfiledRun(); // drop the partial trace
+    S = Status::failure(P.takeDiagnostic());
+  }
+  if (FinalOut && matchesOracleRun(R, MaxSteps))
+    *FinalOut = RunState{std::move(R), std::move(Mem)};
+  return S;
+}
+
+const RunState &PipelineRun::baselineFinal() {
+  if (!BaselineFinal) {
+    BaselineFinal = recordRun(baseline(), Program.InitMem, Program.InitRegs);
+    countRuns(1);
+  }
+  return *BaselineFinal;
+}
+
+std::unique_ptr<FunctionAnalyses> PipelineRun::analyze(const Function &F,
+                                                       const char *Side) {
+  PassTimer T(Stats, Prefix + "analyses_" + Side);
+  auto FA = std::make_unique<FunctionAnalyses>(
+      F, Opts.Machines.empty() ? nullptr : &Opts.Machines.front(),
+      graphOptions(Opts));
+  T.stop();
+  if (Stats && FA->Graphs && FA->Graphs->size() != 0)
+    Stats->addCount(Prefix + "estimate/depgraphs_built",
+                    static_cast<double>(FA->Graphs->size()));
+  return FA;
+}
+
 const FunctionAnalyses &PipelineRun::baselineAnalyses() {
   requireLive("baselineAnalyses");
-  if (!BaseFA) {
-    const Function &Base = baseline();
-    PassTimer T(Stats, Prefix + "analyses_baseline");
-    BaseFA = std::make_unique<FunctionAnalyses>(Base);
-  }
+  if (!BaseFA)
+    BaseFA = analyze(baseline(), "baseline");
   return *BaseFA;
 }
 
 const FunctionAnalyses &PipelineRun::treatedAnalyses() {
   requireLive("treatedAnalyses");
-  if (!TreatedFA) {
-    const Function &TreatedF = treated();
-    PassTimer T(Stats, Prefix + "analyses_treated");
-    TreatedFA = std::make_unique<FunctionAnalyses>(TreatedF);
-  }
+  if (!TreatedFA)
+    TreatedFA = analyze(treated(), "treated");
   return *TreatedFA;
 }
 
 const ProfileData &PipelineRun::baselineProfile() {
   requireLive("baselineProfile");
-  if (!HaveBaselineProfile) {
-    const Function &Baseline = baseline();
-    PassTimer T(Stats, Prefix + "profile_baseline");
-    Memory Mem = Program.InitMem;
-    BaseProfile = profileRun(Baseline, Mem, Program.InitRegs, &BaseStats,
-                             Opts.Simulate ? &BaseTrace : nullptr);
-    HaveBaselineProfile = true;
-    if (Stats) {
-      Stats->addCount(Prefix + "dyn_ops_baseline",
-                      static_cast<double>(BaseStats.OpsDispatched));
-      Stats->addCount(Prefix + "dyn_branches_baseline",
-                      static_cast<double>(BaseStats.BranchesDispatched));
-    }
-  }
-  return BaseProfile;
+  if (!BaseRun.Done)
+    if (Status S = profileInto(baseline(), 0, "baseline", BaseRun,
+                               &BaselineFinal);
+        !S)
+      reportFatalError(S.diagnostic().Message);
+  return BaseRun.Profile;
 }
 
 const DynStats &PipelineRun::baselineDynStats() {
   baselineProfile();
-  return BaseStats;
+  return BaseRun.Stats;
 }
 
 const BranchTrace &PipelineRun::baselineTrace() {
@@ -156,7 +203,7 @@ const BranchTrace &PipelineRun::baselineTrace() {
   if (BaselineProfileInjected)
     reportFatalError("PipelineRun: no trace for an injected profile");
   baselineProfile();
-  return BaseTrace;
+  return BaseRun.Trace;
 }
 
 void PipelineRun::recordTransformStats() {
@@ -237,20 +284,15 @@ const Function &PipelineRun::treated() {
       Ctx.RegionLint = [this, &Linter](const Function &Candidate) -> Status {
         return lintStatus(Linter.run(Candidate, nullptr, &Program.InitRegs));
       };
+    // Each candidate runs once against the baseline's final state.
     if (Opts.FailSafe && Opts.RegionEquivalence)
       Ctx.RegionOracle = [this, &Base](const Function &Candidate) -> Status {
-        if (fault::shouldFail("interp.oracle"))
-          return Status::error(DiagCode::OracleMismatch, "injected fault",
-                               "interp.oracle");
-        EquivResult E = cpr::checkEquivalence(
-            Base, Candidate, Program.InitMem, Program.InitRegs);
-        if (!E.Equivalent)
-          return Status::error(DiagCode::OracleMismatch,
-                               "region equivalence re-check failed [" +
-                                   std::string(divergenceName(E.Kind)) +
-                                   "]: " + E.Detail,
-                               "interp.oracle");
-        return Status::success();
+        uint64_t Runs = 0;
+        Status S = checkRegionEquivalence(Base, baselineFinal(), Candidate,
+                                          Program.InitMem, Program.InitRegs,
+                                          &Runs);
+        countRuns(Runs);
+        return S;
       };
     CPR = runControlCPR(*Treated, Profile, Opts.CPR, Ctx);
     T.stop();
@@ -294,10 +336,31 @@ const EquivResult &PipelineRun::checkEquivalenceResult() {
   requireLive("checkEquivalenceResult");
   if (!EquivalenceDone) {
     const Function &TreatedF = treated();
+    const RunState &BaseFinal = baselineFinal();
+    // The oracle's run of the treated code is its profiling run, so
+    // treatedProfile() is then a cache hit. It runs under the oracle's
+    // step cap (or the session's budget, when tighter). A run that does
+    // not halt is no profiling run, yet its state still decides the exit
+    // path -- unless the tighter budget stopped it, in which case
+    // checkAgainstBaseline runs it again under the oracle's cap.
+    std::optional<RunState> TreatedFinal;
+    if (!TreatedRun.Done)
+      (void)profileInto(TreatedF,
+                        Opts.InterpMaxSteps != 0
+                            ? std::min(Opts.InterpMaxSteps, DefaultMaxSteps)
+                            : DefaultMaxSteps,
+                        "treated", TreatedRun, &TreatedFinal);
     PassTimer T(Stats, Prefix + "equivalence");
-    Equivalence = cpr::checkEquivalence(baseline(), TreatedF,
-                                        Program.InitMem, Program.InitRegs);
+    uint64_t Runs = 0;
+    Equivalence = checkAgainstBaseline(
+        baseline(), BaseFinal, TreatedF,
+        TreatedFinal ? &*TreatedFinal : nullptr, Program.InitMem,
+        Program.InitRegs, &Runs);
+    countRuns(Runs);
     EquivalenceDone = true;
+    // The last oracle of the session: the region oracles ran in the
+    // transform, before it.
+    BaselineFinal.reset();
   }
   return Equivalence;
 }
@@ -318,34 +381,22 @@ void PipelineRun::checkEquivalence() {
 
 const ProfileData &PipelineRun::treatedProfile() {
   requireLive("treatedProfile");
-  if (!HaveTreatedProfile) {
-    const Function &TreatedF = treated();
-    PassTimer T(Stats, Prefix + "profile_treated");
-    Memory Mem = Program.InitMem;
-    TreatedProf =
-        profileRun(TreatedF, Mem, Program.InitRegs, &TreatedStats,
-                   Opts.Simulate ? &TreatedTraceData : nullptr);
-    HaveTreatedProfile = true;
-    if (Stats) {
-      Stats->addCount(Prefix + "dyn_ops_treated",
-                      static_cast<double>(TreatedStats.OpsDispatched));
-      Stats->addCount(Prefix + "dyn_branches_treated",
-                      static_cast<double>(TreatedStats.BranchesDispatched));
-    }
-  }
-  return TreatedProf;
+  if (!TreatedRun.Done)
+    if (Status S = profileInto(treated(), 0, "treated", TreatedRun); !S)
+      reportFatalError(S.diagnostic().Message);
+  return TreatedRun.Profile;
 }
 
 const DynStats &PipelineRun::treatedDynStats() {
   treatedProfile();
-  return TreatedStats;
+  return TreatedRun.Stats;
 }
 
 const BranchTrace &PipelineRun::treatedTrace() {
   if (!Opts.Simulate)
     reportFatalError("PipelineRun: treatedTrace requires Opts.Simulate");
   treatedProfile();
-  return TreatedTraceData;
+  return TreatedRun.Trace;
 }
 
 void PipelineRun::prepare() {
@@ -358,10 +409,17 @@ void PipelineRun::prepare() {
   // per-machine stages consume them.
   baselineAnalyses();
   treatedAnalyses();
+  BaselineFinal.reset(); // the oracles are done with it
 }
 
 Status PipelineRun::tryPrepare() {
   requireLive("tryPrepare");
+  // The baseline's final state serves the oracles below; release it on
+  // every way out.
+  struct ReleaseFinal {
+    std::optional<RunState> &State;
+    ~ReleaseFinal() { State.reset(); }
+  } Release{BaselineFinal};
 
   // Request deadline / client cancellation, polled at stage boundaries
   // (docs/SERVICE.md "Resilience"). In fail-safe mode an expired or
@@ -387,83 +445,54 @@ Status PipelineRun::tryPrepare() {
   // construction -- no second interpreter run).
   auto DegradeExpired = [this, &ExpiryMsg](DiagCode Code) {
     fallbackToBaseline(Code, ExpiryMsg(Code), "pipeline.deadline");
-    TreatedProf = BaseProfile;
-    TreatedStats = BaseStats;
-    TreatedTraceData = BaseTrace;
-    HaveTreatedProfile = true;
+    TreatedRun = BaseRun;
     return Status::success();
   };
 
   // Baseline profile, budgeted and non-fatal: without it nothing
   // downstream can run, so a failure here fails the session.
-  if (!HaveBaselineProfile) {
-    const Function &Base = baseline();
-    PassTimer T(Stats, Prefix + "profile_baseline");
-    Memory Mem = Program.InitMem;
-    Expected<ProfileData> P =
-        tryProfileRun(Base, Mem, Program.InitRegs, &BaseStats,
-                      Opts.Simulate ? &BaseTrace : nullptr,
-                      Opts.InterpMaxSteps);
-    if (!P) {
-      Diagnostic D = P.takeDiagnostic();
+  if (!BaseRun.Done)
+    if (Status S = profileInto(baseline(), Opts.InterpMaxSteps, "baseline",
+                               BaseRun, &BaselineFinal);
+        !S) {
       if (Opts.Diags)
-        Opts.Diags->report(D);
-      return Status::failure(std::move(D));
+        Opts.Diags->report(S.diagnostic());
+      return S;
     }
-    BaseProfile = P.takeValue();
-    HaveBaselineProfile = true;
-    if (Stats) {
-      Stats->addCount(Prefix + "dyn_ops_baseline",
-                      static_cast<double>(BaseStats.OpsDispatched));
-      Stats->addCount(Prefix + "dyn_branches_baseline",
-                      static_cast<double>(BaseStats.BranchesDispatched));
-    }
-  }
 
   // Stage boundary: degrade before the transform even starts.
   if (Opts.FailSafe && !HaveTreated)
     if (DiagCode Code = ExpiryCode(); Code != DiagCode::None)
       return DegradeExpired(Code);
 
+  // The oracle below may make the treated profiling run; the deadline
+  // boundary after it is polled all the same.
+  const bool TreatedProfilePending = !TreatedRun.Done;
   treated();
   if (Opts.CheckEquivalence)
     checkEquivalence(); // falls back (never fatal) when Opts.FailSafe
 
-  // Stage boundary: the deadline may have expired mid-transform; skip
-  // the treated profiling run the requester will not wait for.
-  if (Opts.FailSafe && !FellBack && !HaveTreatedProfile)
+  // Stage boundary: the deadline may have expired mid-transform (or
+  // during the oracle); degrade rather than hand the requester a result
+  // it stopped waiting for.
+  if (Opts.FailSafe && !FellBack && TreatedProfilePending)
     if (DiagCode Code = ExpiryCode(); Code != DiagCode::None)
       return DegradeExpired(Code);
 
   // Treated profile, budgeted: an unprofilable treated function degrades
   // to the baseline (whose profile succeeded above) in fail-safe mode.
-  for (int Attempt = 0; !HaveTreatedProfile; ++Attempt) {
-    const Function &TreatedF = treated();
-    PassTimer T(Stats, Prefix + "profile_treated");
-    Memory Mem = Program.InitMem;
-    Expected<ProfileData> P =
-        tryProfileRun(TreatedF, Mem, Program.InitRegs, &TreatedStats,
-                      Opts.Simulate ? &TreatedTraceData : nullptr,
-                      Opts.InterpMaxSteps);
-    if (!P) {
-      Diagnostic D = P.takeDiagnostic();
-      if (!Opts.FailSafe || FellBack || Attempt > 0) {
-        if (Opts.Diags)
-          Opts.Diags->report(D);
-        return Status::failure(std::move(D));
-      }
-      T.stop();
-      fallbackToBaseline(D.Code, D.Message, "interp.profile");
-      continue;
+  for (int Attempt = 0; !TreatedRun.Done; ++Attempt) {
+    Status S =
+        profileInto(treated(), Opts.InterpMaxSteps, "treated", TreatedRun);
+    if (S)
+      break;
+    const Diagnostic &D = S.diagnostic();
+    if (!Opts.FailSafe || FellBack || Attempt > 0) {
+      if (Opts.Diags)
+        Opts.Diags->report(D);
+      return S;
     }
-    TreatedProf = P.takeValue();
-    HaveTreatedProfile = true;
-    if (Stats) {
-      Stats->addCount(Prefix + "dyn_ops_treated",
-                      static_cast<double>(TreatedStats.OpsDispatched));
-      Stats->addCount(Prefix + "dyn_branches_treated",
-                      static_cast<double>(TreatedStats.BranchesDispatched));
-    }
+    fallbackToBaseline(D.Code, D.Message, "interp.profile");
   }
   baselineAnalyses();
   treatedAnalyses();
@@ -471,25 +500,31 @@ Status PipelineRun::tryPrepare() {
 }
 
 MachineComparison PipelineRun::estimateMachine(const MachineDesc &MD) const {
-  assert(HaveBaselineProfile && HaveTreated && HaveTreatedProfile &&
+  assert(BaseRun.Done && HaveTreated && TreatedRun.Done &&
          "estimateMachine requires prepare()");
   PassTimer T(Stats, Prefix + "estimate/" + MD.getName());
   MachineComparison MC;
   MC.MachineName = MD.getName();
-  // The shared analysis bundles were solved serially by prepare(); a
-  // caller that forced the stages by hand may not have them, in which
-  // case the estimator computes its own liveness (same result -- the
-  // analysis is a pure function of the IR).
-  MC.BaselineCycles =
-      estimatePerformance(*Program.Func, MD, BaseProfile, Opts.Perf,
-                          BaseFA ? &BaseFA->LV : nullptr)
-          .TotalCycles;
-  MC.TreatedCycles =
-      estimatePerformance(*Treated, MD, TreatedProf, Opts.Perf,
-                          TreatedFA ? &TreatedFA->LV : nullptr)
-          .TotalCycles;
+  // The shared analysis bundles were solved serially by prepare(), with
+  // one dependence graph per block for the branch latency of
+  // Opts.Machines' first machine. A machine of another latency builds its
+  // own graphs, and a caller that forced the stages by hand may have no
+  // bundles, in which case the estimator also solves its own liveness
+  // (same result -- both are pure functions of the IR).
+  PerfEstimate Base = estimatePerformance(
+      *Program.Func, MD, BaseRun.Profile, Opts.Perf,
+      BaseFA ? &BaseFA->LV : nullptr, BaseFA ? BaseFA->graphs() : nullptr);
+  PerfEstimate Treat = estimatePerformance(
+      *Treated, MD, TreatedRun.Profile, Opts.Perf,
+      TreatedFA ? &TreatedFA->LV : nullptr,
+      TreatedFA ? TreatedFA->graphs() : nullptr);
+  MC.BaselineCycles = Base.TotalCycles;
+  MC.TreatedCycles = Treat.TotalCycles;
   T.stop();
   if (Stats) {
+    if (size_t Built = Base.DepGraphsBuilt + Treat.DepGraphsBuilt)
+      Stats->addCount(Prefix + "estimate/depgraphs_built",
+                      static_cast<double>(Built));
     Stats->addCount(Prefix + "estimate/" + MD.getName() + "/cycles_baseline",
                     MC.BaselineCycles);
     Stats->addCount(Prefix + "estimate/" + MD.getName() + "/cycles_treated",
@@ -507,7 +542,7 @@ SimComparison PipelineRun::simulate(const MachineDesc &MD, PredictorKind K,
                                     const FrontendOptions &FE,
                                     const std::string &CellName) const {
   assert(Opts.Simulate && "simulate requires Opts.Simulate");
-  assert(HaveBaselineProfile && HaveTreated && HaveTreatedProfile &&
+  assert(BaseRun.Done && HaveTreated && TreatedRun.Done &&
          "simulate requires prepare()");
   std::string Key =
       Prefix + "sim/" + MD.getName() + "/" + predictorKindName(K);
@@ -524,18 +559,21 @@ SimComparison PipelineRun::simulate(const MachineDesc &MD, PredictorKind K,
   SC.PredictorName = predictorKindName(K);
 
   PredictorConfig CB;
-  CB.Profile = &BaseProfile;
+  CB.Profile = &BaseRun.Profile;
   std::unique_ptr<BranchPredictor> PB = makePredictor(K, CB);
-  // Like estimateMachine: the shared bundles when prepare() solved them,
-  // else the simulator solves its own liveness.
-  SC.Baseline = simulateTrace(*Program.Func, MD, BaseTrace, *PB, SO,
-                              BaseFA ? &BaseFA->LV : nullptr);
+  // Like estimateMachine: the shared bundles and their graphs when
+  // prepare() built them and they fit MD, else the simulator builds its
+  // own.
+  SC.Baseline = simulateTrace(*Program.Func, MD, BaseRun.Trace, *PB, SO,
+                              BaseFA ? &BaseFA->LV : nullptr,
+                              BaseFA ? BaseFA->graphs() : nullptr);
 
   PredictorConfig CT;
-  CT.Profile = &TreatedProf;
+  CT.Profile = &TreatedRun.Profile;
   std::unique_ptr<BranchPredictor> PT = makePredictor(K, CT);
-  SC.Treated = simulateTrace(*Treated, MD, TreatedTraceData, *PT, SO,
-                             TreatedFA ? &TreatedFA->LV : nullptr);
+  SC.Treated = simulateTrace(*Treated, MD, TreatedRun.Trace, *PT, SO,
+                             TreatedFA ? &TreatedFA->LV : nullptr,
+                             TreatedFA ? TreatedFA->graphs() : nullptr);
 
   if (!SC.Baseline.ok() || !SC.Treated.ok())
     reportFatalError(
@@ -579,8 +617,8 @@ PipelineResult PipelineRun::finish(ThreadPool *Pool) {
 
   PipelineResult Res;
   Res.Name = Name;
-  Res.DynBaseline = BaseStats;
-  Res.DynTreated = TreatedStats;
+  Res.DynBaseline = BaseRun.Stats;
+  Res.DynTreated = TreatedRun.Stats;
   Res.CPR = CPR;
   Res.StaticOpsBaseline = Program.Func->totalOps();
   Res.StaticOpsTreated = Treated->totalOps();

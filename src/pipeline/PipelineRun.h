@@ -11,13 +11,26 @@
 /// every downstream consumer:
 ///
 ///   prepare (unroll)                           [serial]
-///     -> profileBaseline  (profile + trace)    [serial]
+///     -> profileBaseline  (profile + trace,    [serial]
+///                          final state)
 ///     -> transform        (FRP + ICBM + DCE)   [serial]
 ///     -> checkEquivalence (interpreter oracle) [serial]
-///     -> profileTreated   (profile + trace)    [serial]
+///        = profileTreated (profile + trace,
+///                          final state)
+///     -> analyses         (liveness + one      [serial]
+///                          graph per block)
 ///     -> estimateMachine(M)                    [parallel over machines]
 ///     -> simulate(M, P)                        [parallel over machine x
 ///                                               predictor]
+///
+/// Each side is interpreted once. The profiling runs keep their final
+/// state (interp/Profiler.h, RunState), so the oracle runs the treated
+/// function once, as its profiling run, and compares it with the
+/// baseline's; the per-region re-check (Opts.RegionEquivalence) runs each
+/// candidate once. Where the baseline profiling run left no state (an
+/// injected profile) one run records it. The baseline's state is held
+/// until the oracle has compared it, or until prepare() or tryPrepare()
+/// returns.
 ///
 /// Stage accessors are lazy: asking for an artifact runs the stages it
 /// depends on (once) and caches the result, so a caller that only wants
@@ -30,11 +43,13 @@
 /// be called from one thread at a time. After prepare() has returned (or
 /// all serial artifacts have been forced), estimateMachine() and
 /// simulate() are const over shared immutable artifacts and safe to call
-/// concurrently from many threads; each call builds its own schedules
-/// and predictor state. finish() is terminal: it forces everything,
-/// optionally fanning the per-machine / per-predictor stages out on a
-/// ThreadPool, and moves the treated function into the returned
-/// PipelineResult.
+/// concurrently from many threads, without locking the session: every
+/// machine of Opts.Machines.front()'s branch latency schedules the
+/// dependence graphs the analyses stage built once per side, others
+/// build their own, and each call builds its own schedules and predictor
+/// state. finish() is terminal: it forces everything, optionally fanning
+/// the per-machine / per-predictor stages out on a ThreadPool, and moves
+/// the treated function into the returned PipelineResult.
 ///
 /// Every stage reports wall time and outcome counters into an optional
 /// StatsRegistry (see support/Statistics.h for the determinism rules).
@@ -46,6 +61,8 @@
 
 #include "interp/Profiler.h"
 #include "pipeline/CompilerPipeline.h"
+
+#include <optional>
 
 namespace cpr {
 
@@ -96,7 +113,9 @@ public:
   /// Runs the observational-equivalence oracle once; fatal on mismatch.
   void checkEquivalence();
   /// Non-fatal form of the oracle for callers that triage mismatches
-  /// themselves (the differential fuzzer). Cached like every stage.
+  /// themselves (the differential fuzzer). Cached like every stage. The
+  /// treated run it makes is the treated profiling run; a run that does
+  /// not halt is the oracle's exit-path mismatch, not a profiling failure.
   const EquivResult &checkEquivalenceResult();
   /// Profile of the treated function (stage: profile-treated).
   const ProfileData &treatedProfile();
@@ -104,10 +123,12 @@ public:
   const BranchTrace &treatedTrace();
 
   /// Solved whole-function dataflow analyses (analysis/AnalysisCache.h)
-  /// of the prepared baseline / treated function: computed once,
-  /// serially, then shared const by the lint stage, the performance
-  /// model, and the scheduler. Pure functions of the IR, so sharing
-  /// never changes any downstream output.
+  /// of the prepared baseline / treated function, with one dependence
+  /// graph per non-empty block for the branch latency of
+  /// Opts.Machines.front() (none when it is empty): computed once,
+  /// serially, then shared const by the lint stage, the performance model,
+  /// and the simulator. Pure functions of the IR, so sharing never changes
+  /// any downstream output.
   const FunctionAnalyses &baselineAnalyses();
   const FunctionAnalyses &treatedAnalyses();
 
@@ -153,6 +174,33 @@ public:
   PipelineResult finish(ThreadPool *Pool = nullptr);
 
 private:
+  /// One side's profiling run and what it left behind.
+  struct ProfiledRun {
+    bool Done = false;
+    ProfileData Profile;
+    DynStats Stats;
+    BranchTrace Trace;
+  };
+
+  /// Profiles \p F into \p Out under a step cap of \p MaxSteps (0 = the
+  /// interpreter's default) and reports it as side \p Side ("baseline" or
+  /// "treated"). A run that does not halt leaves \p Out empty and comes
+  /// back as its diagnostic; callers decide whether that is fatal. When
+  /// \p FinalOut is given, the run's final state lands there if it ended
+  /// as the oracle's run would have (matchesOracleRun), halted or not.
+  Status profileInto(const Function &F, uint64_t MaxSteps, const char *Side,
+                     ProfiledRun &Out,
+                     std::optional<RunState> *FinalOut = nullptr);
+  /// The baseline's final state for the oracles: the baseline profiling
+  /// run's, or, where that run left none (an injected profile, a run past
+  /// the oracle's step cap, a state already released), one recorded now.
+  const RunState &baselineFinal();
+  /// Solves \p F's analysis bundle, with its dependence graphs for
+  /// Opts.Machines, as side \p Side.
+  std::unique_ptr<FunctionAnalyses> analyze(const Function &F,
+                                            const char *Side);
+  /// Counts \p N interpreter runs under "interp/runs".
+  void countRuns(uint64_t N) const;
   void recordTransformStats();
   /// Fatal if finish() already ran (the poison check).
   void requireLive(const char *Stage) const;
@@ -172,24 +220,22 @@ private:
   bool Prepared = false;
   bool Finished = false;
   bool FellBack = false;
-  bool HaveBaselineProfile = false;
   bool BaselineProfileInjected = false;
   bool HaveTreated = false;
   bool TreatedInjected = false;
   bool EquivalenceDone = false;
-  bool HaveTreatedProfile = false;
   EquivResult Equivalence;
 
-  ProfileData BaseProfile;
-  DynStats BaseStats;
-  BranchTrace BaseTrace;
+  ProfiledRun BaseRun;
+  /// The baseline's final state (baselineFinal), held from its profiling
+  /// run until the oracle has compared it, or until prepare() or
+  /// tryPrepare() returns.
+  std::optional<RunState> BaselineFinal;
   std::unique_ptr<Function> Treated;
   std::unique_ptr<FunctionAnalyses> BaseFA;
   std::unique_ptr<FunctionAnalyses> TreatedFA;
   CPRResult CPR;
-  ProfileData TreatedProf;
-  DynStats TreatedStats;
-  BranchTrace TreatedTraceData;
+  ProfiledRun TreatedRun;
 };
 
 } // namespace cpr

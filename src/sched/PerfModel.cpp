@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 using namespace cpr;
 
@@ -19,14 +20,18 @@ PerfEstimate cpr::estimatePerformance(const Function &F,
                                       const MachineDesc &MD,
                                       const ProfileData &Profile,
                                       const PerfModelOptions &Opts,
-                                      const Liveness *SharedLV) {
+                                      const Liveness *SharedLV,
+                                      const BlockGraphs *Graphs) {
   PerfEstimate Est;
+  DepGraphOptions DOpts;
+  DOpts.AllowSpeculation = Opts.AllowSpeculation;
+  if (Graphs && !Graphs->fits(MD, DOpts))
+    Graphs = nullptr; // another machine's latencies: build this one's own
   std::unique_ptr<Liveness> Owned;
-  if (!SharedLV) {
+  if (!Graphs && !SharedLV) {
     Owned = std::make_unique<Liveness>(F);
     SharedLV = Owned.get();
   }
-  const Liveness &LV = *SharedLV;
 
   for (size_t BI = 0, BE = F.numBlocks(); BI != BE; ++BI) {
     const Block &B = F.block(BI);
@@ -39,13 +44,16 @@ PerfEstimate cpr::estimatePerformance(const Function &F,
       continue;
     }
 
-    RegionPQS PQS(F, B);
-    DepGraphOptions DOpts;
-    DOpts.AllowSpeculation = Opts.AllowSpeculation;
-    DepGraph DG(F, B, MD, PQS, LV, DOpts);
-    Schedule S = scheduleBlock(B, DG, MD);
+    std::optional<DepGraph> Own;
+    const DepGraph *DG = Graphs ? Graphs->graph(BI) : nullptr;
+    if (!DG) {
+      RegionPQS PQS(F, B);
+      DG = &Own.emplace(F, B, MD, PQS, *SharedLV, DOpts);
+      ++Est.DepGraphsBuilt;
+    }
+    Schedule S = scheduleBlock(B, *DG, MD);
     BEst.ScheduleLength = S.length();
-    BEst.CriticalPath = DG.criticalPathLength();
+    BEst.CriticalPath = DG->criticalPathLength();
 
     if (BEst.Entries == 0) {
       Est.Blocks.push_back(BEst);

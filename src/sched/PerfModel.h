@@ -19,6 +19,13 @@
 ///    (delayed exit branches hurting narrow machines) that the literal
 ///    formula cannot express.
 ///
+/// Only the list scheduler needs the machine's issue resources: the
+/// dependence graph of a block depends on the machine through its
+/// latencies alone, which differ only in the branch latency. A caller
+/// estimating several machines (PipelineRun) builds each block's graph
+/// once per branch latency (analysis/DepGraph.h, BlockGraphs) and passes
+/// it to every estimate.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SCHED_PERFMODEL_H
@@ -33,6 +40,7 @@
 
 namespace cpr {
 
+class BlockGraphs;
 class Liveness;
 
 /// Cycle-estimation options.
@@ -59,18 +67,24 @@ struct BlockEstimate {
 struct PerfEstimate {
   double TotalCycles = 0.0;
   std::vector<BlockEstimate> Blocks;
+  /// Dependence graphs the estimate built itself: 0 when the given
+  /// BlockGraphs fit \p MD, else one per non-empty block.
+  size_t DepGraphsBuilt = 0;
 };
 
 /// Schedules every block of \p F for \p MD and estimates total cycles
-/// under profile \p Profile. \p LV, when given, is a pre-solved liveness
-/// for \p F (e.g. from a shared analysis/AnalysisCache.h bundle);
-/// otherwise one is computed. Liveness is a pure function of the IR, so
-/// sharing never changes the estimate.
+/// under profile \p Profile. \p LV and \p Graphs, when given, are a
+/// pre-solved liveness and pre-built dependence graphs for \p F (e.g.
+/// from a shared analysis/AnalysisCache.h bundle); graphs built for
+/// another branch latency or speculation mode are ignored, and whatever
+/// is missing is computed. Both are pure functions of the IR, so sharing
+/// never changes the estimate.
 PerfEstimate estimatePerformance(const Function &F, const MachineDesc &MD,
                                  const ProfileData &Profile,
                                  const PerfModelOptions &Opts =
                                      PerfModelOptions(),
-                                 const Liveness *LV = nullptr);
+                                 const Liveness *LV = nullptr,
+                                 const BlockGraphs *Graphs = nullptr);
 
 } // namespace cpr
 

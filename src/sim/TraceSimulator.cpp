@@ -20,12 +20,16 @@ using namespace cpr;
 namespace {
 
 /// Lazily scheduled blocks: only blocks the trace actually enters pay the
-/// scheduling cost, and loop bodies are scheduled once.
+/// scheduling cost, and loop bodies are scheduled once. Shared graphs that
+/// fit the machine are scheduled as they are; otherwise each block builds
+/// its own, over the shared liveness or one solved on first need.
 class ScheduleCache {
 public:
-  ScheduleCache(const Function &F, const MachineDesc &MD, bool Speculation,
-                const Liveness &LV)
-      : F(F), MD(MD), Speculation(Speculation), LV(LV),
+  ScheduleCache(const Function &F, const MachineDesc &MD,
+                const DepGraphOptions &DOpts, const Liveness *LV,
+                const BlockGraphs *Graphs)
+      : F(F), MD(MD), DOpts(DOpts), LV(LV),
+        Graphs(Graphs && Graphs->fits(MD, DOpts) ? Graphs : nullptr),
         Cache(F.numBlocks()) {}
 
   const Schedule &get(size_t LayoutIdx) {
@@ -34,11 +38,11 @@ public:
       const Block &B = F.block(LayoutIdx);
       if (B.empty()) {
         Slot.emplace();
+      } else if (Graphs) {
+        Slot = scheduleBlock(B, *Graphs->graph(LayoutIdx), MD);
       } else {
         RegionPQS PQS(F, B);
-        DepGraphOptions DOpts;
-        DOpts.AllowSpeculation = Speculation;
-        DepGraph DG(F, B, MD, PQS, LV, DOpts);
+        DepGraph DG(F, B, MD, PQS, liveness(), DOpts);
         Slot = scheduleBlock(B, DG, MD);
       }
     }
@@ -46,10 +50,20 @@ public:
   }
 
 private:
+  const Liveness &liveness() {
+    if (!LV) {
+      Owned = std::make_unique<Liveness>(F);
+      LV = Owned.get();
+    }
+    return *LV;
+  }
+
   const Function &F;
   const MachineDesc &MD;
-  bool Speculation;
-  const Liveness &LV;
+  DepGraphOptions DOpts;
+  const Liveness *LV;
+  std::unique_ptr<Liveness> Owned;
+  const BlockGraphs *Graphs;
   std::vector<std::optional<Schedule>> Cache;
 };
 
@@ -58,7 +72,8 @@ private:
 SimEstimate cpr::simulateTrace(const Function &F, const MachineDesc &MD,
                                const BranchTrace &Trace,
                                BranchPredictor &Pred,
-                               const SimOptions &Opts, const Liveness *LV) {
+                               const SimOptions &Opts, const Liveness *LV,
+                               const BlockGraphs *Graphs) {
   SimEstimate Est;
   std::vector<SimBlockStats> BlockStats(F.numBlocks());
   std::optional<BTB> TargetBuffer;
@@ -96,12 +111,9 @@ SimEstimate cpr::simulateTrace(const Function &F, const MachineDesc &MD,
   int FetchWidth = FE.FetchWidth > 0 ? FE.FetchWidth : MD.fetchWidth();
   if (FE.UseBTB)
     TargetBuffer.emplace(FE.BTB);
-  std::unique_ptr<Liveness> Owned;
-  if (!LV) {
-    Owned = std::make_unique<Liveness>(F);
-    LV = Owned.get();
-  }
-  ScheduleCache Schedules(F, MD, Opts.AllowSpeculation, *LV);
+  DepGraphOptions DOpts;
+  DOpts.AllowSpeculation = Opts.AllowSpeculation;
+  ScheduleCache Schedules(F, MD, DOpts, LV, Graphs);
 
   // Decoupled frontend: a block entry that dispatches N operations needs
   // ceil(N / FetchWidth) fetch cycles (the taken branch or halt that ends

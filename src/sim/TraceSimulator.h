@@ -48,6 +48,7 @@
 
 namespace cpr {
 
+class BlockGraphs;
 class Liveness;
 
 /// The decoupled-frontend cost model, off by default (the legacy flat
@@ -141,13 +142,15 @@ struct SimEstimate {
 /// branch with \p Pred (which is trained in place; reset it between runs).
 /// The trace must be complete (no ring drops) and carry a terminal marker,
 /// i.e. come from a halted interpreter run of exactly this function.
-/// \p LV, when given, is a pre-solved liveness for \p F (e.g. from a
-/// shared analysis/AnalysisCache.h bundle); otherwise one is computed, as
-/// estimatePerformance does.
+/// \p LV and \p Graphs, when given, are a pre-solved liveness and
+/// pre-built dependence graphs for \p F (e.g. from a shared
+/// analysis/AnalysisCache.h bundle); as in estimatePerformance, graphs
+/// that do not fit \p MD are ignored and whatever is missing is computed.
 SimEstimate simulateTrace(const Function &F, const MachineDesc &MD,
                           const BranchTrace &Trace, BranchPredictor &Pred,
                           const SimOptions &Opts = SimOptions(),
-                          const Liveness *LV = nullptr);
+                          const Liveness *LV = nullptr,
+                          const BlockGraphs *Graphs = nullptr);
 
 } // namespace cpr
 

@@ -7,6 +7,7 @@
 #include "analysis/DepGraph.h"
 
 #include "ir/IRParser.h"
+#include "workloads/BenchmarkSuite.h"
 
 #include <gtest/gtest.h>
 
@@ -287,6 +288,61 @@ block @A:
     EXPECT_LE(D[I] + H[I], CP) << "node " << I;
   // The chain head has the full height.
   EXPECT_EQ(H[0], CP);
+}
+
+/// Edges and node latencies of two graphs, as one comparable string.
+std::string describe(const DepGraph &DG) {
+  std::string S;
+  for (const DepEdge &E : DG.edges())
+    S += std::to_string(E.From) + depKindName(E.Kind) + std::to_string(E.To) +
+         "@" + std::to_string(E.Latency) + " ";
+  for (size_t N = 0; N < DG.numNodes(); ++N)
+    S += std::to_string(DG.nodeLatency(static_cast<uint32_t>(N))) + ",";
+  return S;
+}
+
+TEST(BlockGraphsTest, OneGraphPerBlockServesEveryMachineOfItsBranchLatency) {
+  for (const BenchmarkSpec &Spec : paperBenchmarkSuite()) {
+    SCOPED_TRACE(Spec.Name);
+    KernelProgram P = Spec.Build();
+    const Function &F = *P.Func;
+    Liveness LV(F);
+    BlockGraphs G(F, LV, MachineDesc::sequential());
+    size_t NonEmpty = 0;
+    for (const MachineDesc &MD : MachineDesc::paperModels()) {
+      EXPECT_TRUE(G.fits(MD, DepGraphOptions()));
+      for (size_t BI = 0; BI < F.numBlocks(); ++BI) {
+        const Block &B = F.block(BI);
+        if (B.empty()) {
+          EXPECT_EQ(G.graph(BI), nullptr);
+          continue;
+        }
+        ASSERT_NE(G.graph(BI), nullptr);
+        RegionPQS PQS(F, B);
+        DepGraph Own(F, B, MD, PQS, LV);
+        EXPECT_EQ(describe(*G.graph(BI)), describe(Own)) << B.getName();
+        NonEmpty += MD.getName() == "sequential";
+      }
+    }
+    EXPECT_EQ(G.size(), NonEmpty);
+  }
+}
+
+TEST(BlockGraphsTest, OtherBranchLatencyOrSpeculationModeDoesNotFit) {
+  Built Bu = build(R"(
+func @f {
+block @A:
+  r1 = add(r2, 1)
+  halt
+}
+)");
+  BlockGraphs G(*Bu.F, *Bu.LV, MachineDesc::medium());
+  EXPECT_TRUE(G.fits(MachineDesc::wide(), DepGraphOptions()));
+  EXPECT_FALSE(G.fits(MachineDesc::wide(3), DepGraphOptions()));
+  DepGraphOptions NoSpec;
+  NoSpec.AllowSpeculation = false;
+  EXPECT_FALSE(G.fits(MachineDesc::wide(), NoSpec));
+  EXPECT_EQ(G.size(), 1u);
 }
 
 } // namespace

@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 using namespace cpr;
 
 namespace {
@@ -240,6 +242,71 @@ TEST(RegionTransactionTest, PlantedDefectCaughtByRegionOracle) {
     EXPECT_TRUE(E.Equivalent) << E.Detail;
     EXPECT_GE(Diags.errorCount(), 1u);
   }
+}
+
+/// The region oracle over the baseline's recorded final state runs each
+/// candidate once, yet rolls back exactly the regions a two-run oracle
+/// (checkEquivalence of baseline and candidate per region) rolls back, with
+/// byte-identical diagnostics and output.
+TEST(RegionTransactionTest, RecordedBaselineOracleRollsBackTheSameRegions) {
+  unsigned RolledBack = 0;
+  for (bool Defect : {false, true}) {
+    for (uint64_t Seed = 1; Seed <= 16; ++Seed) {
+      SCOPED_TRACE("seed " + std::to_string(Seed));
+      KernelProgram P = generateProgram(Seed, GeneratorConfig());
+      Memory Mem = P.InitMem;
+      ProfileData Prof = profileRun(*P.Func, Mem, P.InitRegs);
+      RunState Final = recordRun(*P.Func, P.InitMem, P.InitRegs);
+
+      struct Outcome {
+        std::string IR, Diags;
+        CPRResult R;
+        uint64_t Runs = 0;
+      };
+      auto Transform = [&](bool Recorded) {
+        Outcome O;
+        std::unique_ptr<Function> T = P.Func->clone();
+        std::optional<fault::ScopedFault> Armed;
+        if (Defect)
+          Armed.emplace("cpr.restructure.compensation", fault::EveryHit);
+        CPRContext Ctx;
+        Ctx.FailSafe = true;
+        DiagnosticEngine Diags;
+        Ctx.Diags = &Diags;
+        Ctx.RegionOracle = [&](const Function &Cand) -> Status {
+          if (Recorded)
+            return checkRegionEquivalence(*P.Func, Final, Cand, P.InitMem,
+                                          P.InitRegs, &O.Runs);
+          EquivResult E =
+              checkEquivalence(*P.Func, Cand, P.InitMem, P.InitRegs);
+          O.Runs += 2;
+          if (!E.Equivalent)
+            return Status::error(DiagCode::OracleMismatch,
+                                 "region equivalence re-check failed [" +
+                                     std::string(divergenceName(E.Kind)) +
+                                     "]: " + E.Detail,
+                                 "interp.oracle");
+          return Status::success();
+        };
+        O.R = runControlCPR(*T, Prof, CPROptions(), Ctx);
+        O.IR = printFunction(*T);
+        for (const Diagnostic &D : Diags.diagnostics())
+          O.Diags += D.str() + "\n";
+        return O;
+      };
+      Outcome TwoRuns = Transform(false);
+      Outcome Recorded = Transform(true);
+      EXPECT_EQ(Recorded.IR, TwoRuns.IR);
+      EXPECT_EQ(Recorded.Diags, TwoRuns.Diags);
+      EXPECT_EQ(Recorded.R.BlocksRolledBack, TwoRuns.R.BlocksRolledBack);
+      EXPECT_EQ(Recorded.R.RegionsRolledBack, TwoRuns.R.RegionsRolledBack);
+      // One candidate run per check instead of two (the planted defect
+      // traps, so no mismatch needs the stores re-run).
+      EXPECT_EQ(2 * Recorded.Runs, TwoRuns.Runs);
+      RolledBack += Recorded.R.BlocksRolledBack;
+    }
+  }
+  EXPECT_GT(RolledBack, 0u) << "the planted defect must be caught";
 }
 
 /// Budget exhaustion is an ordinary diagnostic: regions past the budget

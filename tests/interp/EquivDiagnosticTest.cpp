@@ -13,6 +13,7 @@
 #include "interp/Profiler.h"
 
 #include "ir/IRParser.h"
+#include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>
 
@@ -201,6 +202,92 @@ block @A:
   Memory Mem;
   EquivResult E = check(Src, Src, Mem, {{Reg::gpr(1), 41}});
   EXPECT_TRUE(E.Equivalent);
+}
+
+/// Baseline / candidate pairs covering every verdict of the oracle.
+const std::vector<std::pair<std::string, std::string>> &divergencePairs() {
+  static const std::vector<std::pair<std::string, std::string>> Pairs = {
+      // equivalent
+      {"func @f {\n  observable r2\nblock @A:\n  r2 = add(r1, 1)\n"
+       "  store.m1(r1, r2)\n  halt\n}\n",
+       "func @f {\n  observable r2\nblock @A:\n  r2 = add(r1, 1)\n"
+       "  store.m1(r1, r2)\n  halt\n}\n"},
+      // register
+      {"func @f {\n  observable r1, r2\nblock @A:\n  r1 = mov(7)\n"
+       "  r2 = mov(10)\n  halt\n}\n",
+       "func @f {\n  observable r1, r2\nblock @A:\n  r1 = mov(7)\n"
+       "  r2 = mov(11)\n  halt\n}\n"},
+      // memory, both runs storing
+      {"func @f {\nblock @A:\n  store.m1(500, 1)\n  store.m1(100, 1)\n"
+       "  halt\n}\n",
+       "func @f {\nblock @A:\n  store.m1(500, 2)\n  store.m1(100, 2)\n"
+       "  halt\n}\n"},
+      // memory, one run never storing
+      {"func @f {\nblock @A:\n  store.m1(64, 5)\n  halt\n}\n",
+       "func @f {\nblock @A:\n  halt\n}\n"},
+      // exit path
+      {"func @f {\nblock @A:\n  halt\n}\n",
+       "func @f {\nblock @A:\n  trap\n}\n"},
+      // neither halts
+      {"func @f {\nblock @A:\n  trap\n}\n",
+       "func @f {\nblock @A:\n  trap\n}\n"},
+  };
+  return Pairs;
+}
+
+TEST(RecordedOracleTest, RecordedStatesGiveTheTwoRunVerdict) {
+  Memory Mem;
+  Mem.store(40, 3);
+  std::vector<RegBinding> Init = {{Reg::gpr(1), 40}};
+  for (const auto &[SrcA, SrcB] : divergencePairs()) {
+    std::unique_ptr<Function> A = parseFunctionOrDie(SrcA);
+    std::unique_ptr<Function> B = parseFunctionOrDie(SrcB);
+    EquivResult Want = checkEquivalence(*A, *B, Mem, Init);
+    SCOPED_TRACE(Want.Detail);
+    RunState SA = recordRun(*A, Mem, Init);
+    RunState SB = recordRun(*B, Mem, Init);
+    bool Cold = Want.Kind == EquivResult::Divergence::Memory;
+
+    // Baseline state recorded: one candidate run decides, and only a
+    // memory divergence re-runs both to name the stores.
+    uint64_t Runs = 0;
+    EquivResult Got =
+        checkAgainstBaseline(*A, SA, *B, nullptr, Mem, Init, &Runs);
+    EXPECT_EQ(Got.Equivalent, Want.Equivalent);
+    EXPECT_EQ(Got.Kind, Want.Kind);
+    EXPECT_EQ(Got.Detail, Want.Detail);
+    EXPECT_EQ(Runs, Cold ? 3u : 1u);
+
+    // Both states recorded: no run unless the detail needs the stores.
+    Runs = 0;
+    Got = checkAgainstBaseline(*A, SA, *B, &SB, Mem, Init, &Runs);
+    EXPECT_EQ(Got.Detail, Want.Detail);
+    EXPECT_EQ(Runs, Cold ? 2u : 0u);
+  }
+}
+
+TEST(RecordedOracleTest, RegionCheckReportsAtTheOracleFaultSite) {
+  const auto &[SrcA, SrcB] = divergencePairs()[1]; // register divergence
+  std::unique_ptr<Function> A = parseFunctionOrDie(SrcA);
+  std::unique_ptr<Function> B = parseFunctionOrDie(SrcB);
+  RunState SA = recordRun(*A, Memory(), {});
+
+  Status Same = checkRegionEquivalence(*A, SA, *A, Memory(), {});
+  EXPECT_TRUE(Same.ok());
+
+  Status Diff = checkRegionEquivalence(*A, SA, *B, Memory(), {});
+  ASSERT_FALSE(Diff.ok());
+  EXPECT_EQ(Diff.diagnostic().Code, DiagCode::OracleMismatch);
+  EXPECT_EQ(Diff.diagnostic().Site, "interp.oracle");
+  EXPECT_EQ(Diff.diagnostic().Message,
+            "region equivalence re-check failed [register]: " +
+                checkEquivalence(*A, *B, Memory(), {}).Detail);
+
+  fault::ScopedFault Armed("interp.oracle", 1);
+  Status Injected = checkRegionEquivalence(*A, SA, *A, Memory(), {});
+  ASSERT_FALSE(Injected.ok());
+  EXPECT_EQ(Injected.diagnostic().Message, "injected fault");
+  EXPECT_EQ(Injected.diagnostic().Site, "interp.oracle");
 }
 
 } // namespace

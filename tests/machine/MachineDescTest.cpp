@@ -71,6 +71,20 @@ TEST(MachineDescTest, ConfigurableBranchLatency) {
   }
 }
 
+TEST(MachineDescTest, LatencyDependsOnlyOnOpcodeAndBranchLatency) {
+  // The contract that lets one dependence graph per block serve every
+  // machine of one branch latency (analysis/DepGraph.h, BlockGraphs).
+  for (int Lat : {1, 2, 3}) {
+    MachineDesc Custom("custom", 3, 1, 2, 1, /*Sequential=*/false, Lat);
+    for (unsigned O = 0; O < NumOpcodes; ++O) {
+      Operation Op = makeOp(static_cast<Opcode>(O));
+      for (const MachineDesc &MD : MachineDesc::paperModels(Lat))
+        EXPECT_EQ(MD.latency(Op), Custom.latency(Op))
+            << MD.getName() << " " << opcodeName(Op.getOpcode());
+    }
+  }
+}
+
 TEST(MachineDescTest, PaperModelsOrder) {
   std::vector<MachineDesc> Models = MachineDesc::paperModels();
   ASSERT_EQ(Models.size(), 5u);

@@ -11,6 +11,7 @@
 
 #include "pipeline/PipelineRun.h"
 
+#include "fuzz/Generator.h"
 #include "ir/IRPrinter.h"
 #include "support/Error.h"
 #include "support/FaultInjector.h"
@@ -142,6 +143,70 @@ TEST(PipelineRobustness, RollbackCountersLandInStats) {
   // The rollback diagnostics were mirrored under the engine's prefix.
   EXPECT_GE(Diags.count(DiagSeverity::Remark), 1u);
   EXPECT_TRUE(Run.checkEquivalenceResult().Equivalent);
+}
+
+TEST(PipelineRobustness, RegionEquivalenceRollsBackAlikeWithInjectedProfile) {
+  // The per-region re-check compares each candidate with the baseline
+  // profiling run's final state. An injected baseline profile comes
+  // without a run, so the session records the baseline's state with one
+  // run instead: the same regions roll back with the same diagnostics,
+  // and the session interprets the baseline once either way.
+  fault::ScopedFault Armed("cpr.restructure.compensation", fault::EveryHit);
+  struct Outcome {
+    std::string IR, Diags;
+    StatsRegistry Stats;
+  };
+  auto Run = [](bool InjectProfile, Outcome &O) {
+    KernelProgram P = generateProgram(2, GeneratorConfig());
+    PipelineOptions Opts;
+    Opts.FailSafe = true;
+    Opts.RegionEquivalence = true;
+    DiagnosticEngine Diags;
+    Opts.Diags = &Diags;
+    Memory Mem = P.InitMem;
+    ProfileData Prof = profileRun(*P.Func, Mem, P.InitRegs);
+    PipelineRun Session(std::move(P), Opts, &O.Stats, "p/");
+    if (InjectProfile)
+      Session.setBaselineProfile(std::move(Prof));
+    ASSERT_TRUE(Session.tryPrepare().ok());
+    EXPECT_FALSE(Session.fellBack()) << "every defective region rolled back";
+    O.IR = printFunction(*Session.finish().Treated);
+    for (const Diagnostic &D : Diags.diagnostics())
+      O.Diags += D.str() + "\n";
+  };
+  Outcome Recorded, Injected;
+  Run(false, Recorded);
+  Run(true, Injected);
+  EXPECT_EQ(Recorded.IR, Injected.IR);
+  EXPECT_EQ(Recorded.Diags, Injected.Diags);
+  EXPECT_GE(Recorded.Stats.count("p/cpr/blocks_rolled_back"), 1.0);
+  EXPECT_EQ(Recorded.Stats.count("p/cpr/blocks_rolled_back"),
+            Injected.Stats.count("p/cpr/blocks_rolled_back"));
+  EXPECT_EQ(Recorded.Stats.count("p/interp/runs"),
+            Injected.Stats.count("p/interp/runs"));
+}
+
+TEST(PipelineRobustness, DeadlineExpiredByTheOracleStillDegrades) {
+  // The oracle makes the treated profiling run, yet the stage boundary
+  // after it still polls the request deadline: a fail-safe session whose
+  // deadline expired by then degrades to the baseline.
+  PipelineOptions Opts;
+  Opts.FailSafe = true;
+  Opts.RequestDeadline = Deadline::afterMs(0);
+  DiagnosticEngine Diags;
+  Opts.Diags = &Diags;
+  KernelProgram P = buildStrcpyKernel(4, 64, 1);
+  std::unique_ptr<Function> Treated;
+  {
+    PipelineRun Source(buildStrcpyKernel(4, 64, 1));
+    Treated = Source.treated().clone();
+  }
+  PipelineRun Run(std::move(P), Opts);
+  // An injected treated function skips the pre-transform boundary.
+  Run.setTreated(std::move(Treated));
+  ASSERT_TRUE(Run.tryPrepare().ok());
+  EXPECT_TRUE(Run.fellBack());
+  EXPECT_EQ(countCode(Diags, DiagCode::DeadlineExceeded), 1u);
 }
 
 TEST(PipelineRobustness, DegradedOutputIsIdenticalAtAnyThreadCount) {

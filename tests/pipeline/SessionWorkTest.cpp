@@ -1,0 +1,344 @@
+//===- tests/pipeline/SessionWorkTest.cpp - Each session works once -------===//
+//
+// Part of the control-cpr project (PLDI 1999 Control CPR reproduction).
+//
+// A session interprets each side once and builds one dependence graph per
+// block per side for all machines of one branch latency:
+//
+//  - OracleParity: the session's oracle, which reuses the profiling runs'
+//    final states, returns exactly what cpr::checkEquivalence returns --
+//    verdict, divergence kind and detail, byte for byte -- on the paper
+//    suite, the benchmark ladder (including its two known miscompiles),
+//    generated programs and the planted compensation defect, in strict and
+//    fail-safe sessions, with an injected treated function, an injected
+//    baseline profile and a budget the treated run exceeds.
+//  - SessionWork: the "interp/runs" and "estimate/depgraphs_built" counters.
+//  - PipelineSharedGraphs: finish() on eight threads reads one graph set
+//    per side concurrently and matches the serial session.
+//
+//===----------------------------------------------------------------------===//
+
+#include "pipeline/PipelineRun.h"
+
+#include "analysis/AnalysisCache.h"
+#include "analysis/ProfileIO.h"
+#include "fuzz/Generator.h"
+#include "ir/IRParser.h"
+#include "support/FaultInjector.h"
+#include "support/Statistics.h"
+#include "support/ThreadPool.h"
+#include "workloads/BenchmarkSuite.h"
+
+#include <gtest/gtest.h>
+
+using namespace cpr;
+
+namespace {
+
+KernelProgram copyProgram(const KernelProgram &P) {
+  KernelProgram C;
+  C.Func = P.Func->clone();
+  C.InitRegs = P.InitRegs;
+  C.InitMem = P.InitMem;
+  C.Description = P.Description;
+  return C;
+}
+
+size_t nonEmptyBlocks(const Function &F) {
+  size_t N = 0;
+  for (size_t I = 0; I < F.numBlocks(); ++I)
+    N += !F.block(I).empty();
+  return N;
+}
+
+std::vector<KernelProgram> suitePrograms() {
+  std::vector<KernelProgram> Out;
+  for (const BenchmarkSpec &S : paperBenchmarkSuite())
+    Out.push_back(S.Build());
+  return Out;
+}
+
+/// The benchmark's ladder: seeds 1000 and 1008 at 120/12 are known
+/// miscompiles.
+std::vector<KernelProgram> ladderPrograms() {
+  struct Rung {
+    unsigned MaxBlocks, MaxItems;
+    std::vector<uint64_t> Seeds;
+  };
+  std::vector<KernelProgram> Out;
+  for (const Rung &R : {Rung{80, 8, {1000, 1002, 1003}},
+                        Rung{120, 12, {1000, 1008, 1001}}}) {
+    GeneratorConfig GC;
+    GC.MaxBlocks = R.MaxBlocks;
+    GC.MaxItemsPerRegion = R.MaxItems;
+    GC.SyntheticFrac = 0.0;
+    for (uint64_t Seed : R.Seeds)
+      Out.push_back(generateProgram(Seed, GC));
+  }
+  return Out;
+}
+
+std::vector<KernelProgram> generatedPrograms() {
+  std::vector<KernelProgram> Out;
+  for (uint64_t Seed = 1; Seed <= 12; ++Seed)
+    Out.push_back(generateProgram(Seed, GeneratorConfig()));
+  return Out;
+}
+
+enum class Mode { Strict, FailSafe, InjectedTreated, InjectedProfile, Budget };
+
+const char *modeName(Mode M) {
+  switch (M) {
+  case Mode::Strict:
+    return "strict";
+  case Mode::FailSafe:
+    return "fail-safe";
+  case Mode::InjectedTreated:
+    return "injected-treated";
+  case Mode::InjectedProfile:
+    return "injected-profile";
+  case Mode::Budget:
+    return "budget";
+  }
+  return "?";
+}
+
+struct ParityTally {
+  unsigned Sessions = 0;
+  unsigned Mismatches = 0;
+  unsigned MemoryMismatches = 0;
+};
+
+/// One session of \p P in mode \p M: its oracle must equal a fresh
+/// checkEquivalence of the session's own baseline and treated functions,
+/// and a treated profile the oracle produced must equal a fresh profiling
+/// run of the treated function.
+void checkParity(const KernelProgram &P, Mode M, ParityTally &T) {
+  SCOPED_TRACE(std::string(modeName(M)) + " @" + P.Func->getName());
+  PipelineOptions Opts;
+  Opts.FailSafe = M == Mode::FailSafe || M == Mode::InjectedProfile;
+  Opts.Simulate = M == Mode::FailSafe;
+  if (M == Mode::Budget)
+    Opts.InterpMaxSteps = 5; // below every treated run: no recorded state
+  PipelineRun Run(copyProgram(P), Opts);
+  if (M == Mode::InjectedTreated) {
+    // Another session's output, injected: the session runs no transform.
+    PipelineRun Source(copyProgram(P));
+    Run.setTreated(Source.treated().clone());
+  }
+  if (M == Mode::InjectedProfile) {
+    Memory Mem = P.InitMem;
+    Run.setBaselineProfile(profileRun(*P.Func, Mem, P.InitRegs));
+  }
+
+  const EquivResult &Got = Run.checkEquivalenceResult();
+  EquivResult Want =
+      checkEquivalence(Run.baseline(), Run.treated(), P.InitMem, P.InitRegs);
+  EXPECT_EQ(Got.Equivalent, Want.Equivalent);
+  EXPECT_EQ(Got.Kind, Want.Kind);
+  EXPECT_EQ(Got.Detail, Want.Detail);
+  ++T.Sessions;
+  if (!Want.Equivalent) {
+    ++T.Mismatches;
+    T.MemoryMismatches += Want.Kind == EquivResult::Divergence::Memory;
+  }
+
+  // The oracle's treated run doubles as the profiling run.
+  Memory Mem = P.InitMem;
+  RunResult R;
+  BranchTrace FreshTrace;
+  Expected<ProfileData> Fresh =
+      tryProfileRun(Run.treated(), Mem, P.InitRegs, &R,
+                    Opts.Simulate ? &FreshTrace : nullptr);
+  if (!Fresh)
+    return; // nothing to profile; the oracle reported the exit path
+  EXPECT_EQ(serializeProfile(Run.treatedProfile(), Run.treated()),
+            serializeProfile(*Fresh, Run.treated()));
+  EXPECT_EQ(Run.treatedDynStats().OpsDispatched, R.Stats.OpsDispatched);
+  if (Opts.Simulate) {
+    EXPECT_EQ(serializeBranchTrace(Run.treatedTrace()),
+              serializeBranchTrace(FreshTrace));
+  }
+}
+
+void checkParityAllModes(const std::vector<KernelProgram> &Programs,
+                         ParityTally &T) {
+  for (const KernelProgram &P : Programs)
+    for (Mode M : {Mode::Strict, Mode::FailSafe, Mode::InjectedTreated,
+                   Mode::InjectedProfile, Mode::Budget})
+      checkParity(P, M, T);
+}
+
+TEST(OracleParity, SuitePrograms) {
+  ParityTally T;
+  checkParityAllModes(suitePrograms(), T);
+  EXPECT_EQ(T.Sessions, 24u * 5u);
+  EXPECT_EQ(T.Mismatches, 0u);
+}
+
+TEST(OracleParity, LadderProgramsIncludingTheKnownMiscompiles) {
+  ParityTally T;
+  checkParityAllModes(ladderPrograms(), T);
+  // 120/12 seed 1000 diverges in memory (the cold path names the stores)
+  // and seed 1008 in a register, in every mode.
+  EXPECT_GE(T.Mismatches, 2u * 5u);
+  EXPECT_GE(T.MemoryMismatches, 5u);
+}
+
+TEST(OracleParity, GeneratedPrograms) {
+  ParityTally T;
+  checkParityAllModes(generatedPrograms(), T);
+  EXPECT_EQ(T.Sessions, 12u * 5u);
+}
+
+TEST(OracleParity, PlantedCompensationDefect) {
+  // Every fall-through CPR block skips its compensation copies: a
+  // verifier-clean miscompile only the oracle sees. The treated run traps
+  // in the compensation canary, so it is no profiling run, and the oracle
+  // still reports the exit path.
+  fault::ScopedFault Armed("cpr.restructure.compensation", fault::EveryHit);
+  ParityTally T;
+  checkParityAllModes(generatedPrograms(), T);
+  EXPECT_GE(T.Mismatches, 5u);
+}
+
+TEST(SessionWork, StrictSuiteSessionRunsTheInterpreterTwice) {
+  for (const BenchmarkSpec &S : paperBenchmarkSuite()) {
+    SCOPED_TRACE(S.Name);
+    StatsRegistry Stats;
+    PipelineOptions Opts; // strict, with the oracle
+    PipelineRun Run(S.Build(), Opts, &Stats, "s/");
+    PipelineResult R = Run.finish();
+    // One profiling run per side; the oracle compares their final states.
+    EXPECT_EQ(Stats.count("s/interp/runs"), 2.0);
+  }
+}
+
+TEST(SessionWork, FivePaperMachinesCostOneGraphPerNonEmptyBlockPerSide) {
+  for (const BenchmarkSpec &S : paperBenchmarkSuite()) {
+    SCOPED_TRACE(S.Name);
+    StatsRegistry Stats;
+    PipelineRun Run(S.Build(), PipelineOptions(), &Stats, "s/");
+    Run.prepare();
+    double Want = static_cast<double>(nonEmptyBlocks(Run.baseline()) +
+                                      nonEmptyBlocks(Run.treated()));
+    EXPECT_EQ(Stats.count("s/estimate/depgraphs_built"), Want);
+    PipelineResult R = Run.finish(); // five estimates, no further graphs
+    EXPECT_EQ(R.Machines.size(), 5u);
+    EXPECT_EQ(Stats.count("s/estimate/depgraphs_built"), Want);
+  }
+}
+
+TEST(SessionWork, MachineOfAnotherBranchLatencyBuildsItsOwnGraphs) {
+  StatsRegistry Stats;
+  PipelineRun Run(paperBenchmarkSuite().front().Build(), PipelineOptions(),
+                  &Stats, "s/");
+  Run.prepare();
+  double Before = Stats.count("s/estimate/depgraphs_built");
+  MachineDesc Wide3 = MachineDesc::wide(3);
+  MachineComparison MC = Run.estimateMachine(Wide3);
+  EXPECT_EQ(Stats.count("s/estimate/depgraphs_built") - Before,
+            static_cast<double>(nonEmptyBlocks(Run.baseline()) +
+                                nonEmptyBlocks(Run.treated())));
+  EXPECT_EQ(MC.BaselineCycles,
+            estimatePerformance(Run.baseline(), Wide3, Run.baselineProfile())
+                .TotalCycles);
+  EXPECT_EQ(MC.TreatedCycles,
+            estimatePerformance(Run.treated(), Wide3, Run.treatedProfile())
+                .TotalCycles);
+}
+
+TEST(SessionWork, SessionsWithoutMachinesBuildNoGraphs) {
+  // The compile service transforms without estimating.
+  StatsRegistry Stats;
+  PipelineOptions Opts;
+  Opts.Machines.clear();
+  Opts.FailSafe = true;
+  PipelineRun Run(paperBenchmarkSuite().front().Build(), Opts, &Stats, "s/");
+  ASSERT_TRUE(Run.tryPrepare().ok());
+  EXPECT_EQ(Stats.count("s/estimate/depgraphs_built"), 0.0);
+  EXPECT_EQ(Run.baselineAnalyses().graphs(), nullptr);
+  EXPECT_EQ(Run.treatedAnalyses().graphs(), nullptr);
+}
+
+TEST(SessionWork, InjectedBaselineProfileIsRecordedOnceForTheOracle) {
+  // An injected profile comes without a run, so the oracle records the
+  // baseline's final state with one; its treated run is still the
+  // treated profiling run.
+  KernelProgram P = paperBenchmarkSuite().front().Build();
+  Memory Mem = P.InitMem;
+  ProfileData Prof = profileRun(*P.Func, Mem, P.InitRegs);
+  StatsRegistry Stats;
+  PipelineRun Run(std::move(P), PipelineOptions(), &Stats, "s/");
+  Run.setBaselineProfile(std::move(Prof));
+  Run.prepare();
+  EXPECT_EQ(Stats.count("s/interp/runs"), 2.0);
+}
+
+TEST(SessionWork, NonHaltingTreatedRunIsInterpretedOnce) {
+  // The oracle's run of a treated function that does not halt is both the
+  // failed profiling attempt and the oracle's exit-path verdict, so it is
+  // not run again -- not even a loop that runs to the oracle's step cap.
+  const char *Halts = "func @f {\nblock @A:\n  halt\n}\n";
+  const char *Traps = "func @f {\nblock @A:\n  trap\n}\n";
+  const char *Loops =
+      "func @f {\nblock @Loop:\n  b1 = pbr(@Loop)\n  branch(T, b1)\n}\n";
+  for (const char *Src : {Traps, Loops}) {
+    SCOPED_TRACE(Src);
+    KernelProgram P;
+    P.Func = parseFunctionOrDie(Halts);
+    PipelineOptions Opts;
+    Opts.CheckEquivalence = false; // the fuzzers' non-fatal oracle
+    StatsRegistry Stats;
+    PipelineRun Run(std::move(P), Opts, &Stats, "s/");
+    Run.setTreated(parseFunctionOrDie(Src));
+    const EquivResult &E = Run.checkEquivalenceResult();
+    EXPECT_EQ(E.Kind, EquivResult::Divergence::ExitPath);
+    EXPECT_EQ(Stats.count("s/interp/runs"), 2.0);
+    if (Src == Traps) {
+      EXPECT_EQ(E.Detail, checkEquivalence(Run.baseline(), Run.treated(),
+                                           Memory(), {})
+                              .Detail);
+    } else {
+      EXPECT_NE(E.Detail.find("hit the step limit after " +
+                              std::to_string(DefaultMaxSteps) + " steps"),
+                std::string::npos)
+          << E.Detail;
+    }
+  }
+}
+
+TEST(PipelineSharedGraphs, EightThreadFinishMatchesSerial) {
+  auto Run = [](ThreadPool *Pool, StatsRegistry &Stats) {
+    PipelineOptions Opts;
+    Opts.Simulate = true;
+    Opts.Predictors = {PredictorKind::TageScL, PredictorKind::Gshare};
+    PipelineRun Session(paperBenchmarkSuite()[5].Build(), Opts, &Stats, "s/");
+    return Session.finish(Pool);
+  };
+  StatsRegistry SerialStats, PooledStats;
+  PipelineResult Serial = Run(nullptr, SerialStats);
+  ThreadPool Pool(8);
+  PipelineResult Pooled = Run(&Pool, PooledStats);
+
+  ASSERT_EQ(Serial.Machines.size(), Pooled.Machines.size());
+  for (size_t I = 0; I < Serial.Machines.size(); ++I) {
+    EXPECT_EQ(Serial.Machines[I].BaselineCycles,
+              Pooled.Machines[I].BaselineCycles);
+    EXPECT_EQ(Serial.Machines[I].TreatedCycles,
+              Pooled.Machines[I].TreatedCycles);
+  }
+  ASSERT_EQ(Serial.Sim.size(), Pooled.Sim.size());
+  for (size_t I = 0; I < Serial.Sim.size(); ++I) {
+    EXPECT_EQ(Serial.Sim[I].Baseline.TotalCycles,
+              Pooled.Sim[I].Baseline.TotalCycles);
+    EXPECT_EQ(Serial.Sim[I].Treated.TotalCycles,
+              Pooled.Sim[I].Treated.TotalCycles);
+    EXPECT_EQ(Serial.Sim[I].Treated.Mispredicts,
+              Pooled.Sim[I].Treated.Mispredicts);
+  }
+  EXPECT_EQ(SerialStats.toJSONText(false), PooledStats.toJSONText(false));
+  EXPECT_GT(PooledStats.count("s/estimate/depgraphs_built"), 0.0);
+}
+
+} // namespace

@@ -5,7 +5,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "pipeline/CompilerPipeline.h"
+#include "pipeline/PipelineRun.h"
 #include "pipeline/Reports.h"
+#include "workloads/BenchmarkSuite.h"
 
 #include <gtest/gtest.h>
 
@@ -59,6 +61,52 @@ TEST(SimPipelineTest, SimulationOffLeavesSimEmpty) {
   PipelineResult R = runPipeline(P);
   EXPECT_TRUE(R.Sim.empty());
   EXPECT_EQ(R.simOn("wide", "gshare"), nullptr);
+}
+
+TEST(SimPipelineTest, SharedGraphsMatchAFreshSimulation) {
+  // The session simulates over its shared per-block graphs and liveness;
+  // a fresh simulateTrace builds its own. Every count must agree.
+  PipelineOptions Opts;
+  Opts.Simulate = true;
+  Opts.Predictors = {PredictorKind::TageScL};
+  for (const FrontendCellConfig &FC : defaultFrontendConfigs())
+    if (FC.Name == "fetch4.btb64x4")
+      Opts.Frontend = FC.Frontend;
+  ASSERT_TRUE(Opts.Frontend.Decoupled && Opts.Frontend.UseBTB);
+  std::vector<BenchmarkSpec> Suite = paperBenchmarkSuite();
+  PipelineRun Run(findBenchmark(Suite, "023.eqntott").Build(), Opts);
+  Run.prepare();
+
+  SimOptions SO;
+  SO.MispredictPenalty = Opts.MispredictPenalty;
+  SO.AllowSpeculation = Opts.Perf.AllowSpeculation;
+  SO.Frontend = Opts.Frontend;
+  auto Fresh = [&](const Function &F, const BranchTrace &T,
+                   const ProfileData &Prof, const MachineDesc &MD) {
+    PredictorConfig C;
+    C.Profile = &Prof;
+    std::unique_ptr<BranchPredictor> P =
+        makePredictor(PredictorKind::TageScL, C);
+    return simulateTrace(F, MD, T, *P, SO);
+  };
+  uint64_t Stalls = 0;
+  for (const MachineDesc &MD : Opts.Machines) {
+    SCOPED_TRACE(MD.getName());
+    SimComparison SC = Run.simulate(MD, PredictorKind::TageScL);
+    SimEstimate B = Fresh(Run.baseline(), Run.baselineTrace(),
+                          Run.baselineProfile(), MD);
+    SimEstimate T = Fresh(Run.treated(), Run.treatedTrace(),
+                          Run.treatedProfile(), MD);
+    for (const auto &[Got, Want] : {std::pair(&SC.Baseline, &B),
+                                     std::pair(&SC.Treated, &T)}) {
+      EXPECT_EQ(Got->TotalCycles, Want->TotalCycles);
+      EXPECT_EQ(Got->Mispredicts, Want->Mispredicts);
+      EXPECT_EQ(Got->FetchStallCycles, Want->FetchStallCycles);
+      EXPECT_EQ(Got->BTBMisses, Want->BTBMisses);
+      Stalls += Got->FetchStallCycles;
+    }
+  }
+  EXPECT_GT(Stalls, 0u) << "the frontend model must be exercised";
 }
 
 TEST(SimPipelineTest, ZeroPenaltyStaticSimMatchesTable2Estimate) {

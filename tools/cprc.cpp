@@ -596,19 +596,16 @@ int main(int argc, char **argv) {
       Ctx.RegionLint = [&Linter, &C](const Function &Candidate) -> Status {
         return lintStatus(Linter.run(Candidate, nullptr, &C.InitRegs));
       };
+    // The per-region re-check runs each candidate once against the
+    // baseline's final state, recorded here with one run.
     std::unique_ptr<Function> OracleBaseline;
+    RunState OracleBaselineFinal;
     if (C.FailSafe && C.RegionEquiv) {
       OracleBaseline = F->clone();
+      OracleBaselineFinal = recordRun(*OracleBaseline, C.InitMem, C.InitRegs);
       Ctx.RegionOracle = [&](const Function &Candidate) -> Status {
-        EquivResult E = checkEquivalence(*OracleBaseline, Candidate,
-                                         C.InitMem, C.InitRegs);
-        if (!E.Equivalent)
-          return Status::error(DiagCode::OracleMismatch,
-                               "region equivalence re-check failed [" +
-                                   std::string(divergenceName(E.Kind)) +
-                                   "]: " + E.Detail,
-                               "interp.oracle");
-        return Status::success();
+        return checkRegionEquivalence(*OracleBaseline, OracleBaselineFinal,
+                                      Candidate, C.InitMem, C.InitRegs);
       };
     }
     CPRResult CR = runControlCPR(*F, *PhaseProfile, C.CPR, Ctx);

@@ -31,6 +31,10 @@ PipelineRun::PipelineRun(KernelProgram ProgramIn, PipelineOptions OptsIn,
     reportFatalError("PipelineRun requires a program with a function");
   Name = Program.Func->getName();
   verifyOrDie(*Program.Func, "pipeline input");
+  if (Opts.Simulate) {
+    BaseReplays = makeReplaySlots();
+    TreatedReplays = makeReplaySlots();
+  }
 }
 
 PipelineRun::~PipelineRun() = default;
@@ -78,6 +82,8 @@ void PipelineRun::fallbackToBaseline(DiagCode Code, std::string Msg,
   // Invalidate the treated-side artifacts: they described the abandoned
   // function.
   TreatedRun = ProfiledRun();
+  if (Opts.Simulate)
+    TreatedReplays = makeReplaySlots();
   EquivalenceDone = false;
   if (Stats)
     Stats->addCount(Prefix + "cpr/fallback_baseline", 1);
@@ -533,6 +539,32 @@ MachineComparison PipelineRun::estimateMachine(const MachineDesc &MD) const {
   return MC;
 }
 
+std::unique_ptr<PipelineRun::ReplaySlot[]> PipelineRun::makeReplaySlots() {
+  return std::make_unique<ReplaySlot[]>(predictorRegistry().size());
+}
+
+TraceReplay PipelineRun::replay(const Function &F, const ProfiledRun &Run,
+                                PredictorKind K,
+                                const FrontendOptions &FE) const {
+  PredictorConfig C;
+  C.Profile = &Run.Profile;
+  std::unique_ptr<BranchPredictor> P = makePredictor(K, C);
+  if (Stats)
+    Stats->addCount(Prefix + "sim/replays", 1);
+  return replayTrace(F, Run.Trace, *P, FE);
+}
+
+const TraceReplay &PipelineRun::sharedReplay(ReplaySlot *Slots,
+                                             const Function &F,
+                                             const ProfiledRun &Run,
+                                             PredictorKind K) const {
+  assert(static_cast<size_t>(K) < predictorRegistry().size());
+  ReplaySlot &Slot = Slots[static_cast<size_t>(K)];
+  std::call_once(Slot.Once,
+                 [&] { Slot.Replay = replay(F, Run, K, Opts.Frontend); });
+  return Slot.Replay;
+}
+
 SimComparison PipelineRun::simulate(const MachineDesc &MD,
                                     PredictorKind K) const {
   return simulate(MD, K, Opts.Frontend);
@@ -558,22 +590,28 @@ SimComparison PipelineRun::simulate(const MachineDesc &MD, PredictorKind K,
   SC.MachineName = MD.getName();
   SC.PredictorName = predictorKindName(K);
 
-  PredictorConfig CB;
-  CB.Profile = &BaseRun.Profile;
-  std::unique_ptr<BranchPredictor> PB = makePredictor(K, CB);
+  // The replays depend on the BTB geometry but not on the machine: every
+  // call with Opts.Frontend's BTB setting prices the session's, others
+  // replay on their own.
+  std::optional<TraceReplay> OwnBase, OwnTreated;
+  const TraceReplay *RB, *RT;
+  if (FE.UseBTB == Opts.Frontend.UseBTB &&
+      (!FE.UseBTB || FE.BTB == Opts.Frontend.BTB)) {
+    RB = &sharedReplay(BaseReplays.get(), *Program.Func, BaseRun, K);
+    RT = &sharedReplay(TreatedReplays.get(), *Treated, TreatedRun, K);
+  } else {
+    RB = &OwnBase.emplace(replay(*Program.Func, BaseRun, K, FE));
+    RT = &OwnTreated.emplace(replay(*Treated, TreatedRun, K, FE));
+  }
   // Like estimateMachine: the shared bundles and their graphs when
-  // prepare() built them and they fit MD, else the simulator builds its
+  // prepare() built them and they fit MD, else the pricing builds its
   // own.
-  SC.Baseline = simulateTrace(*Program.Func, MD, BaseRun.Trace, *PB, SO,
-                              BaseFA ? &BaseFA->LV : nullptr,
-                              BaseFA ? BaseFA->graphs() : nullptr);
-
-  PredictorConfig CT;
-  CT.Profile = &TreatedRun.Profile;
-  std::unique_ptr<BranchPredictor> PT = makePredictor(K, CT);
-  SC.Treated = simulateTrace(*Treated, MD, TreatedRun.Trace, *PT, SO,
-                             TreatedFA ? &TreatedFA->LV : nullptr,
-                             TreatedFA ? TreatedFA->graphs() : nullptr);
+  SC.Baseline = priceReplay(*RB, *Program.Func, MD, SO,
+                            BaseFA ? &BaseFA->LV : nullptr,
+                            BaseFA ? BaseFA->graphs() : nullptr);
+  SC.Treated = priceReplay(*RT, *Treated, MD, SO,
+                           TreatedFA ? &TreatedFA->LV : nullptr,
+                           TreatedFA ? TreatedFA->graphs() : nullptr);
 
   if (!SC.Baseline.ok() || !SC.Treated.ok())
     reportFatalError(

@@ -21,9 +21,14 @@
 ///                          graph per block)
 ///     -> estimateMachine(M)                    [parallel over machines]
 ///     -> simulate(M, P)                        [parallel over machine x
-///                                               predictor]
+///          = replay (once per side x P)         predictor]
+///            + price on M
 ///
-/// Each side is interpreted once. The profiling runs keep their final
+/// Each side is interpreted once, and each side's trace goes through each
+/// predictor once: simulate() prices on its machine a replay
+/// (sim/TraceSimulator.h) that every machine shares, kept per side and
+/// predictor for Opts.Frontend's BTB setting; a call with another BTB
+/// setting replays on its own. The profiling runs keep their final
 /// state (interp/Profiler.h, RunState), so the oracle runs the treated
 /// function once, as its profiling run, and compares it with the
 /// baseline's; the per-region re-check (Opts.RegionEquivalence) runs each
@@ -46,8 +51,10 @@
 /// concurrently from many threads, without locking the session: every
 /// machine of Opts.Machines.front()'s branch latency schedules the
 /// dependence graphs the analyses stage built once per side, others
-/// build their own, and each call builds its own schedules and predictor
-/// state. finish() is terminal: it forces everything, optionally fanning
+/// build their own, and each call builds its own schedules. The first
+/// simulate() of a side and predictor replays under a once-flag; every
+/// later one, on any thread, prices that replay without a lock.
+/// finish() is terminal: it forces everything, optionally fanning
 /// the per-machine / per-predictor stages out on a ThreadPool, and moves
 /// the treated function into the returned PipelineResult.
 ///
@@ -62,6 +69,7 @@
 #include "interp/Profiler.h"
 #include "pipeline/CompilerPipeline.h"
 
+#include <mutex>
 #include <optional>
 
 namespace cpr {
@@ -199,6 +207,23 @@ private:
   /// Opts.Machines, as side \p Side.
   std::unique_ptr<FunctionAnalyses> analyze(const Function &F,
                                             const char *Side);
+  /// One predictor's replay of one side's trace, made by the first
+  /// simulate() that needs it.
+  struct ReplaySlot {
+    std::once_flag Once;
+    TraceReplay Replay;
+  };
+  /// One empty slot per PredictorKind.
+  static std::unique_ptr<ReplaySlot[]> makeReplaySlots();
+  /// Replays \p Run's trace of \p F under a fresh predictor \p K and
+  /// \p FE's BTB, counted under "sim/replays".
+  TraceReplay replay(const Function &F, const ProfiledRun &Run,
+                     PredictorKind K, const FrontendOptions &FE) const;
+  /// The replay of \p Slots' side under \p K for Opts.Frontend, made on
+  /// first use.
+  const TraceReplay &sharedReplay(ReplaySlot *Slots, const Function &F,
+                                  const ProfiledRun &Run,
+                                  PredictorKind K) const;
   /// Counts \p N interpreter runs under "interp/runs".
   void countRuns(uint64_t N) const;
   void recordTransformStats();
@@ -207,7 +232,7 @@ private:
   /// Degrades the session to the untreated baseline: reports \p Msg (and
   /// a recovery remark) to Opts.Diags, replaces the treated function with
   /// a baseline clone, zeroes the CPR counters, and invalidates the
-  /// treated-side artifacts.
+  /// treated-side artifacts, its replays included.
   void fallbackToBaseline(DiagCode Code, std::string Msg,
                           const char *Site);
 
@@ -236,6 +261,9 @@ private:
   std::unique_ptr<FunctionAnalyses> TreatedFA;
   CPRResult CPR;
   ProfiledRun TreatedRun;
+  /// Each side's replays, one slot per PredictorKind (Opts.Simulate only).
+  std::unique_ptr<ReplaySlot[]> BaseReplays;
+  std::unique_ptr<ReplaySlot[]> TreatedReplays;
 };
 
 } // namespace cpr

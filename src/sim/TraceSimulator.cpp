@@ -12,41 +12,34 @@
 #include "analysis/PQS.h"
 #include "sched/ListScheduler.h"
 
+#include <cassert>
 #include <memory>
-#include <optional>
 
 using namespace cpr;
 
 namespace {
 
-/// Lazily scheduled blocks: only blocks the trace actually enters pay the
-/// scheduling cost, and loop bodies are scheduled once. Shared graphs that
-/// fit the machine are scheduled as they are; otherwise each block builds
-/// its own, over the shared liveness or one solved on first need.
-class ScheduleCache {
+/// Schedules blocks on demand: pricing asks only for the blocks a replay
+/// entered. Shared graphs that fit the machine are scheduled as they are;
+/// otherwise each block builds its own, over the shared liveness or one
+/// solved on first need.
+class BlockScheduler {
 public:
-  ScheduleCache(const Function &F, const MachineDesc &MD,
-                const DepGraphOptions &DOpts, const Liveness *LV,
-                const BlockGraphs *Graphs)
+  BlockScheduler(const Function &F, const MachineDesc &MD,
+                 const DepGraphOptions &DOpts, const Liveness *LV,
+                 const BlockGraphs *Graphs)
       : F(F), MD(MD), DOpts(DOpts), LV(LV),
-        Graphs(Graphs && Graphs->fits(MD, DOpts) ? Graphs : nullptr),
-        Cache(F.numBlocks()) {}
+        Graphs(Graphs && Graphs->fits(MD, DOpts) ? Graphs : nullptr) {}
 
-  const Schedule &get(size_t LayoutIdx) {
-    std::optional<Schedule> &Slot = Cache[LayoutIdx];
-    if (!Slot) {
-      const Block &B = F.block(LayoutIdx);
-      if (B.empty()) {
-        Slot.emplace();
-      } else if (Graphs) {
-        Slot = scheduleBlock(B, *Graphs->graph(LayoutIdx), MD);
-      } else {
-        RegionPQS PQS(F, B);
-        DepGraph DG(F, B, MD, PQS, liveness(), DOpts);
-        Slot = scheduleBlock(B, DG, MD);
-      }
-    }
-    return *Slot;
+  Schedule schedule(size_t LayoutIdx) {
+    const Block &B = F.block(LayoutIdx);
+    if (B.empty())
+      return Schedule();
+    if (Graphs)
+      return scheduleBlock(B, *Graphs->graph(LayoutIdx), MD);
+    RegionPQS PQS(F, B);
+    DepGraph DG(F, B, MD, PQS, liveness(), DOpts);
+    return scheduleBlock(B, DG, MD);
   }
 
 private:
@@ -64,33 +57,24 @@ private:
   const Liveness *LV;
   std::unique_ptr<Liveness> Owned;
   const BlockGraphs *Graphs;
-  std::vector<std::optional<Schedule>> Cache;
 };
 
 } // namespace
 
-SimEstimate cpr::simulateTrace(const Function &F, const MachineDesc &MD,
-                               const BranchTrace &Trace,
-                               BranchPredictor &Pred,
-                               const SimOptions &Opts, const Liveness *LV,
-                               const BlockGraphs *Graphs) {
-  SimEstimate Est;
-  std::vector<SimBlockStats> BlockStats(F.numBlocks());
+TraceReplay cpr::replayTrace(const Function &F, const BranchTrace &Trace,
+                             BranchPredictor &Pred,
+                             const FrontendOptions &FE) {
+  TraceReplay R;
+  R.Blocks.resize(F.numBlocks());
   std::optional<BTB> TargetBuffer;
-  auto finish = [&]() -> SimEstimate & {
-    Est.Pred = Pred.stats();
-    if (TargetBuffer) {
-      Est.BTBLookups = TargetBuffer->stats().Lookups;
-      Est.BTBHits = TargetBuffer->stats().Hits;
-      Est.BTBMisses = TargetBuffer->stats().Misses;
-    }
-    for (SimBlockStats &BS : BlockStats)
-      if (BS.Entries != 0)
-        Est.Blocks.push_back(std::move(BS));
-    return Est;
+  auto finish = [&]() -> TraceReplay & {
+    R.Pred = Pred.stats();
+    if (TargetBuffer)
+      R.BTB = TargetBuffer->stats();
+    return R;
   };
-  auto fail = [&](const std::string &Msg) -> SimEstimate & {
-    Est.Error = Msg;
+  auto fail = [&](const std::string &Msg) -> TraceReplay & {
+    R.Error = Msg;
     return finish();
   };
 
@@ -102,53 +86,20 @@ SimEstimate cpr::simulateTrace(const Function &F, const MachineDesc &MD,
   if (!Trace.hasTerminal())
     return fail("trace has no terminal marker (run did not halt?)");
 
-  int Penalty =
-      Opts.MispredictPenalty >= 0 ? Opts.MispredictPenalty
-                                  : MD.mispredictPenalty();
-  const FrontendOptions &FE = Opts.Frontend;
-  int BTBMissPenalty = FE.BTBMissPenalty >= 0 ? FE.BTBMissPenalty
-                                              : MD.btbMissPenalty();
-  int FetchWidth = FE.FetchWidth > 0 ? FE.FetchWidth : MD.fetchWidth();
-  if (FE.UseBTB)
+  if (FE.UseBTB) {
     TargetBuffer.emplace(FE.BTB);
-  DepGraphOptions DOpts;
-  DOpts.AllowSpeculation = Opts.AllowSpeculation;
-  ScheduleCache Schedules(F, MD, DOpts, LV, Graphs);
-
-  // Decoupled frontend: a block entry that dispatches N operations needs
-  // ceil(N / FetchWidth) fetch cycles (the taken branch or halt that ends
-  // the entry also ends its last fetch packet); when the schedule retires
-  // faster than that, the backend stalls for the difference.
-  auto chargeFetch = [&](SimBlockStats &BS, double BackendCycles,
-                         uint64_t OpsFetched) {
-    if (!FE.Decoupled || OpsFetched == 0)
-      return;
-    uint64_t FetchCycles =
-        (OpsFetched + static_cast<uint64_t>(FetchWidth) - 1) /
-        static_cast<uint64_t>(FetchWidth);
-    double Backend = BackendCycles;
-    if (static_cast<double>(FetchCycles) > Backend) {
-      uint64_t Stall = FetchCycles - static_cast<uint64_t>(Backend);
-      BS.FetchStallCycles += Stall;
-      BS.Cycles += static_cast<double>(Stall);
-      Est.FetchStallCycles += Stall;
-      Est.TotalCycles += static_cast<double>(Stall);
-    }
-  };
+    R.BTBGeometry = FE.BTB;
+  }
 
   size_t Cursor = 0; // next unconsumed trace event
   size_t BI = 0;     // layout index of the current block
 
   while (true) {
     const Block &B = F.block(BI);
-    const Schedule &S = Schedules.get(BI);
-    SimBlockStats &BS = BlockStats[BI];
-    if (BS.Entries == 0) {
-      BS.Id = B.getId();
-      BS.Name = B.getName();
-    }
-    ++BS.Entries;
-    ++Est.BlockEntries;
+    ReplayBlock &RB = R.Blocks[BI];
+    if (RB.Entries++ == 0)
+      RB.Departures.assign(B.size(), 0);
+    ++R.BlockEntries;
 
     bool Transferred = false;
     for (size_t OI = 0, OE = B.size(); OI != OE; ++OI) {
@@ -157,13 +108,10 @@ SimEstimate cpr::simulateTrace(const Function &F, const MachineDesc &MD,
       if (Op.getId() == Trace.terminalOp() &&
           (Op.getOpcode() == Opcode::Halt ||
            Op.getOpcode() == Opcode::Trap)) {
-        // The run ended on this operation. Like the ExitAware performance
-        // model, a halt exit is charged the full block length.
-        double C = static_cast<double>(S.length());
-        BS.Cycles += C;
-        Est.TotalCycles += C;
-        Est.OpsDispatched += OI + 1;
-        chargeFetch(BS, C, OI + 1);
+        // The run ended on this operation.
+        R.HaltBlock = BI;
+        R.HaltOp = OI;
+        R.OpsDispatched += OI + 1;
         if (Cursor != Trace.size())
           return fail("trace has " + std::to_string(Trace.size() - Cursor) +
                       " event(s) past the terminal operation");
@@ -194,38 +142,26 @@ SimEstimate cpr::simulateTrace(const Function &F, const MachineDesc &MD,
                     std::to_string(Ev.Op) + " vs branch id " +
                     std::to_string(Op.getId()));
 
-      ++Est.Branches;
+      ++R.Branches;
       bool Predicted = Pred.observe(Ev.Op, Ev.Taken);
       if (Predicted != Ev.Taken) {
-        ++Est.Mispredicts;
-        ++BS.Mispredicts;
-        Est.PenaltyCycles += static_cast<uint64_t>(Penalty);
-        BS.Cycles += Penalty;
-        Est.TotalCycles += Penalty;
+        ++R.Mispredicts;
+        ++RB.Mispredicts;
       }
 
       if (Ev.Taken) {
-        double C = static_cast<double>(S.departureCycle(OI, B, MD));
-        BS.Cycles += C;
-        Est.TotalCycles += C;
-        Est.OpsDispatched += OI + 1;
+        ++RB.Departures[OI];
+        R.OpsDispatched += OI + 1;
         BlockId Target = resolveBranchTarget(B, OI);
         if (Target == InvalidBlockId)
           return fail("branch id " + std::to_string(Op.getId()) +
                       " in @" + B.getName() + " has no resolvable target");
-        if (TargetBuffer) {
-          // The frontend needs the target to redirect without a bubble.
-          // A direction mispredict already paid the full restart above;
-          // only a direction-correct target miss costs extra here.
-          bool Hit = TargetBuffer->access(Op.getId(), Target);
-          if (!Hit && Predicted == Ev.Taken) {
-            ++BS.BTBMisses;
-            Est.BTBPenaltyCycles += static_cast<uint64_t>(BTBMissPenalty);
-            BS.Cycles += BTBMissPenalty;
-            Est.TotalCycles += BTBMissPenalty;
-          }
-        }
-        chargeFetch(BS, C, OI + 1);
+        // The frontend needs the target to redirect without a bubble. A
+        // direction mispredict already pays the full restart; only a
+        // direction-correct target miss costs extra.
+        if (TargetBuffer && !TargetBuffer->access(Op.getId(), Target) &&
+            Predicted == Ev.Taken)
+          ++RB.BTBMisses;
         int TargetIdx = F.layoutIndex(Target);
         if (TargetIdx < 0)
           return fail("branch id " + std::to_string(Op.getId()) +
@@ -239,14 +175,115 @@ SimEstimate cpr::simulateTrace(const Function &F, const MachineDesc &MD,
       continue;
 
     // Fell through the end of the block.
-    double C = static_cast<double>(S.length());
-    BS.Cycles += C;
-    Est.TotalCycles += C;
-    Est.OpsDispatched += B.size();
-    chargeFetch(BS, C, B.size());
+    ++RB.FallThroughs;
+    R.OpsDispatched += B.size();
     if (BI + 1 >= F.numBlocks())
       return fail("control fell off the end of the function in @" +
                   B.getName());
     ++BI;
   }
+}
+
+SimEstimate cpr::priceReplay(const TraceReplay &R, const Function &F,
+                             const MachineDesc &MD, const SimOptions &Opts,
+                             const Liveness *LV, const BlockGraphs *Graphs) {
+  SimEstimate Est;
+  if (!R.ok()) {
+    Est.Error = R.Error;
+    return Est;
+  }
+  const FrontendOptions &FE = Opts.Frontend;
+  assert((!FE.UseBTB || R.BTBGeometry == FE.BTB) &&
+         "priceReplay: the replay's BTB differs from the frontend's");
+  assert(R.Blocks.size() == F.numBlocks() &&
+         "priceReplay: the replay is of another function");
+
+  int Penalty =
+      Opts.MispredictPenalty >= 0 ? Opts.MispredictPenalty
+                                  : MD.mispredictPenalty();
+  int BTBMissPenalty = FE.BTBMissPenalty >= 0 ? FE.BTBMissPenalty
+                                              : MD.btbMissPenalty();
+  int FetchWidth = FE.FetchWidth > 0 ? FE.FetchWidth : MD.fetchWidth();
+  DepGraphOptions DOpts;
+  DOpts.AllowSpeculation = Opts.AllowSpeculation;
+  BlockScheduler Scheduler(F, MD, DOpts, LV, Graphs);
+
+  Est.OpsDispatched = R.OpsDispatched;
+  Est.Branches = R.Branches;
+  Est.Mispredicts = R.Mispredicts;
+  Est.BlockEntries = R.BlockEntries;
+  Est.Pred = R.Pred;
+  if (FE.UseBTB) {
+    Est.BTBLookups = R.BTB.Lookups;
+    Est.BTBHits = R.BTB.Hits;
+    Est.BTBMisses = R.BTB.Misses;
+  }
+
+  // Every count and cycle figure is an integer, so the products and sums
+  // below are exact doubles: pricing per exit gives the very totals that
+  // charging every entry one by one would.
+  for (size_t BI = 0; BI < F.numBlocks(); ++BI) {
+    const ReplayBlock &RB = R.Blocks[BI];
+    if (RB.Entries == 0)
+      continue;
+    const Block &B = F.block(BI);
+    Schedule S = Scheduler.schedule(BI);
+    SimBlockStats BS;
+    BS.Id = B.getId();
+    BS.Name = B.getName();
+    BS.Entries = RB.Entries;
+
+    // N exits of Cycles backend cycles each, every one after dispatching
+    // OpsFetched operations. Decoupled frontend: such an entry needs
+    // ceil(OpsFetched / FetchWidth) fetch cycles (the taken branch or
+    // halt that ends the entry also ends its last fetch packet); when the
+    // schedule retires faster than that, the backend stalls for the
+    // difference.
+    auto charge = [&](uint64_t N, int Cycles, uint64_t OpsFetched) {
+      double C = static_cast<double>(Cycles);
+      BS.Cycles += static_cast<double>(N) * C;
+      if (!FE.Decoupled || OpsFetched == 0)
+        return;
+      uint64_t FetchCycles =
+          (OpsFetched + static_cast<uint64_t>(FetchWidth) - 1) /
+          static_cast<uint64_t>(FetchWidth);
+      if (static_cast<double>(FetchCycles) > C) {
+        uint64_t Stall = N * (FetchCycles - static_cast<uint64_t>(C));
+        BS.FetchStallCycles += Stall;
+        BS.Cycles += static_cast<double>(Stall);
+      }
+    };
+    for (size_t OI = 0; OI < RB.Departures.size(); ++OI)
+      if (uint64_t N = RB.Departures[OI])
+        charge(N, S.departureCycle(OI, B, MD), OI + 1);
+    // A fall-through, like a halt exit, is charged the full block length
+    // (as in the ExitAware performance model).
+    if (RB.FallThroughs != 0)
+      charge(RB.FallThroughs, S.length(), B.size());
+    if (BI == R.HaltBlock)
+      charge(1, S.length(), R.HaltOp + 1);
+
+    BS.Mispredicts = RB.Mispredicts;
+    BS.Cycles += static_cast<double>(RB.Mispredicts) * Penalty;
+    Est.PenaltyCycles += RB.Mispredicts * static_cast<uint64_t>(Penalty);
+    if (FE.UseBTB) {
+      BS.BTBMisses = RB.BTBMisses;
+      BS.Cycles += static_cast<double>(RB.BTBMisses) * BTBMissPenalty;
+      Est.BTBPenaltyCycles +=
+          RB.BTBMisses * static_cast<uint64_t>(BTBMissPenalty);
+    }
+    Est.FetchStallCycles += BS.FetchStallCycles;
+    Est.TotalCycles += BS.Cycles;
+    Est.Blocks.push_back(std::move(BS));
+  }
+  return Est;
+}
+
+SimEstimate cpr::simulateTrace(const Function &F, const MachineDesc &MD,
+                               const BranchTrace &Trace,
+                               BranchPredictor &Pred,
+                               const SimOptions &Opts, const Liveness *LV,
+                               const BlockGraphs *Graphs) {
+  return priceReplay(replayTrace(F, Trace, Pred, Opts.Frontend), F, MD, Opts,
+                     LV, Graphs);
 }

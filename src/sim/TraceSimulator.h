@@ -12,6 +12,16 @@
 /// configurable pipeline-restart penalty on every branch a pluggable
 /// predictor gets wrong.
 ///
+/// Simulation is two steps. replayTrace() walks the trace through the
+/// function's layout, the predictor and (optionally) the BTB, and counts,
+/// per block, entries, mispredicts, BTB misses and departures per exit;
+/// none of that depends on the machine. priceReplay() then prices those
+/// counts on one machine: every exit costs its schedule cycles times how
+/// often control left through it, plus the penalties and fetch stalls.
+/// One replay thus serves every machine, and the predictor -- the costly
+/// part, even with TAGE's O(1) folded histories (sim/frontend/TAGE.h) --
+/// runs once per trace. simulateTrace() is the two in sequence.
+///
 /// With a zero penalty (and the frontend model off) the produced
 /// SimEstimate::TotalCycles is exactly the ExitAware
 /// PerfEstimate::TotalCycles for the same run: the simulator is the
@@ -43,6 +53,7 @@
 #include "sim/BranchPredictor.h"
 #include "sim/frontend/BTB.h"
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -120,7 +131,8 @@ struct SimEstimate {
   PredictorStats Pred;
   std::vector<SimBlockStats> Blocks;
   /// Non-empty when the trace could not be replayed against the function
-  /// (diverged ids, dropped ring events, missing terminal, ...).
+  /// (diverged ids, dropped ring events, missing terminal, ...); the
+  /// counters are then unspecified.
   std::string Error;
 
   bool ok() const { return Error.empty(); }
@@ -138,14 +150,75 @@ struct SimEstimate {
   }
 };
 
-/// Replays \p Trace through \p F's schedules for \p MD, predicting every
-/// branch with \p Pred (which is trained in place; reset it between runs).
-/// The trace must be complete (no ring drops) and carry a terminal marker,
-/// i.e. come from a halted interpreter run of exactly this function.
-/// \p LV and \p Graphs, when given, are a pre-solved liveness and
-/// pre-built dependence graphs for \p F (e.g. from a shared
-/// analysis/AnalysisCache.h bundle); as in estimatePerformance, graphs
-/// that do not fit \p MD are ignored and whatever is missing is computed.
+/// What one replay counted in one block.
+struct ReplayBlock {
+  uint64_t Entries = 0;
+  uint64_t Mispredicts = 0;
+  /// BTB target misses of direction-correct taken branches (0 without a
+  /// BTB).
+  uint64_t BTBMisses = 0;
+  /// Entries that fell through the end of the block.
+  uint64_t FallThroughs = 0;
+  /// Taken departures per operation index (sized to the block once it is
+  /// entered, empty before).
+  std::vector<uint64_t> Departures;
+};
+
+/// A trace replayed through a function's layout, a predictor and
+/// optionally a BTB: everything the simulator counts that does not depend
+/// on the machine. Depends on the trace, the function, the predictor (kind
+/// and configuration) and the BTB geometry, nothing else.
+struct TraceReplay {
+  /// As SimEstimate::Error; the counters are unspecified when set.
+  std::string Error;
+  PredictorStats Pred;
+  /// The BTB the replay looked taken targets up in; none without one.
+  std::optional<BTBConfig> BTBGeometry;
+  BTBStats BTB;
+  uint64_t Branches = 0;
+  uint64_t Mispredicts = 0;
+  uint64_t BlockEntries = 0;
+  uint64_t OpsDispatched = 0;
+  /// Layout index and operation index of the terminal halt or trap.
+  size_t HaltBlock = 0;
+  size_t HaltOp = 0;
+  /// Per layout index.
+  std::vector<ReplayBlock> Blocks;
+
+  bool ok() const { return Error.empty(); }
+};
+
+/// Replays \p Trace through \p F's layout, predicting every branch with
+/// \p Pred (which is trained in place; reset it between runs) and, when
+/// \p FE.UseBTB, looking taken targets up in a fresh BTB of geometry
+/// \p FE.BTB; the rest of \p FE is for pricing. The trace must be
+/// complete (no ring drops) and carry a terminal marker, i.e. come from a
+/// halted interpreter run of exactly this function.
+TraceReplay replayTrace(const Function &F, const BranchTrace &Trace,
+                        BranchPredictor &Pred,
+                        const FrontendOptions &FE = FrontendOptions());
+
+/// Prices replay \p R of \p F on \p MD: schedules the entered blocks and
+/// charges each exit's cycles times its count, plus mispredict penalties,
+/// BTB-miss penalties (when \p Opts.Frontend.UseBTB, in which case \p R
+/// must have been replayed with the same BTB geometry) and fetch stalls.
+/// A failed replay yields its Error. \p LV and \p Graphs, when given,
+/// are a pre-solved liveness and pre-built dependence graphs for \p F
+/// (e.g. from a shared analysis/AnalysisCache.h bundle); as in
+/// estimatePerformance, graphs that do not fit \p MD are ignored and
+/// whatever is missing is computed.
+SimEstimate priceReplay(const TraceReplay &R, const Function &F,
+                        const MachineDesc &MD,
+                        const SimOptions &Opts = SimOptions(),
+                        const Liveness *LV = nullptr,
+                        const BlockGraphs *Graphs = nullptr);
+
+/// Simulates \p Trace through \p F on \p MD:
+/// priceReplay(replayTrace(F, Trace, Pred, Opts.Frontend), F, MD, Opts,
+/// LV, Graphs), whose comments describe the arguments. When the result
+/// has an Error, the text is that of the first inconsistency the replay
+/// met (diverged ids, dropped ring events, missing terminal, ...) and the
+/// counters are unspecified.
 SimEstimate simulateTrace(const Function &F, const MachineDesc &MD,
                           const BranchTrace &Trace, BranchPredictor &Pred,
                           const SimOptions &Opts = SimOptions(),

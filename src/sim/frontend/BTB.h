@@ -47,6 +47,8 @@ struct BTBConfig {
 
   /// Renders "<sets>x<ways>", e.g. "64x4".
   std::string str() const;
+
+  bool operator==(const BTBConfig &) const = default;
 };
 
 /// Parses a geometry rendered by BTBConfig::str() ("64x4"). Sets must be

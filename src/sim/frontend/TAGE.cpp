@@ -7,7 +7,9 @@
 #include "sim/frontend/TAGE.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <iterator>
 
 using namespace cpr;
 
@@ -93,11 +95,20 @@ public:
     Bimodal.assign(size_t(1) << BimodalBits, WeaklyNotTaken);
     Tables.assign(Lengths.size(),
                   std::vector<TageEntry>(size_t(1) << TableBits));
-    GHist.assign(Lengths.back(), 0);
+    unsigned HistLen = Lengths.back();
+    GHist.assign(std::bit_ceil(size_t(HistLen)), 0);
+    // Four folded registers per tagged table: its index and its tag, each
+    // folded to the full and to one bit less than the full width.
+    for (unsigned Len : Lengths)
+      for (unsigned Width :
+           {TableBits, TableBits - 1, TagBits, TagBits - 1})
+        Folds.push_back(FoldedHistory(Len, Width, HistLen));
     // Statistical corrector: an unhistoried bias table plus two short
-    // global-history tables (0, min, 2*min bits).
-    SCLengths = {0, Lengths.front(), 2 * Lengths.front()};
-    SCTables.assign(SCLengths.size(),
+    // global-history tables (0, min, 2*min bits), one register each.
+    const unsigned SCLengths[] = {0, Lengths.front(), 2 * Lengths.front()};
+    for (unsigned Len : SCLengths)
+      Folds.push_back(FoldedHistory(Len, TableBits, HistLen));
+    SCTables.assign(std::size(SCLengths),
                     std::vector<int8_t>(size_t(1) << TableBits, 0));
     Loops.assign(size_t(1) << LoopBits, LoopEntry());
   }
@@ -123,10 +134,15 @@ public:
       updateSC(Br, Taken, P);
     updateTage(Br, Taken, P);
 
-    // Advance the global history (newest bit at index 0).
-    for (size_t I = GHist.size() - 1; I > 0; --I)
-      GHist[I] = GHist[I - 1];
-    GHist[0] = Taken ? 1 : 0;
+    // Advance the global history: each folded register takes the new
+    // bit and drops the one that just aged out of its window, read before
+    // the ring's oldest slot is overwritten.
+    size_t Mask = GHist.size() - 1;
+    for (FoldedHistory &F : Folds)
+      if (F.Len != 0)
+        F.push(Taken, GHist[(Head + F.Len - 1) & Mask]);
+    Head = (Head + Mask) & Mask;
+    GHist[Head] = Taken ? 1 : 0;
   }
 
   void reset() override {
@@ -137,6 +153,9 @@ public:
       std::fill(T.begin(), T.end(), 0);
     std::fill(Loops.begin(), Loops.end(), LoopEntry());
     std::fill(GHist.begin(), GHist.end(), 0);
+    Head = 0;
+    for (FoldedHistory &F : Folds)
+      F.Value = 0;
     UseAltOnNA = 0;
     WithLoop = 0;
     UpdateCount = 0;
@@ -167,34 +186,52 @@ private:
     uint16_t Tags[16] = {};
   };
 
-  /// XORs the newest \p Len history bits into a \p Width-bit register.
-  uint32_t foldHistory(unsigned Len, unsigned Width) const {
-    uint32_t F = 0;
-    unsigned Pos = 0;
-    Len = std::min<unsigned>(Len, GHist.size());
-    for (unsigned I = 0; I < Len; ++I) {
-      F ^= static_cast<uint32_t>(GHist[I] & 1u) << Pos;
-      if (++Pos == Width)
-        Pos = 0;
+  /// The newest \p Len history bits XORed into a \p Width-bit register,
+  /// bit I of the history at position I % Width, kept up to date in O(1)
+  /// per branch. \p Len is clamped to the history size; a zero length
+  /// folds to 0 forever.
+  struct FoldedHistory {
+    unsigned Len;
+    unsigned Width;
+    unsigned OutPos; ///< where the bit of age Len lands: Len % Width
+    uint32_t Mask;
+    uint32_t Value = 0;
+
+    FoldedHistory(unsigned LenIn, unsigned WidthIn, unsigned HistLen)
+        : Len(std::min(LenIn, HistLen)), Width(WidthIn),
+          OutPos(Len % WidthIn), Mask((1u << WidthIn) - 1) {}
+
+    /// Shifts in \p In as the newest bit; \p Out is the bit that moves
+    /// from age Len - 1 to age Len and so leaves the window.
+    void push(bool In, uint8_t Out) {
+      Value = ((Value << 1) | (Value >> (Width - 1))) & Mask;
+      Value ^= static_cast<uint32_t>(In) ^
+               (static_cast<uint32_t>(Out & 1u) << OutPos);
     }
-    return F;
+  };
+
+  /// Folded registers of tagged table \p Table (index, index - 1 bit,
+  /// tag, tag - 1 bit) and of statistical-corrector table \p Table.
+  const FoldedHistory *tableFolds(unsigned Table) const {
+    return &Folds[4 * Table];
+  }
+  uint32_t scFold(unsigned Table) const {
+    return Folds[4 * Lengths.size() + Table].Value;
   }
 
   uint32_t tableIndex(OpId Br, unsigned Table) const {
     uint32_t Mask = (1u << TableBits) - 1;
-    return (predictorTableIndex(Br, TableBits) ^
-            foldHistory(Lengths[Table], TableBits) ^
-            (foldHistory(Lengths[Table], TableBits - 1) << 1) ^
-            (Table + 1)) &
+    const FoldedHistory *F = tableFolds(Table);
+    return (predictorTableIndex(Br, TableBits) ^ F[0].Value ^
+            (F[1].Value << 1) ^ (Table + 1)) &
            Mask;
   }
 
   uint16_t tableTag(OpId Br, unsigned Table) const {
     uint32_t Mask = (1u << TagBits) - 1;
+    const FoldedHistory *F = tableFolds(Table);
     return static_cast<uint16_t>(
-        (Br ^ (Br >> TagBits) ^ foldHistory(Lengths[Table], TagBits) ^
-         (foldHistory(Lengths[Table], TagBits - 1) << 1)) &
-        Mask);
+        (Br ^ (Br >> TagBits) ^ F[2].Value ^ (F[3].Value << 1)) & Mask);
   }
 
   bool bimodalPred(OpId Br) const {
@@ -203,9 +240,7 @@ private:
 
   uint32_t scIndex(OpId Br, unsigned Table) const {
     uint32_t Mask = (1u << TableBits) - 1;
-    return (predictorTableIndex(Br, TableBits) ^
-            foldHistory(SCLengths[Table], TableBits)) &
-           Mask;
+    return (predictorTableIndex(Br, TableBits) ^ scFold(Table)) & Mask;
   }
 
   uint32_t loopIndex(OpId Br) const {
@@ -412,8 +447,13 @@ private:
 
   std::vector<uint8_t> Bimodal;
   std::vector<std::vector<TageEntry>> Tables;
-  std::vector<uint8_t> GHist; ///< newest bit first
-  std::vector<unsigned> SCLengths;
+  /// The global history, a ring of a power-of-two size no smaller than
+  /// the longest history length, whose bit of age I (0 = newest) is
+  /// GHist[(Head + I) & (size - 1)].
+  std::vector<uint8_t> GHist;
+  size_t Head = 0;
+  /// 4 registers per tagged table, then 1 per statistical-corrector table.
+  std::vector<FoldedHistory> Folds;
   std::vector<std::vector<int8_t>> SCTables;
   std::vector<LoopEntry> Loops;
   int8_t UseAltOnNA = 0;

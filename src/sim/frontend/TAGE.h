@@ -13,7 +13,11 @@
 ///    increasing global-history lengths, each entry carrying a partial
 ///    tag, a 3-bit signed prediction counter, and a 2-bit usefulness
 ///    counter; the longest-history tag match provides the prediction,
-///    the next match (or bimodal) provides the alternate;
+///    the next match (or bimodal) provides the alternate. Indices and
+///    tags fold the history into a few bits through folded registers --
+///    four per tagged table, one per corrector table -- each updated in
+///    O(1) per branch (rotate, XOR the new bit in, XOR the bit that left
+///    the window out) over a history ring, never rebuilt bit by bit;
 ///  - a use-alt-on-newly-allocated counter that prefers the alternate
 ///    prediction while a freshly allocated entry is still untrained;
 ///  - a loop predictor that learns constant trip counts and overrides

@@ -2,8 +2,9 @@
 //
 // Part of the control-cpr project (PLDI 1999 Control CPR reproduction).
 //
-// A session interprets each side once and builds one dependence graph per
-// block per side for all machines of one branch latency:
+// A session interprets each side once, builds one dependence graph per
+// block per side for all machines of one branch latency, and replays each
+// side's trace once per predictor for all machines:
 //
 //  - OracleParity: the session's oracle, which reuses the profiling runs'
 //    final states, returns exactly what cpr::checkEquivalence returns --
@@ -12,9 +13,12 @@
 //    generated programs and the planted compensation defect, in strict and
 //    fail-safe sessions, with an injected treated function, an injected
 //    baseline profile and a budget the treated run exceeds.
-//  - SessionWork: the "interp/runs" and "estimate/depgraphs_built" counters.
+//  - SessionWork: the "interp/runs", "estimate/depgraphs_built" and
+//    "sim/replays" counters.
 //  - PipelineSharedGraphs: finish() on eight threads reads one graph set
 //    per side concurrently and matches the serial session.
+//  - PipelineSharedReplays: finish() on eight threads races for each
+//    side's replay slots and matches the serial session.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +28,7 @@
 #include "analysis/ProfileIO.h"
 #include "fuzz/Generator.h"
 #include "ir/IRParser.h"
+#include "pipeline/Reports.h"
 #include "support/FaultInjector.h"
 #include "support/Statistics.h"
 #include "support/ThreadPool.h"
@@ -308,6 +313,150 @@ TEST(SessionWork, NonHaltingTreatedRunIsInterpretedOnce) {
   }
 }
 
+/// The benchmark's sim sessions: tage-sc-l on fetch4.btb64x4, strict.
+PipelineOptions simSessionOptions() {
+  PipelineOptions Opts;
+  Opts.Simulate = true;
+  Opts.Predictors = {PredictorKind::TageScL};
+  for (const FrontendCellConfig &FC : defaultFrontendConfigs())
+    if (FC.Name == "fetch4.btb64x4")
+      Opts.Frontend = FC.Frontend;
+  return Opts;
+}
+
+/// \p Got must equal a fresh simulation of \p Trace through \p F.
+void expectFreshSimulation(const SimEstimate &Got, const Function &F,
+                           const BranchTrace &Trace,
+                           const ProfileData &Profile, const MachineDesc &MD,
+                           PredictorKind K, const FrontendOptions &FE) {
+  PredictorConfig C;
+  C.Profile = &Profile;
+  std::unique_ptr<BranchPredictor> Pred = makePredictor(K, C);
+  SimOptions SO;
+  SO.Frontend = FE;
+  SimEstimate Want = simulateTrace(F, MD, Trace, *Pred, SO);
+  ASSERT_TRUE(Got.ok() && Want.ok());
+  EXPECT_EQ(Got.TotalCycles, Want.TotalCycles);
+  EXPECT_EQ(Got.Mispredicts, Want.Mispredicts);
+  EXPECT_EQ(Got.BTBMisses, Want.BTBMisses);
+  EXPECT_EQ(Got.FetchStallCycles, Want.FetchStallCycles);
+}
+
+TEST(SessionWork, SimSessionReplaysEachSideOnceForFiveMachines) {
+  StatsRegistry Stats;
+  PipelineOptions Opts = simSessionOptions();
+  PipelineRun Run(paperBenchmarkSuite()[3].Build(), Opts, &Stats, "s/");
+  Run.prepare();
+  EXPECT_EQ(Stats.count("s/sim/replays"), 0.0); // on first use, not here
+  for (const MachineDesc &MD : Opts.Machines) {
+    SimComparison SC = Run.simulate(MD, PredictorKind::TageScL);
+    expectFreshSimulation(SC.Treated, Run.treated(), Run.treatedTrace(),
+                          Run.treatedProfile(), MD, PredictorKind::TageScL,
+                          Opts.Frontend);
+  }
+  EXPECT_EQ(Stats.count("s/sim/replays"), 2.0);
+}
+
+TEST(SessionWork, FinishReplaysEachSideOncePerPredictor) {
+  StatsRegistry Stats;
+  PipelineOptions Opts;
+  Opts.Simulate = true; // five predictors, five machines
+  PipelineRun Run(paperBenchmarkSuite()[3].Build(), Opts, &Stats, "s/");
+  PipelineResult R = Run.finish();
+  EXPECT_EQ(R.Sim.size(), 25u);
+  EXPECT_EQ(Stats.count("s/sim/replays"), 10.0);
+}
+
+TEST(SessionWork, AnotherBTBGeometryReplaysOnItsOwn) {
+  StatsRegistry Stats;
+  PipelineOptions Opts = simSessionOptions();
+  PipelineRun Run(paperBenchmarkSuite()[3].Build(), Opts, &Stats, "s/");
+  Run.prepare();
+  for (const MachineDesc &MD : Opts.Machines)
+    Run.simulate(MD, PredictorKind::TageScL);
+  ASSERT_EQ(Stats.count("s/sim/replays"), 2.0);
+
+  FrontendOptions Small = Opts.Frontend;
+  Small.BTB.SetBits = 4;
+  Small.BTB.Ways = 2;
+  SimComparison SC =
+      Run.simulate(MachineDesc::wide(), PredictorKind::TageScL, Small, "s");
+  EXPECT_EQ(Stats.count("s/sim/replays"), 4.0);
+  expectFreshSimulation(SC.Baseline, Run.baseline(), Run.baselineTrace(),
+                        Run.baselineProfile(), MachineDesc::wide(),
+                        PredictorKind::TageScL, Small);
+  expectFreshSimulation(SC.Treated, Run.treated(), Run.treatedTrace(),
+                        Run.treatedProfile(), MachineDesc::wide(),
+                        PredictorKind::TageScL, Small);
+
+  // A frontend without a BTB is another BTB setting too; the session's own
+  // setting still prices its slots.
+  Run.simulate(MachineDesc::wide(), PredictorKind::TageScL, FrontendOptions(),
+               "flat");
+  EXPECT_EQ(Stats.count("s/sim/replays"), 6.0);
+  Run.simulate(MachineDesc::narrow(), PredictorKind::TageScL);
+  EXPECT_EQ(Stats.count("s/sim/replays"), 6.0);
+}
+
+TEST(SessionWork, DegradedSessionReplaysTheBaselineClone) {
+  // An expired deadline degrades the session to a baseline clone whose
+  // run is the baseline's: its treated replay is made afresh, of the clone.
+  StatsRegistry Stats;
+  PipelineOptions Opts = simSessionOptions();
+  Opts.FailSafe = true;
+  Opts.RequestDeadline = Deadline::afterMs(0);
+  PipelineRun Run(paperBenchmarkSuite()[3].Build(), Opts, &Stats, "s/");
+  ASSERT_TRUE(Run.tryPrepare().ok());
+  ASSERT_TRUE(Run.fellBack());
+  for (const MachineDesc &MD : Opts.Machines) {
+    SimComparison SC = Run.simulate(MD, PredictorKind::TageScL);
+    expectFreshSimulation(SC.Treated, Run.treated(), Run.treatedTrace(),
+                          Run.treatedProfile(), MD, PredictorKind::TageScL,
+                          Opts.Frontend);
+    EXPECT_EQ(SC.Treated.TotalCycles, SC.Baseline.TotalCycles);
+  }
+  EXPECT_EQ(Stats.count("s/sim/replays"), 2.0);
+}
+
+TEST(SessionWork, FallbackDropsTheAbandonedTreatedReplays) {
+  // The treated side is replayed, then the oracle finds it diverges and
+  // the fail-safe session falls back: the next simulate() replays the
+  // baseline clone instead of pricing the abandoned function's replay.
+  auto Loop = [](int Trip) {
+    return parseFunctionOrDie("func @f {\n  observable r5\nblock @Entry:\n"
+                              "  r1 = mov(" +
+                              std::to_string(Trip) +
+                              ")\n  r5 = mov(0)\nblock @Loop:\n"
+                              "  r1 = sub(r1, 1)\n  r5 = add(r5, 1)\n"
+                              "  p1:un = cmpp.gt(r1, 0)\n  b1 = pbr(@Loop)\n"
+                              "  branch(p1, b1)\n  halt\n}\n");
+  };
+  KernelProgram P;
+  P.Func = Loop(5);
+  PipelineOptions Opts = simSessionOptions();
+  Opts.FailSafe = true;
+  Opts.CheckEquivalence = false;
+  StatsRegistry Stats;
+  PipelineRun Run(std::move(P), Opts, &Stats, "s/");
+  Run.setTreated(Loop(9));
+  Run.baselineProfile();
+  Run.treatedProfile();
+  MachineDesc MD = MachineDesc::medium();
+  SimComparison Before = Run.simulate(MD, PredictorKind::TageScL);
+  EXPECT_EQ(Before.Treated.Branches, 9u);
+
+  Run.checkEquivalence();
+  ASSERT_TRUE(Run.fellBack());
+  Run.treatedProfile();
+  SimComparison After = Run.simulate(MD, PredictorKind::TageScL);
+  EXPECT_EQ(After.Treated.Branches, 5u);
+  expectFreshSimulation(After.Treated, Run.treated(), Run.treatedTrace(),
+                        Run.treatedProfile(), MD, PredictorKind::TageScL,
+                        Opts.Frontend);
+  EXPECT_EQ(After.Treated.TotalCycles, After.Baseline.TotalCycles);
+  EXPECT_EQ(Stats.count("s/sim/replays"), 3.0);
+}
+
 TEST(PipelineSharedGraphs, EightThreadFinishMatchesSerial) {
   auto Run = [](ThreadPool *Pool, StatsRegistry &Stats) {
     PipelineOptions Opts;
@@ -339,6 +488,36 @@ TEST(PipelineSharedGraphs, EightThreadFinishMatchesSerial) {
   }
   EXPECT_EQ(SerialStats.toJSONText(false), PooledStats.toJSONText(false));
   EXPECT_GT(PooledStats.count("s/estimate/depgraphs_built"), 0.0);
+}
+
+TEST(PipelineSharedReplays, EightThreadFinishMatchesSerial) {
+  // Five machines x two predictors on eight threads: every simulate() of a
+  // side and predictor races for the same once-flag, and exactly one of
+  // them replays.
+  auto Run = [](ThreadPool *Pool, StatsRegistry &Stats) {
+    PipelineOptions Opts = simSessionOptions();
+    Opts.Predictors = {PredictorKind::TageScL, PredictorKind::Local};
+    PipelineRun Session(paperBenchmarkSuite()[7].Build(), Opts, &Stats, "s/");
+    return Session.finish(Pool);
+  };
+  StatsRegistry SerialStats, PooledStats;
+  PipelineResult Serial = Run(nullptr, SerialStats);
+  ThreadPool Pool(8);
+  PipelineResult Pooled = Run(&Pool, PooledStats);
+
+  ASSERT_EQ(Serial.Sim.size(), 10u);
+  ASSERT_EQ(Pooled.Sim.size(), 10u);
+  for (size_t I = 0; I < Serial.Sim.size(); ++I)
+    for (auto Side : {&SimComparison::Baseline, &SimComparison::Treated}) {
+      const SimEstimate &A = Serial.Sim[I].*Side, &B = Pooled.Sim[I].*Side;
+      EXPECT_EQ(A.TotalCycles, B.TotalCycles);
+      EXPECT_EQ(A.Mispredicts, B.Mispredicts);
+      EXPECT_EQ(A.BTBMisses, B.BTBMisses);
+      EXPECT_EQ(A.FetchStallCycles, B.FetchStallCycles);
+      EXPECT_EQ(A.Blocks.size(), B.Blocks.size());
+    }
+  EXPECT_EQ(SerialStats.toJSONText(false), PooledStats.toJSONText(false));
+  EXPECT_EQ(PooledStats.count("s/sim/replays"), 4.0);
 }
 
 } // namespace

@@ -6,7 +6,10 @@
 
 #include "sim/frontend/TAGE.h"
 
+#include "pipeline/PipelineRun.h"
 #include "sim/BranchPredictor.h"
+#include "support/Hash.h"
+#include "workloads/BenchmarkSuite.h"
 
 #include <gtest/gtest.h>
 
@@ -169,6 +172,150 @@ TEST(TagePredictorTest, ExtremeConfigurationsAreClamped) {
   for (int I = 0; I < 500; ++I)
     P->observe(static_cast<OpId>(1 + I % 5), I % 2 == 0);
   EXPECT_EQ(P->stats().Lookups, 500u);
+}
+
+/// --- Golden digests ----------------------------------------------------
+/// FNV-1a over every observe() result of a predictor, then its final
+/// stats. The digests below were recorded with the history folded bit by
+/// bit on every branch; any change to what the predictor computes moves
+/// them.
+void digestStats(Hasher &H, const BranchPredictor &P) {
+  H.u64(P.stats().Lookups).u64(P.stats().Mispredicts);
+}
+
+void digestTrace(Hasher &H, const BranchTrace &T) {
+  std::unique_ptr<BranchPredictor> P = makePredictor(PredictorKind::TageScL);
+  for (size_t I = 0; I < T.size(); ++I) {
+    const BranchEvent &Ev = T.event(I);
+    unsigned char Bit = P->observe(Ev.Op, Ev.Taken) ? 1 : 0;
+    H.bytes(&Bit, 1);
+  }
+  digestStats(H, *P);
+}
+
+TEST(TageGoldenTest, SuiteTracesBothSidesUnderTheDefaultConfiguration) {
+  Hasher H;
+  uint64_t Events = 0;
+  for (const BenchmarkSpec &S : paperBenchmarkSuite()) {
+    PipelineOptions Opts;
+    Opts.Simulate = true;
+    Opts.CheckEquivalence = false;
+    Opts.Machines.clear();
+    PipelineRun Run(S.Build(), Opts);
+    digestTrace(H, Run.baselineTrace());
+    digestTrace(H, Run.treatedTrace());
+    Events += Run.baselineTrace().size() + Run.treatedTrace().size();
+  }
+  EXPECT_EQ(Events, 404782u);
+  EXPECT_EQ(H.hex(), "cce0082ef07abf4e");
+}
+
+/// A seeded stream over 48 branch ids mixing biased, periodic, loop-like
+/// and history-correlated branches, observed by a predictor of \p C that
+/// is reset twice mid-stream.
+std::string digestSyntheticStream(const PredictorConfig &C, uint64_t Seed) {
+  std::unique_ptr<BranchPredictor> P = makePredictor(PredictorKind::TageScL, C);
+  Hasher H;
+  uint64_t Lcg = Seed;
+  auto next = [&Lcg] {
+    Lcg = Lcg * 6364136223846793005ull + 1442695040888963407ull;
+    return Lcg >> 33;
+  };
+  const unsigned Events = 30000;
+  bool Last = false, Prev = false;
+  unsigned Trip = 0;
+  for (unsigned I = 0; I < Events; ++I) {
+    if (I == Events / 3 || I == 2 * Events / 3) {
+      digestStats(H, *P);
+      P->reset();
+    }
+    OpId Br = static_cast<OpId>(1 + next() % 48);
+    bool Taken;
+    switch (Br % 4) {
+    case 0: // biased
+      Taken = next() % 10 < 8;
+      break;
+    case 1: // periodic in its own id
+      Taken = (I / Br) % 3 == 0;
+      break;
+    case 2: // a loop of 7 taken iterations and one exit
+      Taken = ++Trip % 8 != 0;
+      break;
+    default: // correlated with the two previous outcomes
+      Taken = Last != Prev;
+      break;
+    }
+    unsigned char Bit = P->observe(Br, Taken) ? 1 : 0;
+    H.bytes(&Bit, 1);
+    Prev = Last;
+    Last = Taken;
+  }
+  digestStats(H, *P);
+  return H.hex();
+}
+
+TEST(TageGoldenTest, SyntheticStreamsWithResetsUnderEdgeConfigurations) {
+  struct Golden {
+    const char *Name;
+    void (*Shape)(PredictorConfig &);
+    const char *Digest;
+  };
+  const Golden Cases[] = {
+      {"default", [](PredictorConfig &) {}, "29da7df95528b357"},
+      {"1-table", [](PredictorConfig &C) { C.TageTables = 1; },
+       "837f349672dff282"},
+      {"16-tables", [](PredictorConfig &C) { C.TageTables = 16; },
+       "3ee7d099b87f32ca"},
+      {"table-bits-2", [](PredictorConfig &C) { C.TageTableBits = 2; },
+       "bfff69c597924059"},
+      {"table-bits-12", [](PredictorConfig &C) { C.TageTableBits = 12; },
+       "ab01d1df427ff555"},
+      {"tag-bits-4", [](PredictorConfig &C) { C.TageTagBits = 4; },
+       "6bef8c0e252110b4"},
+      {"tag-bits-15", [](PredictorConfig &C) { C.TageTagBits = 15; },
+       "c75c532bd45924bb"},
+      {"max-history-1",
+       [](PredictorConfig &C) {
+         C.TageMinHistory = 1;
+         C.TageMaxHistory = 1;
+       },
+       "c7ab1ca3e633d04c"},
+      {"max-history-1-1-table",
+       [](PredictorConfig &C) {
+         C.TageTables = 1;
+         C.TageMinHistory = 1;
+         C.TageMaxHistory = 1;
+       },
+       "27ebc0659c9d045b"},
+      {"max-history-200",
+       [](PredictorConfig &C) { C.TageMaxHistory = 200; },
+       "e6ec3ba3742593d9"},
+      {"max-history-200-16-tables",
+       [](PredictorConfig &C) {
+         C.TageTables = 16;
+         C.TageTableBits = 12;
+         C.TageTagBits = 15;
+         C.TageMaxHistory = 200;
+       },
+       "12de5d9eb3c50d46"},
+      {"no-sc", [](PredictorConfig &C) { C.TageUseSC = false; },
+       "1702aa2977526465"},
+      {"no-loop", [](PredictorConfig &C) { C.TageUseLoop = false; },
+       "8ca00091252d6eef"},
+      {"no-sc-no-loop",
+       [](PredictorConfig &C) {
+         C.TageUseSC = false;
+         C.TageUseLoop = false;
+       },
+       "dd37f635eb63cac9"},
+  };
+  uint64_t Seed = 7;
+  for (const Golden &G : Cases) {
+    PredictorConfig C;
+    G.Shape(C);
+    std::string Got = digestSyntheticStream(C, Seed++);
+    EXPECT_EQ(Got, G.Digest) << G.Name;
+  }
 }
 
 } // namespace

@@ -256,7 +256,7 @@ cpr::runStaticLintCampaign(const FuzzCampaignOptions &Opts) {
           ? std::vector<MachineDesc>{MachineDesc::medium(),
                                      MachineDesc::wide()}
           : Opts.Machines;
-  LintDriver Linter = LintDriver::withBuiltinPasses(std::move(LintOpts));
+  LintDriver Linter(std::move(LintOpts));
 
   std::vector<uint64_t> CaseSeeds(Opts.Runs);
   {
@@ -474,7 +474,7 @@ cpr::runCrossValidationCampaign(const FuzzCampaignOptions &Opts) {
           ? std::vector<MachineDesc>{MachineDesc::medium(),
                                      MachineDesc::wide()}
           : Opts.Machines;
-  LintDriver Linter = LintDriver::withBuiltinPasses(std::move(LintOpts));
+  LintDriver Linter(std::move(LintOpts));
 
   std::vector<uint64_t> CaseSeeds(Opts.Runs);
   {

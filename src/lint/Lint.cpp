@@ -1,4 +1,4 @@
-//===- lint/Lint.cpp - Lint framework --------------------------------------===//
+//===- lint/Lint.cpp - Findings, reports and pinned schedules -------------===//
 //
 // Part of the control-cpr project (PLDI 1999 Control CPR reproduction).
 //
@@ -6,14 +6,8 @@
 
 #include "lint/Lint.h"
 
-#include "analysis/AnalysisCache.h"
-#include "analysis/Dataflow.h"
-#include "analysis/Liveness.h"
-#include "interp/Interpreter.h"
 #include "lint/Witness.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 using namespace cpr;
@@ -54,104 +48,6 @@ unsigned LintResult::countAtLeast(DiagSeverity S) const {
     if (static_cast<unsigned>(F.Severity) >= static_cast<unsigned>(S))
       ++N;
   return N;
-}
-
-//===----------------------------------------------------------------------===//
-// LintContext
-//===----------------------------------------------------------------------===//
-
-struct LintContext::Impl {
-  /// Borrowed pre-solved analyses; null when this context owns its own.
-  FunctionAnalyses *Shared = nullptr;
-  /// Caller-declared environment inputs; null when none were declared.
-  const std::vector<RegBinding> *Inputs = nullptr;
-  std::unique_ptr<Liveness> LV;
-  std::unique_ptr<ReachingDefBlocks> Reach;
-  std::unique_ptr<DefiniteAssignment> Definite;
-};
-
-LintContext::LintContext(const Function &F, const LintOptions &Opts,
-                         FunctionAnalyses *Shared,
-                         const std::vector<RegBinding> *Inputs)
-    : F(F), Opts(Opts), I(new Impl) {
-  I->Shared = Shared;
-  I->Inputs = Inputs;
-}
-
-LintContext::~LintContext() = default;
-
-const Liveness &LintContext::liveness() {
-  if (I->Shared)
-    return I->Shared->LV;
-  if (!I->LV)
-    I->LV.reset(new Liveness(F));
-  return *I->LV;
-}
-
-const ReachingDefBlocks &LintContext::reachingDefs() {
-  if (I->Shared)
-    return I->Shared->Reach;
-  if (!I->Reach)
-    I->Reach.reset(new ReachingDefBlocks(F, liveness().numbering()));
-  return *I->Reach;
-}
-
-const DefiniteAssignment &LintContext::definiteAssignment() {
-  if (!I->Definite)
-    I->Definite.reset(
-        new DefiniteAssignment(F, reachingDefs().numbering()));
-  return *I->Definite;
-}
-
-bool LintContext::defReachesEntry(Reg R, size_t LayoutIdx) {
-  return reachingDefs().reachesEntry(R, LayoutIdx);
-}
-
-bool LintContext::isDeclaredInput(Reg R) const {
-  if (!I->Inputs)
-    return false;
-  for (const RegBinding &B : *I->Inputs)
-    if (B.R == R)
-      return true;
-  return false;
-}
-
-//===----------------------------------------------------------------------===//
-// LintDriver
-//===----------------------------------------------------------------------===//
-
-LintDriver::LintDriver(LintOptions Opts) : Opts(std::move(Opts)) {}
-LintDriver::~LintDriver() = default;
-LintDriver::LintDriver(LintDriver &&) = default;
-LintDriver &LintDriver::operator=(LintDriver &&) = default;
-
-void LintDriver::addPass(std::unique_ptr<LintPass> P) {
-  Passes.push_back(std::move(P));
-}
-
-const std::vector<std::unique_ptr<LintPass>> &LintDriver::passes() const {
-  return Passes;
-}
-
-LintDriver LintDriver::withBuiltinPasses(LintOptions Opts) {
-  LintDriver D(std::move(Opts));
-  addBuiltinLintPasses(D);
-  return D;
-}
-
-LintResult LintDriver::run(const Function &F, FunctionAnalyses *Shared,
-                           const std::vector<RegBinding> *Inputs) const {
-  LintResult R;
-  LintContext Ctx(F, Opts, Shared, Inputs);
-  for (const std::unique_ptr<LintPass> &P : Passes) {
-    if (!Opts.OnlyChecks.empty() &&
-        std::find(Opts.OnlyChecks.begin(), Opts.OnlyChecks.end(),
-                  P->name()) == Opts.OnlyChecks.end())
-      continue;
-    P->run(Ctx, R.Findings);
-    R.ChecksRun.push_back(P->name());
-  }
-  return R;
 }
 
 //===----------------------------------------------------------------------===//

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// cpr-lint: a pluggable static-analysis framework that proves the paper's
-/// structural correctness invariants (Sections 4-6) on concrete IR, pre-
-/// and post-transformation, without executing it (docs/LINT.md). Where the
+/// cpr-lint: nine static checks that prove the paper's structural
+/// correctness invariants (Sections 4-7) on concrete IR, pre- and
+/// post-transformation, without executing it (docs/LINT.md). Where the
 /// interpreter-based equivalence oracle checks one input, these checks use
 /// PQS/BDD predicate reasoning to cover *all* inputs of the properties
 /// they encode:
@@ -53,6 +53,10 @@
 /// (BDD::Invalid) the check stays silent rather than guessing. Lint
 /// findings are therefore high-confidence, but silence is not a proof.
 ///
+/// The checks live in lint/Checks.cpp, one function each, listed in one
+/// table (lintChecks()) that the driver, `cpr-lint --list-checks` and
+/// `--checks=` all read.
+///
 /// Thread-safety: LintDriver is immutable after construction and may be
 /// shared across threads; run() builds all per-function analyses locally.
 ///
@@ -67,16 +71,15 @@
 #include "support/JSON.h"
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace cpr {
 
-class DefiniteAssignment;
 struct FunctionAnalyses;
-class Liveness;
+class LintContext;
 struct LintWitness;
-class ReachingDefBlocks;
 struct RegBinding;
 
 /// One lint finding: a violated invariant at a program location.
@@ -95,8 +98,8 @@ struct LintFinding {
   std::string Message;
   /// The finding's witness (lint/Witness.h): a satisfying assignment of
   /// the violated property plus concrete replay inputs. Shared so copies
-  /// of a finding stay cheap; null only for findings of external passes
-  /// that predate witness production.
+  /// of a finding stay cheap. Every built-in check attaches one; a null
+  /// witness renders as JSON null, which the v2 schema allows.
   std::shared_ptr<LintWitness> Witness;
 
   /// "error [lint-frp] @Loop op %12: <message>".
@@ -139,103 +142,46 @@ struct LintResult {
   unsigned errorCount() const { return countAtLeast(DiagSeverity::Error); }
 };
 
-/// Shared per-function state handed to every check. Function-level
-/// analyses (liveness, reaching definitions) are hosted on the dense
-/// dataflow framework (analysis/Dataflow.h); when the caller already
-/// solved them -- the pipeline's cached stage artifacts
-/// (analysis/AnalysisCache.h) -- the context borrows instead of
-/// recomputing.
-class LintContext {
-public:
-  LintContext(const Function &F, const LintOptions &Opts,
-              FunctionAnalyses *Shared = nullptr,
-              const std::vector<RegBinding> *Inputs = nullptr);
-  ~LintContext();
-
-  const Function &func() const { return F; }
-  const LintOptions &options() const { return Opts; }
-
-  /// Lazily built (or borrowed) function-level liveness.
-  const Liveness &liveness();
-
-  /// Lazily built (or borrowed) cross-block reaching definitions.
-  const ReachingDefBlocks &reachingDefs();
-
-  /// Lazily built forward/intersection definite assignment, the
-  /// uninit-read check's pruning accelerator.
-  const DefiniteAssignment &definiteAssignment();
-
-  /// True when a definition of \p R in some block can reach the entry of
-  /// block \p LayoutIdx (including around loops). Reads of such registers
-  /// are conservatively treated as initialized by use-before-def and
-  /// compensation-completeness.
-  bool defReachesEntry(Reg R, size_t LayoutIdx);
-
-  /// True when the caller declared \p R an environment-initialized input
-  /// (an InitRegs binding: the kernel's arguments, a fuzz case's `; reg`
-  /// directives, cprc's --reg flags). uninit-read treats such registers
-  /// as defined at function entry even when the function also redefines
-  /// them later (strcpy's cursor-bump pattern).
-  bool isDeclaredInput(Reg R) const;
-
-private:
-  const Function &F;
-  const LintOptions &Opts;
-  struct Impl;
-  std::unique_ptr<Impl> I;
-};
-
-/// One pluggable check.
-class LintPass {
-public:
-  virtual ~LintPass() = default;
+/// One built-in check: a row of the table the driver walks.
+struct LintCheck {
   /// Stable check name ("frp-consistency", ...).
-  virtual const char *name() const = 0;
-  /// One-line description for --help and docs.
-  virtual const char *description() const = 0;
-  /// Appends findings for Ctx.func() to \p Out.
-  virtual void run(LintContext &Ctx, std::vector<LintFinding> &Out) = 0;
+  const char *Name;
+  /// One-line description for --list-checks and docs.
+  const char *Description;
+  /// Appends the check's findings for the context's function.
+  void (*Run)(LintContext &Ctx, std::vector<LintFinding> &Out);
 };
 
-/// Runs an ordered list of checks over functions.
+/// The built-in checks, in canonical order.
+std::span<const LintCheck> lintChecks();
+
+/// Runs the built-in checks (those named in LintOptions::OnlyChecks, when
+/// it is non-empty) over functions.
 class LintDriver {
 public:
-  explicit LintDriver(LintOptions Opts = LintOptions());
-  ~LintDriver();
-  LintDriver(LintDriver &&);
-  LintDriver &operator=(LintDriver &&);
+  explicit LintDriver(LintOptions Opts = LintOptions())
+      : Opts(std::move(Opts)) {}
 
-  void addPass(std::unique_ptr<LintPass> P);
-  const std::vector<std::unique_ptr<LintPass>> &passes() const;
-
-  /// A driver loaded with the built-in checks.
-  static LintDriver withBuiltinPasses(LintOptions Opts = LintOptions());
-
-  /// Runs every (enabled) pass over \p F. When \p Shared is non-null its
-  /// pre-solved analyses are used instead of rebuilding them. \p Inputs
-  /// optionally declares the environment-initialized registers the
-  /// function starts with (see LintContext::isDeclaredInput).
+  /// Runs every enabled check over \p F. When \p Shared is non-null its
+  /// pre-solved analyses, and its dependence graphs where they fit a
+  /// machine, are used instead of rebuilding them. \p Inputs optionally
+  /// declares the environment-initialized registers the function starts
+  /// with (the uninit-read exemption of docs/LINT.md).
   LintResult run(const Function &F, FunctionAnalyses *Shared = nullptr,
                  const std::vector<RegBinding> *Inputs = nullptr) const;
 
 private:
   LintOptions Opts;
-  std::vector<std::unique_ptr<LintPass>> Passes;
 };
-
-/// Registers the built-in checks, in their canonical order: the five
-/// original checks (lint/LintPasses.cpp) followed by the four
-/// whole-region v2 checks (lint/LintPassesV2.cpp).
-void addBuiltinLintPasses(LintDriver &D);
 
 /// Reports every finding of \p R into \p Diags.
 void reportLintFindings(const LintResult &R, DiagnosticEngine &Diags);
 
 /// Renders \p R as one per-function entry of the `cpr-lint-v2` report
 /// (docs/LINT.md): {"function", "checks", "findings", "counts"}, each
-/// finding now carrying a "witness" object (null for witness-less
-/// findings of external passes). Tools wrap entries in the
-/// {"schema": "cpr-lint-v2", "functions": [...]} envelope.
+/// finding carrying a "witness" object (null for a finding without one).
+/// Tools wrap entries in the {"schema": "cpr-lint-v2", "functions": [...]}
+/// envelope.
 JSONValue lintResultToJSON(const std::string &FunctionName,
                            const LintResult &R);
 

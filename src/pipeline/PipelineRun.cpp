@@ -273,7 +273,7 @@ const Function &PipelineRun::treated() {
     // transform's fault, so regression detection is differential.
     LintOptions LintOpts;
     LintOpts.Machines = Opts.Machines;
-    LintDriver Linter = LintDriver::withBuiltinPasses(std::move(LintOpts));
+    LintDriver Linter(std::move(LintOpts));
     bool BaselineLintClean = true;
     if (Opts.Lint) {
       baselineAnalyses(); // shared with estimateMachine; computed once

@@ -31,7 +31,7 @@ std::string joined(const LintResult &R) {
 }
 
 TEST(LintCorpus, EverySeedWorkloadIsCleanPreAndPostCPR) {
-  LintDriver Driver = LintDriver::withBuiltinPasses();
+  LintDriver Driver;
   for (const BenchmarkSpec &Spec : paperBenchmarkSuite()) {
     KernelProgram P = Spec.Build();
     // The kernel's arguments are InitRegs bindings; declare them so

@@ -82,7 +82,7 @@ TEST(LintFault, EverySiteIsRolledBackOrCaughtStatically) {
   std::vector<std::string> Sites = fault::sites();
   ASSERT_GE(Sites.size(), 7u);
   bool SawCorruptingSite = false;
-  LintDriver Linter = LintDriver::withBuiltinPasses();
+  LintDriver Linter;
   for (const std::string &Site : Sites) {
     std::unique_ptr<Function> F = cprKernel();
     std::string Before = printFunction(*F);

@@ -53,7 +53,7 @@ Fixture lintFixture(const std::string &Name) {
   Status S = parseInjectedSchedules(Fx.Text, Opts.Schedules);
   EXPECT_TRUE(S.ok()) << S.diagnostic().str();
   Fx.Func = std::move(PR.Func);
-  Fx.Result = LintDriver::withBuiltinPasses(Opts).run(*Fx.Func);
+  Fx.Result = LintDriver(Opts).run(*Fx.Func);
   return Fx;
 }
 

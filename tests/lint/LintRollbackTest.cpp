@@ -84,7 +84,7 @@ TEST(LintRollback, WithoutHookDefectCommitsAndLintFlagsIt) {
   EXPECT_EQ(R.BlocksRolledBack, 0u) << "verifier-clean defect";
   EXPECT_TRUE(verifyFunction(*F).empty());
 
-  LintResult L = LintDriver::withBuiltinPasses().run(*F);
+  LintResult L = LintDriver().run(*F);
   ASSERT_GE(L.errorCount(), 1u);
   bool HasCompFinding = false;
   for (const LintFinding &Finding : L.Findings)
@@ -103,7 +103,7 @@ TEST(LintRollback, RegionLintHookRollsBackByteExactly) {
   fault::ScopedFault Skip("cpr.restructure.compensation",
                           fault::EveryHit);
 
-  LintDriver Linter = LintDriver::withBuiltinPasses();
+  LintDriver Linter;
   CPRContext Ctx;
   Ctx.FailSafe = true;
   DiagnosticEngine Diags;
@@ -117,7 +117,7 @@ TEST(LintRollback, RegionLintHookRollsBackByteExactly) {
   EXPECT_EQ(R.CPRBlocksTransformed, 0u);
   EXPECT_EQ(printFunction(*F), Before);
   EXPECT_GE(Diags.errorCount(), 1u);
-  EXPECT_TRUE(LintDriver::withBuiltinPasses().run(*F).clean());
+  EXPECT_TRUE(LintDriver().run(*F).clean());
 }
 
 /// The pipeline's Lint stage in a fail-safe session: the planted defect
@@ -145,7 +145,7 @@ TEST(LintRollback, PipelineLintStageRollsBackPlantedDefect) {
       << "regions roll back one by one; no wholesale fallback needed";
   EXPECT_GE(Session.cprResult().RegionsRolledBack, 1u);
   EXPECT_GE(Diags.errorCount(), 1u);
-  EXPECT_TRUE(LintDriver::withBuiltinPasses().run(Treated).clean());
+  EXPECT_TRUE(LintDriver().run(Treated).clean());
   EXPECT_EQ(Stats.count("lint/treated_findings"), 0.0);
 
   EquivResult E = checkEquivalence(*Base, Treated, Mem, Regs);

@@ -42,7 +42,7 @@ LintResult lintFile(const std::string &Name, std::unique_ptr<Function> &F) {
   LintOptions Opts;
   EXPECT_TRUE(parseInjectedSchedules(Buf.str(), Opts.Schedules).ok());
   F = std::move(PR.Func);
-  return LintDriver::withBuiltinPasses(Opts).run(*F);
+  return LintDriver(Opts).run(*F);
 }
 
 /// The corpus-wide bar: every finding of every fixture carries a solved,
@@ -82,7 +82,7 @@ TEST(WitnessTest, EveryFixtureFindingConfirms) {
 TEST(WitnessTest, PlantedCompensationSkipYieldsConfirmedWitness) {
   fault::ScopedFault Inject("cpr.restructure.compensation",
                             fault::EveryHit);
-  LintDriver Linter = LintDriver::withBuiltinPasses();
+  LintDriver Linter;
   unsigned SolvedConfirmed = 0, SolvedTotal = 0, Errors = 0;
   GeneratorConfig Cfg;
   for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
@@ -133,7 +133,7 @@ block @C:
   halt
 }
 )");
-  LintResult R = LintDriver::withBuiltinPasses().run(*F);
+  LintResult R = LintDriver().run(*F);
   const LintFinding *Dead = nullptr;
   for (const LintFinding &Fd : R.Findings)
     if (Fd.Check == "dead-under-predicate" && Fd.Block == "B")

@@ -228,22 +228,21 @@ int main(int argc, char **argv) {
     return exit_codes::UsageError;
   }
   Opts.OnlyChecks = splitList(C.Checks);
-  LintDriver Probe = LintDriver::withBuiltinPasses();
   if (C.ListChecks) {
-    for (const std::unique_ptr<LintPass> &P : Probe.passes())
-      std::printf("%-26s %s\n", P->name(), P->description());
+    for (const LintCheck &Check : lintChecks())
+      std::printf("%-26s %s\n", Check.Name, Check.Description);
     return exit_codes::Success;
   }
   for (const std::string &Name : Opts.OnlyChecks) {
     bool Known = false;
-    for (const std::unique_ptr<LintPass> &P : Probe.passes())
-      if (Name == P->name())
+    for (const LintCheck &Check : lintChecks())
+      if (Name == Check.Name)
         Known = true;
     if (!Known) {
       std::fprintf(stderr, "cpr-lint: unknown check '%s'; available:\n",
                    Name.c_str());
-      for (const std::unique_ptr<LintPass> &P : Probe.passes())
-        std::fprintf(stderr, "  %s\n", P->name());
+      for (const LintCheck &Check : lintChecks())
+        std::fprintf(stderr, "  %s\n", Check.Name);
       return exit_codes::UsageError;
     }
   }
@@ -255,7 +254,7 @@ int main(int argc, char **argv) {
                    "cpr-lint: --workloads takes no input files\n");
       return exit_codes::UsageError;
     }
-    LintDriver Driver = LintDriver::withBuiltinPasses(Opts);
+    LintDriver Driver(Opts);
     for (const BenchmarkSpec &Spec : paperBenchmarkSuite()) {
       KernelProgram P = Spec.Build();
       lintOne(Driver, *P.Func, Spec.Name, C, R, &P.InitRegs);
@@ -302,7 +301,7 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "cpr-lint: %s\n", S.diagnostic().str().c_str());
     return exit_codes::ParseError;
   }
-  LintDriver Driver = LintDriver::withBuiltinPasses(Opts);
+  LintDriver Driver(Opts);
   lintOne(Driver, *PR.Func, PR.Func->getName(), C, R);
   return finish(C, R);
 }

@@ -560,7 +560,7 @@ int main(int argc, char **argv) {
   // Static semantic checks (docs/LINT.md), differential around the
   // phases: pre-phase findings belong to the input and only downgrade
   // the post-phase policy; new post-phase findings are the transform's.
-  LintDriver Linter = LintDriver::withBuiltinPasses();
+  LintDriver Linter;
   bool BaselineLintClean = true;
   if (C.Lint) {
     LintResult LR = Linter.run(*F, nullptr, &C.InitRegs);

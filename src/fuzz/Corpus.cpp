@@ -25,10 +25,7 @@ std::string cpr::serializeFuzzProgram(const KernelProgram &P) {
   for (const RegBinding &B : P.InitRegs)
     Out << "; reg " << regClassPrefix(B.R.getClass()) << B.R.getId() << "="
         << B.Value << "\n";
-  std::vector<std::pair<int64_t, int64_t>> Cells(P.InitMem.cells().begin(),
-                                                 P.InitMem.cells().end());
-  std::sort(Cells.begin(), Cells.end());
-  for (const auto &[Addr, Val] : Cells)
+  for (const auto &[Addr, Val] : P.InitMem.sortedCells())
     Out << "; mem " << Addr << "=" << Val << "\n";
   Out << printFunction(*P.Func);
   return Out.str();

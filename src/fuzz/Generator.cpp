@@ -472,17 +472,12 @@ bool applyOneMutation(KernelProgram &P, RNG &Rng) {
     return true;
   }
   default: { // tweak an initial memory cell
-    const auto &Cells = P.InitMem.cells();
+    // Pick the k-th lowest written address.
+    std::vector<std::pair<int64_t, int64_t>> Cells =
+        P.InitMem.sortedCells();
     if (Cells.empty())
       return false;
-    // Deterministic choice despite unordered storage: pick the k-th
-    // lowest address.
-    std::vector<int64_t> Addrs;
-    Addrs.reserve(Cells.size());
-    for (const auto &[Addr, Val] : Cells)
-      Addrs.push_back(Addr);
-    std::sort(Addrs.begin(), Addrs.end());
-    int64_t Addr = Addrs[Rng.nextBelow(Addrs.size())];
+    int64_t Addr = Cells[Rng.nextBelow(Cells.size())].first;
     P.InitMem.store(Addr, Rng.nextRange(0, CondRange - 1));
     return true;
   }

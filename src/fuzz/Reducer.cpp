@@ -152,9 +152,8 @@ bool inputsPass(KernelProgram &Best, ReduceCtx &Ctx) {
   bool Progress = false;
   // Memory cells, chunked over the sorted address list.
   std::vector<int64_t> Addrs;
-  for (const auto &[Addr, Val] : Best.InitMem.cells())
+  for (const auto &[Addr, Val] : Best.InitMem.sortedCells())
     Addrs.push_back(Addr);
-  std::sort(Addrs.begin(), Addrs.end());
   size_t Chunk = std::max<size_t>(1, Addrs.size() / 2);
   while (Ctx.budgetLeft() && !Addrs.empty()) {
     size_t Start = 0;

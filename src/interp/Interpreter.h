@@ -18,6 +18,27 @@
 ///  - dynamic statistics: operation and branch counts for the paper's
 ///    Table 3 ("D tot", "D br").
 ///
+/// Each call decodes the function once into a flat array -- one entry per
+/// operation in layout order, each block closed by a fall-through entry,
+/// a start offset per block -- and runs one dispatch loop over it. A
+/// source is an index into the register file the operation reads (an
+/// immediate sits in a constant pool after the registers); the files are
+/// sized once, from the highest register id the function, its
+/// observables, the initial bindings and the watches name (at most
+/// MaxRegId + 1 registers each), and no access grows them. A taken branch
+/// finds its target through a BlockId -> layout table: an unwritten BTR
+/// reads as block id 0, and an id no block has ends the run with "branch
+/// to invalid target". Profile counts are kept dense per block and per
+/// branch and flushed into the ProfileData on every exit (halt, trap,
+/// error, step limit). Watches, the store trace and the branch trace run
+/// on the same loop; an unwatched operation does no watch work. Memory
+/// is paged (interp/Memory.h).
+///
+/// Integer arithmetic is evalIntArith (ir/Opcode.h), which Simplify's
+/// constant folding shares: results wrap in two's complement -- add, sub
+/// and mul wrap, INT64_MIN / -1 is INT64_MIN and INT64_MIN % -1 is 0 --
+/// and division or remainder by zero reads as 0.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef INTERP_INTERPRETER_H

@@ -153,27 +153,13 @@ EquivResult cpr::compareRuns(const Function &A, const RunState &SA,
                  std::to_string(RB.Observed.size());
     return Res;
   }
-  // Semantic memory comparison: every address written by either run must
-  // read identically (a write of zero to an otherwise-untouched cell is
-  // equivalent to no write). Report the lowest diverging address so the
-  // diagnostic is deterministic regardless of hash-map iteration order.
+  // Semantic memory comparison: the lowest address at which the final
+  // memories read differently (a write of zero to an otherwise-untouched
+  // cell is equivalent to no write), so the diagnostic is deterministic.
   const Memory &MemA = SA.Mem;
   const Memory &MemB = SB.Mem;
-  bool HaveDiverging = false;
-  int64_t DivergingAddr = 0;
-  auto NoteDivergence = [&](int64_t Addr) {
-    if (!HaveDiverging || Addr < DivergingAddr) {
-      HaveDiverging = true;
-      DivergingAddr = Addr;
-    }
-  };
-  for (const auto &[Addr, Val] : MemA.cells())
-    if (MemB.load(Addr) != Val)
-      NoteDivergence(Addr);
-  for (const auto &[Addr, Val] : MemB.cells())
-    if (MemA.load(Addr) != Val)
-      NoteDivergence(Addr);
-  if (HaveDiverging) {
+  if (std::optional<int64_t> Diverging = MemA.firstDifference(MemB)) {
+    int64_t DivergingAddr = *Diverging;
     Res.Kind = EquivResult::Divergence::Memory;
     Res.Detail = "memory differs at address " +
                  std::to_string(DivergingAddr) + ": " +

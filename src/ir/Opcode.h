@@ -18,6 +18,8 @@
 #ifndef IR_OPCODE_H
 #define IR_OPCODE_H
 
+#include "support/Error.h"
+
 #include <cstdint>
 #include <optional>
 
@@ -101,6 +103,47 @@ bool opcodeIsIntArith(Opcode Opc);
 
 /// Returns true for two-source floating-point arithmetic opcodes.
 bool opcodeIsFloatArith(Opcode Opc);
+
+/// Evaluates integer arithmetic opcode \p Opc on \p A and \p B, as the
+/// interpreter executes it and Simplify folds it. Results wrap in two's
+/// complement: add, sub and mul wrap, INT64_MIN / -1 is INT64_MIN and
+/// INT64_MIN % -1 is 0. Division and remainder by zero read as 0; shift
+/// counts are taken mod 64 and shr is logical. Inline, so that a call
+/// with a constant opcode compiles to that one operation.
+inline int64_t evalIntArith(Opcode Opc, int64_t A, int64_t B) {
+  auto U = [](int64_t V) { return static_cast<uint64_t>(V); };
+  switch (Opc) {
+  case Opcode::Add:
+    return static_cast<int64_t>(U(A) + U(B));
+  case Opcode::Sub:
+    return static_cast<int64_t>(U(A) - U(B));
+  case Opcode::Mul:
+    return static_cast<int64_t>(U(A) * U(B));
+  case Opcode::Div:
+    // x / -1 is the wrapping negation; only INT64_MIN / -1 overflows.
+    if (B == -1)
+      return static_cast<int64_t>(0 - U(A));
+    return B == 0 ? 0 : A / B;
+  case Opcode::Rem:
+    return B == 0 || B == -1 ? 0 : A % B;
+  case Opcode::And:
+    return A & B;
+  case Opcode::Or:
+    return A | B;
+  case Opcode::Xor:
+    return A ^ B;
+  case Opcode::Shl:
+    return static_cast<int64_t>(U(A) << (U(B) & 63));
+  case Opcode::Shr:
+    return static_cast<int64_t>(U(A) >> (U(B) & 63));
+  case Opcode::Min:
+    return A < B ? A : B;
+  case Opcode::Max:
+    return A > B ? A : B;
+  default:
+    CPR_UNREACHABLE("not an integer arithmetic opcode");
+  }
+}
 
 } // namespace cpr
 

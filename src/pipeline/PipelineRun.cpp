@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string_view>
 
 using namespace cpr;
 
@@ -143,6 +144,20 @@ Status PipelineRun::profileInto(const Function &F, uint64_t MaxSteps,
                       static_cast<double>(Out.Stats.OpsDispatched));
       Stats->addCount(Prefix + "dyn_branches_" + Side,
                       static_cast<double>(Out.Stats.BranchesDispatched));
+      // Exit coverage of the oracle's one input (ROADMAP O12): the
+      // compensation blocks the treated run entered.
+      if (std::string_view(Side) == "treated") {
+        size_t Blocks = 0, Entered = 0;
+        for (size_t I = 0; I < F.numBlocks(); ++I)
+          if (F.block(I).isCompensation()) {
+            ++Blocks;
+            Entered += Out.Profile.blockEntries(F.block(I).getId()) != 0;
+          }
+        Stats->addCount(Prefix + "oracle/compensation_blocks",
+                        static_cast<double>(Blocks));
+        Stats->addCount(Prefix + "oracle/compensation_blocks_entered",
+                        static_cast<double>(Entered));
+      }
     }
   } else {
     Out = ProfiledRun(); // drop the partial trace

@@ -15,44 +15,6 @@ using namespace cpr;
 
 namespace {
 
-/// Evaluates a two-source integer op over constants (mirrors the
-/// interpreter's semantics, including division-by-zero-as-zero).
-int64_t foldIntArith(Opcode Opc, int64_t A, int64_t B) {
-  switch (Opc) {
-  case Opcode::Add:
-    return static_cast<int64_t>(static_cast<uint64_t>(A) +
-                                static_cast<uint64_t>(B));
-  case Opcode::Sub:
-    return static_cast<int64_t>(static_cast<uint64_t>(A) -
-                                static_cast<uint64_t>(B));
-  case Opcode::Mul:
-    return static_cast<int64_t>(static_cast<uint64_t>(A) *
-                                static_cast<uint64_t>(B));
-  case Opcode::Div:
-    return B == 0 ? 0 : A / B;
-  case Opcode::Rem:
-    return B == 0 ? 0 : A % B;
-  case Opcode::And:
-    return A & B;
-  case Opcode::Or:
-    return A | B;
-  case Opcode::Xor:
-    return A ^ B;
-  case Opcode::Shl:
-    return static_cast<int64_t>(static_cast<uint64_t>(A)
-                                << (static_cast<uint64_t>(B) & 63));
-  case Opcode::Shr:
-    return static_cast<int64_t>(static_cast<uint64_t>(A) >>
-                                (static_cast<uint64_t>(B) & 63));
-  case Opcode::Min:
-    return A < B ? A : B;
-  case Opcode::Max:
-    return A > B ? A : B;
-  default:
-    CPR_UNREACHABLE("not a foldable opcode");
-  }
-}
-
 /// Value identity for CSE: (opcode, operand identities) where a register
 /// identity is its defining epoch.
 struct ExprKey {
@@ -139,7 +101,7 @@ SimplifyStats cpr::simplifyBlock(Function &F, Block &B) {
                       Op.defs().size() == 1 &&
                       Op.defs()[0].R.getClass() == RegClass::GPR;
     if (IsFoldable && Op.srcs()[0].isImm() && Op.srcs()[1].isImm()) {
-      int64_t V = foldIntArith(Op.getOpcode(), Op.srcs()[0].getImm(),
+      int64_t V = evalIntArith(Op.getOpcode(), Op.srcs()[0].getImm(),
                                Op.srcs()[1].getImm());
       Reg Dst = Op.defs()[0].R;
       Operation NewOp(Op.getId(), Opcode::Mov);

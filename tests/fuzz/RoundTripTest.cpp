@@ -61,7 +61,7 @@ TEST(FuzzRoundTripTest, CorpusFormatRoundTripsTheExecutableCase) {
     FuzzParseResult FR = parseFuzzProgram(Text);
     ASSERT_TRUE(FR) << FR.Error;
     EXPECT_EQ(printFunction(*FR.Program.Func), printFunction(*P.Func));
-    EXPECT_EQ(FR.Program.InitMem.cells(), P.InitMem.cells());
+    EXPECT_EQ(FR.Program.InitMem.sortedCells(), P.InitMem.sortedCells());
     ASSERT_EQ(FR.Program.InitRegs.size(), P.InitRegs.size());
     for (size_t I = 0; I < P.InitRegs.size(); ++I) {
       EXPECT_EQ(FR.Program.InitRegs[I].R, P.InitRegs[I].R);
@@ -82,7 +82,7 @@ block @A:
 )");
   ASSERT_TRUE(FR) << FR.Error;
   EXPECT_TRUE(FR.Program.InitRegs.empty());
-  EXPECT_TRUE(FR.Program.InitMem.cells().empty());
+  EXPECT_TRUE(FR.Program.InitMem.sortedCells().empty());
 }
 
 TEST(FuzzRoundTripTest, MalformedProgramReportsAnError) {
@@ -100,7 +100,7 @@ TEST(FuzzRoundTripTest, FileRoundTrip) {
   FuzzParseResult FR = loadFuzzProgramFile(Path);
   ASSERT_TRUE(FR) << FR.Error;
   EXPECT_EQ(printFunction(*FR.Program.Func), printFunction(*P.Func));
-  EXPECT_EQ(FR.Program.InitMem.cells(), P.InitMem.cells());
+  EXPECT_EQ(FR.Program.InitMem.sortedCells(), P.InitMem.sortedCells());
 }
 
 } // namespace

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace cpr;
 
 namespace {
@@ -54,6 +56,28 @@ block @A:
                     Mem);
   ASSERT_TRUE(R.halted());
   EXPECT_EQ(R.Observed, (std::vector<int64_t>{0, 0}));
+}
+
+TEST(InterpreterTest, MinDividedByMinusOneWraps) {
+  // INT64_MIN / -1 overflows; it wraps to INT64_MIN, as add/sub/mul wrap,
+  // and its remainder is 0, instead of trapping the host.
+  Memory Mem;
+  RunResult R = run(R"(
+func @f {
+  observable r3, r4, r5, r6
+block @A:
+  r2 = shl(1, 63)
+  r3 = div(r2, r1)
+  r4 = rem(r2, r1)
+  r5 = div(r2, -1)
+  r6 = div(7, r1)
+  halt
+}
+)",
+                    Mem, {{Reg::gpr(1), -1}});
+  ASSERT_TRUE(R.halted());
+  const int64_t Min = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(R.Observed, (std::vector<int64_t>{Min, 0, Min, -7}));
 }
 
 TEST(InterpreterTest, PredicationNullifies) {

@@ -219,6 +219,34 @@ TEST(SessionWork, StrictSuiteSessionRunsTheInterpreterTwice) {
   }
 }
 
+TEST(SessionWork, CompensationCoverageCountsTheTreatedProfile) {
+  double Blocks = 0, Entered = 0;
+  for (const BenchmarkSpec &S : paperBenchmarkSuite()) {
+    SCOPED_TRACE(S.Name);
+    StatsRegistry Stats;
+    PipelineRun Run(S.Build(), PipelineOptions(), &Stats, "s/");
+    Run.prepare();
+    const Function &T = Run.treated();
+    const ProfileData &P = Run.treatedProfile();
+    double WantBlocks = 0, WantEntered = 0;
+    for (size_t I = 0; I < T.numBlocks(); ++I)
+      if (T.block(I).isCompensation()) {
+        ++WantBlocks;
+        WantEntered += P.blockEntries(T.block(I).getId()) != 0;
+      }
+    EXPECT_EQ(Stats.count("s/oracle/compensation_blocks"), WantBlocks);
+    EXPECT_EQ(Stats.count("s/oracle/compensation_blocks_entered"),
+              WantEntered);
+    Blocks += WantBlocks;
+    Entered += WantEntered;
+  }
+  EXPECT_GT(Blocks, 0.0);
+  EXPECT_LE(Entered, Blocks);
+  std::printf("suite: the oracle's input enters %.0f of %.0f compensation "
+              "blocks\n",
+              Entered, Blocks);
+}
+
 TEST(SessionWork, FivePaperMachinesCostOneGraphPerNonEmptyBlockPerSide) {
   for (const BenchmarkSpec &S : paperBenchmarkSuite()) {
     SCOPED_TRACE(S.Name);

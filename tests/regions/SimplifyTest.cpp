@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace cpr;
 
 namespace {
@@ -41,6 +43,34 @@ block @A:
   const Operation &Last = F->block(0).ops()[2];
   EXPECT_EQ(Last.getOpcode(), Opcode::Mov);
   EXPECT_EQ(Last.srcs()[0].getImm(), 42);
+}
+
+TEST(SimplifyTest, FoldsMinDividedByMinusOne) {
+  // The fold shares the interpreter's arithmetic: INT64_MIN / -1 wraps to
+  // INT64_MIN and INT64_MIN % -1 is 0, instead of trapping the compiler.
+  std::unique_ptr<Function> F = parseFunctionOrDie(R"(
+func @f {
+  observable r3, r4
+block @A:
+  r2 = shl(1, 63)
+  r3 = div(r2, -1)
+  r4 = rem(r2, -1)
+  halt
+}
+)");
+  Memory Before;
+  RunResult Want = interpret(*F, Before, {});
+  SimplifyStats S = simplifyBlock(*F, F->block(0));
+  EXPECT_GE(S.ConstantsFolded, 3u);
+  verifyOrDie(*F, "after simplify");
+  const int64_t Min = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(F->block(0).ops()[1].srcs()[0].getImm(), Min);
+  EXPECT_EQ(F->block(0).ops()[2].srcs()[0].getImm(), 0);
+  Memory After;
+  RunResult Got = interpret(*F, After, {});
+  ASSERT_TRUE(Got.halted());
+  EXPECT_EQ(Got.Observed, Want.Observed);
+  EXPECT_EQ(Got.Observed, (std::vector<int64_t>{Min, 0}));
 }
 
 TEST(SimplifyTest, PropagatesCopies) {

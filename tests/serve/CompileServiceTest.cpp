@@ -231,6 +231,31 @@ TEST(CompileService, VerifierRejectIsIsolated) {
   }
 }
 
+TEST(CompileService, MinDividedByMinusOneIsAnsweredAndTheServiceLives) {
+  // INT64_MIN / -1 and INT64_MIN % -1, both in the profiled run (r1 = -1)
+  // and as a constant fold: the request is answered and the next ping is.
+  CompileService Service;
+  const char *IR = "; reg r1=-1\n"
+                   "func @f {\n"
+                   "  observable r3, r4, r5\n"
+                   "block @A:\n"
+                   "  r2 = shl(1, 63)\n"
+                   "  r3 = div(r2, r1)\n"
+                   "  r4 = rem(r2, r1)\n"
+                   "  r5 = div(r2, -1)\n"
+                   "  halt\n"
+                   "}\n";
+  CompileRequest Req = requestFor(IR, "min");
+  Req.UnrollFactor = 2; // runs Simplify over the region
+  CompileResponse Res = Service.compile(Req);
+  EXPECT_TRUE(Res.ok()) << Res.Status;
+  EXPECT_EQ(Res.Id, "min");
+  CompileRequest Ping;
+  Ping.Kind = RequestKind::Ping;
+  Ping.Id = "p";
+  EXPECT_EQ(Service.compile(Ping).Status, "pong");
+}
+
 TEST(CompileService, PayloadCapRefusesAdmission) {
   ServiceOptions SO;
   SO.MaxIRBytes = 16;

@@ -314,7 +314,7 @@ int runServerMode(const Config &C, const std::string &Text) {
   }
   for (const RegBinding &B : C.InitRegs)
     FP.Program.InitRegs.push_back(B);
-  for (const auto &Cell : C.InitMem.cells())
+  for (const auto &Cell : C.InitMem.sortedCells())
     FP.Program.InitMem.store(Cell.first, Cell.second);
 
   serve::CompileRequest Req;

@@ -109,14 +109,6 @@ CellResult DifferentialRunner::runCell(const KernelProgram &P,
   const MachineDesc &Machine = Machines[MachineIdx];
   CellResult Res;
 
-  // Private deep copy: sessions mutate their program (unrolling, lazy
-  // stage state), and cells of one case may run concurrently.
-  KernelProgram Copy;
-  Copy.Func = P.Func->clone();
-  Copy.InitRegs = P.InitRegs;
-  Copy.InitMem = P.InitMem;
-  Copy.Description = P.Description;
-
   PipelineOptions Opts;
   Opts.CPR = Variant.CPR;
   Opts.UnrollFactor = Variant.UnrollFactor;
@@ -132,7 +124,9 @@ CellResult DifferentialRunner::runCell(const KernelProgram &P,
   // campaign.
   ScopedFatalErrorTrap Trap;
   try {
-    PipelineRun Session(std::move(Copy), Opts);
+    // A private clone: sessions mutate their program, and cells of one
+    // case may run concurrently.
+    PipelineRun Session(P.clone(), Opts);
     const Function &Treated = Session.treated();
     std::vector<std::string> Violations = verifyFunction(Treated);
     if (!Violations.empty()) {

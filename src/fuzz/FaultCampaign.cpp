@@ -33,12 +33,6 @@ namespace {
 std::string runInjection(const KernelProgram &P, const std::string &Site,
                          uint64_t NthHit, const FaultCampaignOptions &Opts,
                          FaultCampaignResult &Res) {
-  KernelProgram Copy;
-  Copy.Func = P.Func->clone();
-  Copy.InitRegs = P.InitRegs;
-  Copy.InitMem = P.InitMem;
-  Copy.Description = P.Description;
-
   PipelineOptions SessionOpts;
   SessionOpts.FailSafe = true;
   // The equivalence re-check is what turns verifier-clean miscompiles
@@ -62,7 +56,7 @@ std::string runInjection(const KernelProgram &P, const std::string &Site,
     // instead of taking the campaign down.
     ScopedFatalErrorTrap Trap;
     try {
-      PipelineRun Session(std::move(Copy), SessionOpts);
+      PipelineRun Session(P.clone(), SessionOpts);
       Status S = Session.tryPrepare();
       DidFire = fault::fired();
       if (!S.ok()) {

@@ -398,18 +398,12 @@ CrossClass crossValidateOnce(const KernelProgram &P,
                              const FuzzVariant &Variant,
                              const LintDriver &Linter,
                              std::string &Detail) {
-  KernelProgram Copy;
-  Copy.Func = P.Func->clone();
-  Copy.InitRegs = P.InitRegs;
-  Copy.InitMem = P.InitMem;
-  Copy.Description = P.Description;
-
   PipelineOptions POpts;
   POpts.CPR = Variant.CPR;
   POpts.UnrollFactor = Variant.UnrollFactor;
   POpts.CheckEquivalence = false; // the non-fatal oracle runs below
   POpts.FailSafe = false;         // rollback would hide what we compare
-  PipelineRun Session(std::move(Copy), POpts);
+  PipelineRun Session(P.clone(), POpts);
   const Function &Treated = Session.treated();
   if (!verifyFunction(Treated).empty())
     return CrossClass::Agree; // runFuzzCampaign's territory, not ours

@@ -343,15 +343,6 @@ KernelProgram cpr::generateProgram(uint64_t Seed, const GeneratorConfig &Cfg) {
 
 namespace {
 
-KernelProgram cloneProgram(const KernelProgram &P) {
-  KernelProgram C;
-  C.Func = P.Func->clone();
-  C.InitRegs = P.InitRegs;
-  C.InitMem = P.InitMem;
-  C.Description = P.Description;
-  return C;
-}
-
 /// Collects (block index, op index) of every non-control operation.
 std::vector<std::pair<size_t, size_t>> nonControlSites(const Function &F) {
   std::vector<std::pair<size_t, size_t>> Sites;
@@ -501,7 +492,7 @@ bool screenMutant(const KernelProgram &P) {
 
 KernelProgram ProgramMutator::mutate(const KernelProgram &P, RNG &Rng) const {
   for (unsigned Attempt = 0; Attempt < 16; ++Attempt) {
-    KernelProgram Candidate = cloneProgram(P);
+    KernelProgram Candidate = P.clone();
     unsigned Mutations = 1 + static_cast<unsigned>(Rng.nextBelow(3));
     bool Applied = false;
     for (unsigned I = 0; I < Mutations; ++I)
@@ -511,5 +502,5 @@ KernelProgram ProgramMutator::mutate(const KernelProgram &P, RNG &Rng) const {
       return Candidate;
     }
   }
-  return cloneProgram(P); // no viable mutation found
+  return P.clone(); // no viable mutation found
 }

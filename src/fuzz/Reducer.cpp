@@ -15,15 +15,6 @@ using namespace cpr;
 
 namespace {
 
-KernelProgram cloneProgram(const KernelProgram &P) {
-  KernelProgram C;
-  C.Func = P.Func->clone();
-  C.InitRegs = P.InitRegs;
-  C.InitMem = P.InitMem;
-  C.Description = P.Description;
-  return C;
-}
-
 /// Shared state of one reduction: the classification oracle, the failure
 /// signature to preserve, and the oracle budget.
 struct ReduceCtx {
@@ -94,7 +85,7 @@ bool blockRemovalPass(KernelProgram &Best, ReduceCtx &Ctx) {
   size_t BI = 0;
   while (Ctx.budgetLeft() && BI < Best.Func->numBlocks() &&
          Best.Func->numBlocks() > 1) {
-    KernelProgram Cand = cloneProgram(Best);
+    KernelProgram Cand = Best.clone();
     Cand.Func->removeBlock(Cand.Func->block(BI).getId());
     if (Ctx.tryReplace(Best, std::move(Cand)))
       Progress = true; // same index now names the next block
@@ -111,7 +102,7 @@ bool opChunkPass(KernelProgram &Best, ReduceCtx &Ctx) {
   while (Ctx.budgetLeft()) {
     size_t Start = 0;
     while (Ctx.budgetLeft() && Start < Best.Func->totalOps()) {
-      KernelProgram Cand = cloneProgram(Best);
+      KernelProgram Cand = Best.clone();
       removeOpRange(*Cand.Func, Start, Chunk);
       if (Ctx.tryReplace(Best, std::move(Cand)))
         Progress = true; // list shifted; retry the same start
@@ -138,7 +129,7 @@ bool immCanonPass(KernelProgram &Best, ReduceCtx &Ctx) {
         const Operand &Src = Best.Func->block(BI).ops()[OI].srcs()[SI];
         if (!Src.isImm() || Src.getImm() == 0)
           continue;
-        KernelProgram Cand = cloneProgram(Best);
+        KernelProgram Cand = Best.clone();
         Cand.Func->block(BI).ops()[OI].srcs()[SI] = Operand::imm(0);
         if (Ctx.tryReplace(Best, std::move(Cand)))
           Progress = true;
@@ -158,7 +149,7 @@ bool inputsPass(KernelProgram &Best, ReduceCtx &Ctx) {
   while (Ctx.budgetLeft() && !Addrs.empty()) {
     size_t Start = 0;
     while (Ctx.budgetLeft() && Start < Addrs.size()) {
-      KernelProgram Cand = cloneProgram(Best);
+      KernelProgram Cand = Best.clone();
       Memory Mem;
       size_t End = std::min(Addrs.size(), Start + Chunk);
       for (size_t I = 0; I < Addrs.size(); ++I)
@@ -179,7 +170,7 @@ bool inputsPass(KernelProgram &Best, ReduceCtx &Ctx) {
   }
   // Register bindings, one at a time (unbound registers read as zero).
   for (size_t I = 0; Ctx.budgetLeft() && I < Best.InitRegs.size();) {
-    KernelProgram Cand = cloneProgram(Best);
+    KernelProgram Cand = Best.clone();
     Cand.InitRegs.erase(Cand.InitRegs.begin() + static_cast<ptrdiff_t>(I));
     if (Ctx.tryReplace(Best, std::move(Cand)))
       Progress = true; // same index now names the next binding
@@ -207,7 +198,7 @@ ReduceResult cpr::reduceCaseWith(const KernelProgram &P,
                                  const CaseOracle &Oracle,
                                  const ReducerOptions &Opts) {
   ReduceResult Res;
-  Res.Reduced = cloneProgram(P);
+  Res.Reduced = P.clone();
   Res.OriginalOps = P.Func->totalOps();
   Res.ReducedOps = Res.OriginalOps;
 

@@ -9,6 +9,8 @@
 #include "support/Error.h"
 #include "support/FaultInjector.h"
 
+#include <algorithm>
+
 using namespace cpr;
 
 ProfileData cpr::profileRun(const Function &F, Memory &Mem,
@@ -53,11 +55,20 @@ Expected<ProfileData> cpr::tryProfileRun(const Function &F, Memory &Mem,
 }
 
 RunState cpr::recordRun(const Function &F, const Memory &InitMem,
-                        const std::vector<RegBinding> &InitRegs) {
+                        const std::vector<RegBinding> &InitRegs,
+                        uint64_t MaxSteps) {
   RunState S;
   S.Mem = InitMem;
-  S.Result = interpret(F, S.Mem, InitRegs);
+  InterpOptions Opts;
+  if (MaxSteps != 0)
+    Opts.MaxSteps = MaxSteps;
+  S.Result = interpret(F, S.Mem, InitRegs, Opts);
   return S;
+}
+
+uint64_t cpr::oracleStepCap(uint64_t SessionMaxSteps) {
+  return SessionMaxSteps != 0 ? std::min(SessionMaxSteps, DefaultMaxSteps)
+                              : DefaultMaxSteps;
 }
 
 bool cpr::matchesOracleRun(const RunResult &R, uint64_t MaxSteps) {
@@ -223,12 +234,15 @@ Status cpr::checkRegionEquivalence(const Function &Baseline,
                                    const Function &Candidate,
                                    const Memory &InitMem,
                                    const std::vector<RegBinding> &InitRegs,
-                                   uint64_t *Runs) {
+                                   uint64_t MaxSteps, uint64_t *Runs) {
   if (fault::shouldFail("interp.oracle"))
     return Status::error(DiagCode::OracleMismatch, "injected fault",
                          "interp.oracle");
+  RunState Fresh = recordRun(Candidate, InitMem, InitRegs, MaxSteps);
+  if (Runs)
+    ++*Runs;
   EquivResult E = checkAgainstBaseline(Baseline, BaselineFinal, Candidate,
-                                       nullptr, InitMem, InitRegs, Runs);
+                                       &Fresh, InitMem, InitRegs, Runs);
   if (!E.Equivalent)
     return Status::error(DiagCode::OracleMismatch,
                          "region equivalence re-check failed [" +

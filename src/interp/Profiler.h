@@ -49,16 +49,25 @@ Expected<ProfileData> tryProfileRun(const Function &F, Memory &Mem,
 /// The final state of one run, as the equivalence oracle compares it. The
 /// oracle runs under DefaultMaxSteps, so a recorded state stands in for
 /// the oracle's own run only if the run ended as it would have there
-/// (recordRun, or matchesOracleRun).
+/// (recordRun at its default cap, or matchesOracleRun). The region oracle
+/// (checkRegionEquivalence) is the exception: it runs each candidate under
+/// the session's cap.
 struct RunState {
   RunResult Result; ///< exit status, steps, observable registers
   Memory Mem;       ///< final memory
 };
 
-/// Runs \p F once from \p InitMem and \p InitRegs under the oracle's step
-/// cap and returns its final state.
+/// Runs \p F once from \p InitMem and \p InitRegs under a step cap of
+/// \p MaxSteps (0 = the oracle's, DefaultMaxSteps) and returns its final
+/// state.
 RunState recordRun(const Function &F, const Memory &InitMem,
-                   const std::vector<RegBinding> &InitRegs);
+                   const std::vector<RegBinding> &InitRegs,
+                   uint64_t MaxSteps = 0);
+
+/// The step cap of the oracle's runs in a session whose runs are capped at
+/// \p SessionMaxSteps (0 = no session cap): the tighter of that and
+/// DefaultMaxSteps.
+uint64_t oracleStepCap(uint64_t SessionMaxSteps);
 
 /// Whether run \p R, made under a step cap of \p MaxSteps (0 = the
 /// interpreter's default), ended exactly as the same run under the
@@ -123,14 +132,15 @@ EquivResult checkAgainstBaseline(const Function &Baseline,
 
 /// The per-region equivalence re-check (CPRContext::RegionOracle,
 /// docs/ROBUSTNESS.md): checkAgainstBaseline of one fresh run of
-/// \p Candidate, as a Status at fault site "interp.oracle". A mismatch is
-/// an OracleMismatch error there.
+/// \p Candidate under a step cap of \p MaxSteps (0 = DefaultMaxSteps), as
+/// a Status at fault site "interp.oracle". A mismatch is an OracleMismatch
+/// error there; so is a candidate the cap stops where the baseline halted.
 Status checkRegionEquivalence(const Function &Baseline,
                               const RunState &BaselineFinal,
                               const Function &Candidate,
                               const Memory &InitMem,
                               const std::vector<RegBinding> &InitRegs,
-                              uint64_t *Runs = nullptr);
+                              uint64_t MaxSteps, uint64_t *Runs = nullptr);
 
 } // namespace cpr
 

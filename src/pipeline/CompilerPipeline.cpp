@@ -51,13 +51,7 @@ std::unique_ptr<Function> cpr::applyControlCPR(const Function &Baseline,
 
 PipelineResult cpr::runPipeline(const KernelProgram &Program,
                                 const PipelineOptions &Opts) {
-  KernelProgram Copy;
-  Copy.Func = Program.Func->clone();
-  Copy.InitRegs = Program.InitRegs;
-  Copy.InitMem = Program.InitMem;
-  Copy.Description = Program.Description;
-
-  PipelineRun Run(std::move(Copy), Opts, Opts.Stats,
+  PipelineRun Run(Program.clone(), Opts, Opts.Stats,
                   Program.Func->getName() + "/");
   if (Opts.Threads == 1)
     return Run.finish();

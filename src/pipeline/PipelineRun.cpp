@@ -305,13 +305,14 @@ const Function &PipelineRun::treated() {
       Ctx.RegionLint = [this, &Linter](const Function &Candidate) -> Status {
         return lintStatus(Linter.run(Candidate, nullptr, &Program.InitRegs));
       };
-    // Each candidate runs once against the baseline's final state.
+    // Each candidate runs once, under the session's step cap, against the
+    // baseline's final state.
     if (Opts.FailSafe && Opts.RegionEquivalence)
       Ctx.RegionOracle = [this, &Base](const Function &Candidate) -> Status {
         uint64_t Runs = 0;
-        Status S = checkRegionEquivalence(Base, baselineFinal(), Candidate,
-                                          Program.InitMem, Program.InitRegs,
-                                          &Runs);
+        Status S = checkRegionEquivalence(
+            Base, baselineFinal(), Candidate, Program.InitMem,
+            Program.InitRegs, oracleStepCap(Opts.InterpMaxSteps), &Runs);
         countRuns(Runs);
         return S;
       };
@@ -366,10 +367,7 @@ const EquivResult &PipelineRun::checkEquivalenceResult() {
     // checkAgainstBaseline runs it again under the oracle's cap.
     std::optional<RunState> TreatedFinal;
     if (!TreatedRun.Done)
-      (void)profileInto(TreatedF,
-                        Opts.InterpMaxSteps != 0
-                            ? std::min(Opts.InterpMaxSteps, DefaultMaxSteps)
-                            : DefaultMaxSteps,
+      (void)profileInto(TreatedF, oracleStepCap(Opts.InterpMaxSteps),
                         "treated", TreatedRun, &TreatedFinal);
     PassTimer T(Stats, Prefix + "equivalence");
     uint64_t Runs = 0;

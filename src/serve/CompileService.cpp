@@ -10,7 +10,6 @@
 #include "ir/Verifier.h"
 #include "pipeline/PipelineRun.h"
 #include "support/Error.h"
-#include "support/Hash.h"
 
 #include <chrono>
 
@@ -30,25 +29,15 @@ Diagnostic requestError(DiagCode Code, std::string Msg, std::string Site) {
 
 } // namespace
 
-std::string serve::requestFingerprint(const CompileRequest &Req,
-                                      uint64_t InterpMaxSteps,
-                                      const Budget &TransformBudget) {
-  Hasher H;
-  H.str(ProtocolName);
-  H.str(Req.IR);
-  H.f64(Req.CPR.ExitWeightThreshold);
-  H.f64(Req.CPR.PredictTakenThreshold);
-  H.u64(Req.CPR.MaxBranchesPerBlock);
-  H.u64(Req.CPR.MinBranchesPerBlock);
-  H.u64(Req.CPR.EnablePredicateSpeculation ? 1 : 0);
-  H.u64(Req.CPR.EnableTakenVariation ? 1 : 0);
-  H.u64(Req.UnrollFactor);
-  H.u64(Req.Lint ? 1 : 0);
-  H.u64(Req.RegionEquivalence ? 1 : 0);
-  H.u64(InterpMaxSteps);
-  H.u64(TransformBudget.MaxSteps);
-  H.f64(TransformBudget.MaxWallMs);
-  return H.hex();
+std::string serve::requestKey(const CompileRequest &Req,
+                              uint64_t InterpMaxSteps,
+                              const Budget &TransformBudget) {
+  CompileRequest Key = Req;
+  Key.Id.clear();
+  Key.DeadlineMs = 0.0;
+  Key.InterpMaxSteps = InterpMaxSteps;
+  Key.TransformBudget = TransformBudget;
+  return encodeRequest(Key);
 }
 
 CompileService::CompileService(ServiceOptions Opts)
@@ -96,7 +85,7 @@ CompileResponse CompileService::compile(const CompileRequest &Req,
   }
 
   // Admission: resolve the request budgets against the service defaults
-  // and ceilings. The resolved values feed the fingerprint -- two
+  // and ceilings. The resolved values enter the cache key -- two
   // requests clamped to the same effective budgets share a cache entry.
   uint64_t InterpSteps = Req.InterpMaxSteps != 0 ? Req.InterpMaxSteps
                                                  : Opts.DefaultInterpMaxSteps;
@@ -110,16 +99,16 @@ CompileResponse CompileService::compile(const CompileRequest &Req,
     TB.MaxSteps = Opts.MaxTransformSteps;
 
   // Anchor the request's relative deadline to this host's steady clock.
-  // It deliberately does NOT enter the fingerprint: it is wall-clock
+  // It deliberately does NOT enter the cache key: it is wall-clock
   // dependent, a compile it truncates carries a diagnostic and is never
   // cached, and a hit does no work it could bound.
   Deadline DL = Req.DeadlineMs > 0.0 ? Deadline::afterMs(Req.DeadlineMs)
                                      : Deadline::never();
 
-  // The whole response is cached under the request fingerprint. A miss
-  // hands this request the key's in-flight claim, which every exit below
+  // The whole response is cached under the request itself. A miss hands
+  // this request the key's in-flight claim, which every exit below
   // commits or abandons.
-  std::string Key = requestFingerprint(Req, InterpSteps, TB);
+  std::string Key = requestKey(Req, InterpSteps, TB);
   if (std::optional<CompileResponse> Hit = Cache.lookup(Key)) {
     Res = std::move(*Hit);
     Res.Id = Req.Id;

@@ -21,8 +21,8 @@
 ///    cannot monopolize a worker;
 ///
 ///  - *whole-response caching*: all requests share one RegionCache keyed
-///    by requestFingerprint, which covers the program text, inputs,
-///    options and resolved budgets. A clean response (status ok, no
+///    by requestKey, the request frame with its budgets resolved: program
+///    text, inputs and every option. A clean response (status ok, no
 ///    diagnostic, no fallback) is stored whole, and an equal request is
 ///    answered from it without parsing or compiling, byte-identically.
 ///
@@ -62,14 +62,15 @@ struct ServiceOptions {
   size_t MaxIRBytes = 4u << 20;
 };
 
-/// The request fingerprint, the response cache's key: a stable hash over
-/// the protocol version, the program text (including its input
-/// directives), every CPR/pipeline option, and the *resolved* budgets
-/// (after service defaults and admission clamps). The id and the
-/// deadline stay out of it. Exposed for tests.
-std::string requestFingerprint(const CompileRequest &Req,
-                               uint64_t InterpMaxSteps,
-                               const Budget &TransformBudget);
+/// The response cache's key: the encodeRequest frame of \p Req with the
+/// id cleared, no deadline, and the *resolved* budgets (after service
+/// defaults and admission clamps) in place of the requested ones. So it
+/// holds the program text, its input directives and every wire option as
+/// the protocol encodes them, and two requests share an entry only if
+/// they are equal in everything that reaches the pipeline. Exposed for
+/// tests.
+std::string requestKey(const CompileRequest &Req, uint64_t InterpMaxSteps,
+                       const Budget &TransformBudget);
 
 /// Transport-independent compile service; one instance per daemon.
 class CompileService {

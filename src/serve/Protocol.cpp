@@ -8,6 +8,9 @@
 
 #include "support/JSON.h"
 
+#include <cmath>
+#include <limits>
+
 using namespace cpr;
 using namespace cpr::serve;
 
@@ -56,6 +59,26 @@ bool wantNumber(const JSONValue &V, const std::string &Key, double &Out,
   return true;
 }
 
+/// An unsigned integer field: a whole number that fits \p T. A negative,
+/// fractional or too-large value is rejected, where a cast would wrap,
+/// truncate or be undefined.
+template <typename T>
+bool wantUnsigned(const JSONValue &V, const std::string &Key, T &Out,
+                  std::string &Err) {
+  double N = 0.0;
+  if (!wantNumber(V, Key, N, Err))
+    return false;
+  // 2^digits is exact as a double, and every double below it fits T.
+  const double Limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(N >= 0.0 && N < Limit && N == std::floor(N))) {
+    Err = "field \"" + Key + "\" must be an integer in [0, " +
+          std::to_string(std::numeric_limits<T>::max()) + "]";
+    return false;
+  }
+  Out = static_cast<T>(N);
+  return true;
+}
+
 bool wantBool(const JSONValue &V, const std::string &Key, bool &Out,
               std::string &Err) {
   if (V.kind() != JSONValue::Kind::Bool) {
@@ -69,24 +92,15 @@ bool wantBool(const JSONValue &V, const std::string &Key, bool &Out,
 /// Applies one "options" member; unknown keys are an error.
 bool applyOption(const std::string &Key, const JSONValue &V,
                  CompileRequest &Req, std::string &Err) {
-  double N = 0.0;
   bool B = false;
   if (Key == "exit_weight")
     return wantNumber(V, Key, Req.CPR.ExitWeightThreshold, Err);
   if (Key == "predict_taken")
     return wantNumber(V, Key, Req.CPR.PredictTakenThreshold, Err);
-  if (Key == "max_branches") {
-    if (!wantNumber(V, Key, N, Err))
-      return false;
-    Req.CPR.MaxBranchesPerBlock = static_cast<unsigned>(N);
-    return true;
-  }
-  if (Key == "min_branches") {
-    if (!wantNumber(V, Key, N, Err))
-      return false;
-    Req.CPR.MinBranchesPerBlock = static_cast<unsigned>(N);
-    return true;
-  }
+  if (Key == "max_branches")
+    return wantUnsigned(V, Key, Req.CPR.MaxBranchesPerBlock, Err);
+  if (Key == "min_branches")
+    return wantUnsigned(V, Key, Req.CPR.MinBranchesPerBlock, Err);
   if (Key == "speculation") {
     if (!wantBool(V, Key, B, Err))
       return false;
@@ -99,28 +113,16 @@ bool applyOption(const std::string &Key, const JSONValue &V,
     Req.CPR.EnableTakenVariation = B;
     return true;
   }
-  if (Key == "unroll") {
-    if (!wantNumber(V, Key, N, Err))
-      return false;
-    Req.UnrollFactor = static_cast<unsigned>(N);
-    return true;
-  }
+  if (Key == "unroll")
+    return wantUnsigned(V, Key, Req.UnrollFactor, Err);
   if (Key == "lint")
     return wantBool(V, Key, Req.Lint, Err);
   if (Key == "region_equivalence")
     return wantBool(V, Key, Req.RegionEquivalence, Err);
-  if (Key == "interp_max_steps") {
-    if (!wantNumber(V, Key, N, Err))
-      return false;
-    Req.InterpMaxSteps = static_cast<uint64_t>(N);
-    return true;
-  }
-  if (Key == "budget_steps") {
-    if (!wantNumber(V, Key, N, Err))
-      return false;
-    Req.TransformBudget.MaxSteps = static_cast<uint64_t>(N);
-    return true;
-  }
+  if (Key == "interp_max_steps")
+    return wantUnsigned(V, Key, Req.InterpMaxSteps, Err);
+  if (Key == "budget_steps")
+    return wantUnsigned(V, Key, Req.TransformBudget.MaxSteps, Err);
   if (Key == "budget_wall_ms")
     return wantNumber(V, Key, Req.TransformBudget.MaxWallMs, Err);
   if (Key == "deadline_ms")

@@ -25,10 +25,11 @@
 /// Requests cross a trust boundary, so decoding is strict: the JSON
 /// parser already rejects duplicate keys and unterminated strings
 /// (support/JSON.h), and decodeRequest() additionally rejects unknown
-/// fields and wrong types -- every failure is a recoverable Diagnostic,
-/// never a fatal error. Response decoding is deliberately lenient about
-/// unknown fields so newer daemons can extend frames without breaking
-/// older clients.
+/// fields, wrong types and integer options that do not fit their field
+/// (negative, fractional or too large) -- every failure is a recoverable
+/// Diagnostic, never a fatal error. Response decoding is deliberately
+/// lenient about unknown fields so newer daemons can extend frames
+/// without breaking older clients.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,7 +77,7 @@ struct CompileRequest {
   /// *service* decodes the frame (never an absolute time -- clocks don't
   /// cross the wire); 0 means none. An expiring request degrades like
   /// budget exhaustion: fail-safe fallback plus a `deadline-exceeded`
-  /// diagnostic. Deliberately excluded from the cache fingerprint -- it
+  /// diagnostic. Deliberately excluded from the cache key -- it
   /// is wall-clock-dependent, a compile it truncates carries a diagnostic
   /// and is never cached, and a cache hit does no work it could bound.
   double DeadlineMs = 0.0;

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The compile service's whole-response cache: a thread-safe LRU of clean
-/// CompileResponses keyed by the request fingerprint
-/// (serve::requestFingerprint), with a configurable memory budget.
+/// CompileResponses keyed by the request (serve::requestKey), with a
+/// configurable memory budget.
 ///
 /// lookup() either returns a recorded response (a hit) or returns nullopt
 /// and hands the caller an *in-flight claim* on the key: the caller now

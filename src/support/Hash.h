@@ -5,13 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small stable (cross-run, cross-platform) content hasher used to build
-/// the compile service's response-cache key, serve::requestFingerprint
-/// (docs/SERVICE.md): 64-bit FNV-1a over a byte stream, with convenience
-/// feeders for strings and integers and a fixed-width hex digest. Not
-/// cryptographic: the cache treats equal digests as equal requests, which
-/// holds for accidental collisions (about n^2 / 2^65 for n entries) but
-/// not against a client that crafts one.
+/// A small stable (cross-run, cross-platform) content hasher for
+/// determinism digests, such as the golden tests' and the benchmark's
+/// records of what a run produced: 64-bit FNV-1a over a byte stream, with
+/// convenience feeders for strings and integers and a fixed-width hex
+/// digest. Not cryptographic: a client can craft a collision, so nothing
+/// that serves untrusted input may treat equal digests as equal inputs.
+/// The compile service's response cache keys on the whole request
+/// (serve::requestKey, docs/SERVICE.md) for that reason.
 ///
 /// Determinism contract: the digest is a pure function of the fed bytes;
 /// integer feeders serialize little-endian with a fixed width so the same

@@ -37,7 +37,16 @@ namespace {
 
 void escapeInto(std::string &Out, const std::string &S) {
   Out += '"';
-  for (char C : S) {
+  // Characters that need no escape are appended a run at a time: request
+  // and response frames carry whole programs, and the compile service
+  // encodes one per request for its cache key.
+  size_t Run = 0;
+  for (size_t I = 0, E = S.size(); I != E; ++I) {
+    char C = S[I];
+    if (static_cast<unsigned char>(C) >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(S, Run, I - Run);
+    Run = I + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -54,16 +63,14 @@ void escapeInto(std::string &Out, const std::string &S) {
     case '\r':
       Out += "\\r";
       break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
+    default: {
+      char Buf[8];
+      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+      Out += Buf;
+    }
     }
   }
+  Out.append(S, Run, std::string::npos);
   Out += '"';
 }
 

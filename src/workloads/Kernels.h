@@ -37,6 +37,12 @@ struct KernelProgram {
   std::vector<RegBinding> InitRegs;
   Memory InitMem;
   std::string Description;
+
+  /// A deep copy, with its own clone of the function. Sessions mutate
+  /// their program, so each one that shares a source takes a clone.
+  KernelProgram clone() const {
+    return {Func->clone(), InitRegs, InitMem, Description};
+  }
 };
 
 /// The paper's strcpy example: a while-loop copy of a NUL-terminated

@@ -276,7 +276,7 @@ TEST(RegionTransactionTest, RecordedBaselineOracleRollsBackTheSameRegions) {
         Ctx.RegionOracle = [&](const Function &Cand) -> Status {
           if (Recorded)
             return checkRegionEquivalence(*P.Func, Final, Cand, P.InitMem,
-                                          P.InitRegs, &O.Runs);
+                                          P.InitRegs, 0, &O.Runs);
           EquivResult E =
               checkEquivalence(*P.Func, Cand, P.InitMem, P.InitRegs);
           O.Runs += 2;

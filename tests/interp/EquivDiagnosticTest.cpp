@@ -272,10 +272,10 @@ TEST(RecordedOracleTest, RegionCheckReportsAtTheOracleFaultSite) {
   std::unique_ptr<Function> B = parseFunctionOrDie(SrcB);
   RunState SA = recordRun(*A, Memory(), {});
 
-  Status Same = checkRegionEquivalence(*A, SA, *A, Memory(), {});
+  Status Same = checkRegionEquivalence(*A, SA, *A, Memory(), {}, 0);
   EXPECT_TRUE(Same.ok());
 
-  Status Diff = checkRegionEquivalence(*A, SA, *B, Memory(), {});
+  Status Diff = checkRegionEquivalence(*A, SA, *B, Memory(), {}, 0);
   ASSERT_FALSE(Diff.ok());
   EXPECT_EQ(Diff.diagnostic().Code, DiagCode::OracleMismatch);
   EXPECT_EQ(Diff.diagnostic().Site, "interp.oracle");
@@ -284,10 +284,33 @@ TEST(RecordedOracleTest, RegionCheckReportsAtTheOracleFaultSite) {
                 checkEquivalence(*A, *B, Memory(), {}).Detail);
 
   fault::ScopedFault Armed("interp.oracle", 1);
-  Status Injected = checkRegionEquivalence(*A, SA, *A, Memory(), {});
+  Status Injected = checkRegionEquivalence(*A, SA, *A, Memory(), {}, 0);
   ASSERT_FALSE(Injected.ok());
   EXPECT_EQ(Injected.diagnostic().Message, "injected fault");
   EXPECT_EQ(Injected.diagnostic().Site, "interp.oracle");
+}
+
+TEST(RecordedOracleTest, RegionCheckRunsTheCandidateUnderItsStepCap) {
+  // A candidate that loops where the baseline halts is stopped by the
+  // session's cap, not run on to the oracle's own, and its region fails
+  // the re-check on the exit path.
+  std::unique_ptr<Function> Halts =
+      parseFunctionOrDie("func @f {\nblock @A:\n  halt\n}\n");
+  std::unique_ptr<Function> Loops = parseFunctionOrDie(
+      "func @f {\nblock @Loop:\n  b1 = pbr(@Loop)\n  branch(T, b1)\n}\n");
+  RunState Base = recordRun(*Halts, Memory(), {});
+  uint64_t Runs = 0;
+  Status S =
+      checkRegionEquivalence(*Halts, Base, *Loops, Memory(), {}, 1000, &Runs);
+  ASSERT_FALSE(S.ok());
+  EXPECT_EQ(S.diagnostic().Code, DiagCode::OracleMismatch);
+  EXPECT_NE(S.diagnostic().Message.find("hit the step limit after 1000 steps"),
+            std::string::npos)
+      << S.diagnostic().Message;
+  EXPECT_EQ(Runs, 1u);
+  EXPECT_EQ(oracleStepCap(1000), 1000u);
+  EXPECT_EQ(oracleStepCap(0), DefaultMaxSteps);
+  EXPECT_EQ(oracleStepCap(DefaultMaxSteps + 1), DefaultMaxSteps);
 }
 
 } // namespace

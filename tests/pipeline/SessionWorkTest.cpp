@@ -14,7 +14,8 @@
 //    fail-safe sessions, with an injected treated function, an injected
 //    baseline profile and a budget the treated run exceeds.
 //  - SessionWork: the "interp/runs", "estimate/depgraphs_built" and
-//    "sim/replays" counters.
+//    "sim/replays" counters, and the step cap the region oracle's runs
+//    are held to.
 //  - PipelineSharedGraphs: finish() on eight threads reads one graph set
 //    per side concurrently and matches the serial session.
 //  - PipelineSharedReplays: finish() on eight threads races for each
@@ -39,15 +40,6 @@
 using namespace cpr;
 
 namespace {
-
-KernelProgram copyProgram(const KernelProgram &P) {
-  KernelProgram C;
-  C.Func = P.Func->clone();
-  C.InitRegs = P.InitRegs;
-  C.InitMem = P.InitMem;
-  C.Description = P.Description;
-  return C;
-}
 
 size_t nonEmptyBlocks(const Function &F) {
   size_t N = 0;
@@ -125,10 +117,10 @@ void checkParity(const KernelProgram &P, Mode M, ParityTally &T) {
   Opts.Simulate = M == Mode::FailSafe;
   if (M == Mode::Budget)
     Opts.InterpMaxSteps = 5; // below every treated run: no recorded state
-  PipelineRun Run(copyProgram(P), Opts);
+  PipelineRun Run(P.clone(), Opts);
   if (M == Mode::InjectedTreated) {
     // Another session's output, injected: the session runs no transform.
-    PipelineRun Source(copyProgram(P));
+    PipelineRun Source(P.clone());
     Run.setTreated(Source.treated().clone());
   }
   if (M == Mode::InjectedProfile) {
@@ -339,6 +331,43 @@ TEST(SessionWork, NonHaltingTreatedRunIsInterpretedOnce) {
           << E.Detail;
     }
   }
+}
+
+TEST(SessionWork, RegionOracleRunsCandidatesUnderTheSessionStepCap) {
+  // Generator program 7's treated code takes a few more steps than its
+  // baseline. Capped at exactly the baseline's steps, the session's
+  // region oracle must stop each candidate there, not at the oracle's own
+  // DefaultMaxSteps, so a region that adds steps rolls back.
+  KernelProgram P = generateProgram(7, GeneratorConfig());
+  Memory BaseMem = P.InitMem;
+  RunResult Base = interpret(*P.Func, BaseMem, P.InitRegs);
+  ASSERT_TRUE(Base.halted());
+  {
+    PipelineRun Uncapped(P.clone());
+    Memory Mem = P.InitMem;
+    RunResult Treated = interpret(Uncapped.treated(), Mem, P.InitRegs);
+    ASSERT_TRUE(Treated.halted());
+    ASSERT_GT(Treated.Steps, Base.Steps) << "the premise of this test";
+  }
+
+  DiagnosticEngine Diags;
+  PipelineOptions Opts;
+  Opts.Machines.clear();
+  Opts.CheckEquivalence = false;
+  Opts.FailSafe = true;
+  Opts.RegionEquivalence = true;
+  Opts.InterpMaxSteps = Base.Steps;
+  Opts.Diags = &Diags;
+  PipelineRun Run(P.clone(), Opts);
+  ASSERT_TRUE(Run.tryPrepare().ok());
+  EXPECT_FALSE(Run.fellBack());
+  EXPECT_GT(Run.cprResult().BlocksRolledBack, 0u);
+  const std::string Want =
+      "hit the step limit after " + std::to_string(Base.Steps) + " steps";
+  size_t Found = 0;
+  for (const Diagnostic &D : Diags.diagnostics())
+    Found += D.Message.find(Want) != std::string::npos;
+  EXPECT_GT(Found, 0u) << Want;
 }
 
 /// The benchmark's sim sessions: tage-sc-l on fetch4.btb64x4, strict.

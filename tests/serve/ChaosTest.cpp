@@ -13,12 +13,16 @@
 //   - misbehavior is billed to the connection that misbehaved, never to
 //     the daemon or to other clients.
 //
-// The larger seeded campaign (>= 500 requests, byte-identity against a
-// cold single-threaded service) lives in `cpr-bench-serve --chaos`.
+// The last case is the seeded campaign: 200 logical requests from four
+// concurrent clients against a periodically faulted daemon, every `ok`
+// answer audited byte for byte against a cold single-threaded service.
+// Its size and seed are fixed here; the tier-1 run and the ASan and TSan
+// CI jobs (their `Chaos` filters) all run it.
 //
 //===----------------------------------------------------------------------===//
 
 #include "serve/Client.h"
+#include "serve/CompileService.h"
 #include "serve/Protocol.h"
 #include "serve/Server.h"
 
@@ -26,9 +30,11 @@
 #include "fuzz/Generator.h"
 #include "support/FaultInjector.h"
 #include "support/Framing.h"
+#include "support/RNG.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -573,6 +579,238 @@ TEST(Chaos, MiniCampaignEveryAcceptedRequestGetsExactlyOneResponse) {
   EXPECT_EQ(Failures.load(), 0u);
   EXPECT_GE(D.daemon().stats().Accepted, Clients * (PerClient - 3u));
   D.expectAlive();
+}
+
+/// The seeded campaign's tallies, shared by its client threads.
+struct CampaignCounters {
+  std::atomic<size_t> Issued{0};           ///< logical requests
+  std::atomic<size_t> Answered{0};         ///< answered exactly once
+  std::atomic<size_t> Reissues{0};         ///< extra attempts after drops
+  std::atomic<size_t> Busy{0};             ///< busy refusals absorbed
+  std::atomic<size_t> InjectedErrors{0};   ///< id-less error frames seen
+  std::atomic<size_t> Disconnects{0};      ///< deliberate mid-compile closes
+  std::atomic<size_t> IdentityFailures{0}; ///< ok answers unlike the cold one
+  std::atomic<size_t> ContractFailures{0}; ///< any other broken invariant
+};
+
+/// An ok frame as the cold reference service labels it: per-request
+/// cache counts legitimately differ between a cold and a warmed daemon;
+/// everything else must match byte for byte.
+std::string canonicalFrame(CompileResponse Res) {
+  Res.Id = "ref";
+  Res.CacheHits = Res.CacheMisses = 0;
+  return encodeResponse(Res);
+}
+
+/// One logical request of the campaign, retried until answered: injected
+/// write faults drop the connection (reconnect and reissue), injected
+/// admission faults and real capacity answer busy (back off by the hint,
+/// then reissue), and injected decode faults answer an id-less parse
+/// error (reissue). False when the attempts run out or a response frame
+/// does not parse.
+bool campaignCall(const std::string &Path, const std::string &Frame,
+                  bool TearWrites, RNG &R, CampaignCounters &K,
+                  CompileResponse &Out) {
+  for (unsigned Attempt = 0; Attempt < 64; ++Attempt) {
+    if (Attempt > 0)
+      K.Reissues.fetch_add(1);
+    RawClient Conn(Path);
+    if (!Conn.connected()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      continue;
+    }
+    bool Sent;
+    if (TearWrites && Frame.size() > 2) {
+      size_t Cut = 1 + static_cast<size_t>(
+                           R.nextDouble() *
+                           static_cast<double>(Frame.size() - 2));
+      Sent = Conn.send(Frame.substr(0, Cut)) && Conn.send(Frame.substr(Cut));
+    } else {
+      Sent = Conn.send(Frame);
+    }
+    std::string Line;
+    if (!Sent || !Conn.readFrame(Line))
+      continue; // a daemon-side drop beat the send or lost the response
+    Expected<CompileResponse> Res = decodeResponse(Line);
+    if (!Res)
+      return false;
+    if (Res->Status == "busy") {
+      K.Busy.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+          std::min(extraValue(*Res, "retry_after_ms", 1.0), 20.0)));
+      continue;
+    }
+    if (Res->Status == "error" && Res->Id.empty()) {
+      // The injected decode fault: per-frame, not connection-fatal.
+      K.InjectedErrors.fetch_add(1);
+      continue;
+    }
+    Out = std::move(*Res);
+    return true;
+  }
+  return false;
+}
+
+TEST(Chaos, SeededCampaignAnswersEveryRequestOnceAndByteIdentically) {
+  constexpr size_t Requests = 200;
+  constexpr uint64_t Seed = 5;
+  constexpr unsigned ClientCount = 4;
+
+  // Five unique programs, each with its reference frame from a cold
+  // single-threaded service.
+  std::vector<std::string> Programs;
+  for (uint64_t I = 0; I < 5; ++I)
+    Programs.push_back(testProgram(Seed + I));
+  auto MakeRequest = [&](size_t U, std::string Id) {
+    CompileRequest Req;
+    Req.Id = std::move(Id);
+    Req.IR = Programs[U];
+    return Req;
+  };
+  CompileService Reference;
+  std::vector<std::string> RefFrames;
+  for (size_t U = 0; U < Programs.size(); ++U)
+    RefFrames.push_back(
+        canonicalFrame(Reference.compile(MakeRequest(U, "ref"))));
+
+  ServerOptions SO;
+  SO.Threads = 4;
+  SO.MaxQueue = 32;
+  SO.MaxPipeline = 8;
+  SO.WriteTimeoutMs = 5000.0;
+  DaemonFixture D(SO);
+  const std::string &Path = D.path();
+
+  const char *FaultSites[] = {"serve.frame.decode", "serve.dispatch.enqueue",
+                              "serve.cache.insert", "serve.socket.write"};
+  CampaignCounters K;
+  std::atomic<size_t> NextReq{0};
+  std::vector<std::thread> Clients;
+  for (unsigned T = 0; T < ClientCount; ++T)
+    Clients.emplace_back([&, T] {
+      RNG R(Seed * 7919 + T);
+      for (;;) {
+        size_t N = NextReq.fetch_add(1);
+        if (N >= Requests)
+          return;
+        // Re-arm a serve-layer fault every seventh request, so the abuse
+        // lands on a faulted daemon. One site is armed at a time; races
+        // between clients only change which request absorbs the fault.
+        if (N % 7 == 0)
+          fault::arm(FaultSites[(N / 7) % 4], 1 + N % 3);
+        K.Issued.fetch_add(1);
+        std::string Id = "q" + std::to_string(N);
+        size_t U = N % Programs.size();
+        CompileResponse Res;
+        double Dice = R.nextDouble();
+        if (Dice < 0.60) {
+          // A good compile, torn writes half the time; audited against
+          // the cold reference.
+          bool Tear = R.nextDouble() < 0.5;
+          if (!campaignCall(Path, encodeRequest(MakeRequest(U, Id)) + "\n",
+                            Tear, R, K, Res)) {
+            K.ContractFailures.fetch_add(1);
+            continue;
+          }
+          K.Answered.fetch_add(1);
+          if (Res.Status != "ok" || canonicalFrame(Res) != RefFrames[U])
+            K.IdentityFailures.fetch_add(1);
+        } else if (Dice < 0.70) {
+          CompileRequest Ping;
+          Ping.Kind = RequestKind::Ping;
+          Ping.Id = Id;
+          if (campaignCall(Path, encodeRequest(Ping) + "\n", false, R, K,
+                           Res) &&
+              Res.Status == "pong")
+            K.Answered.fetch_add(1);
+          else
+            K.ContractFailures.fetch_add(1);
+        } else if (Dice < 0.80) {
+          // A malformed frame is owed exactly one id-less parse error.
+          RawClient Conn(Path);
+          std::string Line;
+          if (Conn.connected() && Conn.send("{torn garbage " + Id + "\n") &&
+              Conn.readFrame(Line)) {
+            Expected<CompileResponse> Err = decodeResponse(Line);
+            if (Err && Err->Status == "error")
+              K.Answered.fetch_add(1);
+            else
+              K.ContractFailures.fetch_add(1);
+          } else {
+            // An injected write fault may drop the connection first; a
+            // lost error frame for garbage breaks nothing.
+            K.Answered.fetch_add(1);
+          }
+        } else if (Dice < 0.90) {
+          // Vanish mid-compile: no response is owed, and the daemon must
+          // bill the drop to this connection and keep serving.
+          RawClient Conn(Path);
+          if (Conn.connected())
+            Conn.sendFrame(MakeRequest(U, Id));
+          Conn.hardClose();
+          K.Disconnects.fetch_add(1);
+          K.Answered.fetch_add(1);
+        } else {
+          // An expired deadline degrades fail-safe, never hangs.
+          CompileRequest Req = MakeRequest(U, Id);
+          Req.DeadlineMs = 0.01;
+          if (!campaignCall(Path, encodeRequest(Req) + "\n", false, R, K,
+                            Res)) {
+            K.ContractFailures.fetch_add(1);
+            continue;
+          }
+          K.Answered.fetch_add(1);
+          if (Res.CacheHits > 0) {
+            // The cache answered: no work a deadline could bound, so the
+            // answer is audited like any other ok response.
+            if (Res.Status != "ok" || canonicalFrame(Res) != RefFrames[U])
+              K.IdentityFailures.fetch_add(1);
+          } else if (Res.Status != "ok" || !Res.FellBack ||
+                     !hasDiagCode(Res, "deadline-exceeded")) {
+            K.ContractFailures.fetch_add(1);
+          }
+        }
+      }
+    });
+  for (std::thread &T : Clients)
+    T.join();
+  fault::disarm();
+
+  // The daemon survived the abuse iff it still answers.
+  RNG R(1);
+  CampaignCounters AfterCampaign;
+  CompileRequest Ping;
+  Ping.Kind = RequestKind::Ping;
+  Ping.Id = "after-campaign";
+  CompileResponse Pong;
+  ASSERT_TRUE(campaignCall(Path, encodeRequest(Ping) + "\n", false, R,
+                           AfterCampaign, Pong));
+  EXPECT_EQ(Pong.Status, "pong");
+
+  // A vanished client's response write fails when its compile finishes,
+  // which may be after every other client is done.
+  uint64_t Dropped = D.daemon().stats().Dropped;
+  for (int I = 0; I < 250 && K.Disconnects.load() > 0 && Dropped == 0; ++I) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    Dropped = D.daemon().stats().Dropped;
+  }
+
+  EXPECT_EQ(K.Issued.load(), Requests);
+  EXPECT_EQ(K.Answered.load(), K.Issued.load());
+  EXPECT_EQ(K.IdentityFailures.load(), 0u);
+  EXPECT_EQ(K.ContractFailures.load(), 0u);
+  if (K.Disconnects.load() > 0) {
+    EXPECT_GT(Dropped, 0u) << K.Disconnects.load() << " disconnect(s)";
+  }
+  ServerStats S = D.daemon().stats();
+  std::printf("chaos campaign: %zu request(s), %zu answered, %zu reissue(s), "
+              "%zu busy, %zu injected error(s), %zu disconnect(s); daemon "
+              "accepted %llu, shed %llu, dropped %llu\n",
+              K.Issued.load(), K.Answered.load(), K.Reissues.load(),
+              K.Busy.load(), K.InjectedErrors.load(), K.Disconnects.load(),
+              static_cast<unsigned long long>(S.Accepted),
+              static_cast<unsigned long long>(S.Shed),
+              static_cast<unsigned long long>(S.Dropped));
 }
 
 } // namespace

@@ -268,15 +268,15 @@ TEST(CompileService, PayloadCapRefusesAdmission) {
   EXPECT_EQ(Res.Diagnostics[0].Site, "cprd.admission");
 }
 
-/// The fingerprint is the response cache's only key, so every request
-/// field that reaches the pipeline must change it, and the id and the
-/// deadline must not.
+/// requestKey is the response cache's only key, so every request field
+/// that reaches the pipeline must change it, and the id and the deadline
+/// must not.
 TEST(CompileService, FingerprintSeparatesOptionsAndBudgets) {
   CompileRequest A = requestFor("func @f {}", "a");
   Budget Resolved;
   Resolved.MaxSteps = 100;
-  const std::string Base = requestFingerprint(A, 1000, Resolved);
-  EXPECT_EQ(requestFingerprint(A, 1000, Resolved), Base);
+  const std::string Base = requestKey(A, 1000, Resolved);
+  EXPECT_EQ(requestKey(A, 1000, Resolved), Base);
 
   std::vector<std::pair<const char *, std::function<void(CompileRequest &)>>>
       Changes = {
@@ -308,17 +308,17 @@ TEST(CompileService, FingerprintSeparatesOptionsAndBudgets) {
   for (const auto &[Field, Change] : Changes) {
     CompileRequest B = A;
     Change(B);
-    EXPECT_NE(requestFingerprint(B, 1000, Resolved), Base) << Field;
+    EXPECT_NE(requestKey(B, 1000, Resolved), Base) << Field;
   }
 
   // The resolved budgets: interpreter steps, transform steps and wall ms.
-  EXPECT_NE(requestFingerprint(A, 2000, Resolved), Base) << "interp steps";
+  EXPECT_NE(requestKey(A, 2000, Resolved), Base) << "interp steps";
   Budget Other = Resolved;
   Other.MaxSteps = 101;
-  EXPECT_NE(requestFingerprint(A, 1000, Other), Base) << "budget_steps";
+  EXPECT_NE(requestKey(A, 1000, Other), Base) << "budget_steps";
   Other = Resolved;
   Other.MaxWallMs = 5.0;
-  EXPECT_NE(requestFingerprint(A, 1000, Other), Base) << "budget_wall_ms";
+  EXPECT_NE(requestKey(A, 1000, Other), Base) << "budget_wall_ms";
 
   // Neither the correlation id nor the deadline reaches the pipeline's
   // output, so equal requests under different ids and deadlines share
@@ -326,7 +326,50 @@ TEST(CompileService, FingerprintSeparatesOptionsAndBudgets) {
   CompileRequest B = A;
   B.Id = "other";
   B.DeadlineMs = 250.0;
-  EXPECT_EQ(requestFingerprint(B, 1000, Resolved), Base);
+  EXPECT_EQ(requestKey(B, 1000, Resolved), Base);
+}
+
+/// The key is the request itself, not a digest of it: it decodes to the
+/// program and options as sent, with the resolved budgets, so two
+/// requests can share a cache entry only by being equal.
+TEST(CompileService, KeyDecodesToTheRequestWithResolvedBudgets) {
+  CompileRequest Req =
+      requestFor(serializeFuzzProgram(buildWcKernel(4, 64, 4)), "id-7");
+  Req.CPR.ExitWeightThreshold = 0.375;
+  Req.CPR.PredictTakenThreshold = 0.625;
+  Req.CPR.MaxBranchesPerBlock = 5;
+  Req.CPR.MinBranchesPerBlock = 3;
+  Req.CPR.EnablePredicateSpeculation = false;
+  Req.CPR.EnableTakenVariation = false;
+  Req.UnrollFactor = 2;
+  Req.Lint = true;
+  Req.RegionEquivalence = true;
+  Req.InterpMaxSteps = 999;      // as requested, before admission
+  Req.TransformBudget.MaxSteps = 7;
+  Req.DeadlineMs = 250.0;
+  Budget Resolved;
+  Resolved.MaxSteps = 40;
+  Resolved.MaxWallMs = 12.5;
+
+  Expected<CompileRequest> Back =
+      decodeRequest(requestKey(Req, 123456, Resolved));
+  ASSERT_TRUE(Back.ok()) << Back.diagnostic().str();
+  EXPECT_EQ(Back->Kind, RequestKind::Compile);
+  EXPECT_EQ(Back->Id, "");
+  EXPECT_EQ(Back->IR, Req.IR);
+  EXPECT_EQ(Back->CPR.ExitWeightThreshold, 0.375);
+  EXPECT_EQ(Back->CPR.PredictTakenThreshold, 0.625);
+  EXPECT_EQ(Back->CPR.MaxBranchesPerBlock, 5u);
+  EXPECT_EQ(Back->CPR.MinBranchesPerBlock, 3u);
+  EXPECT_FALSE(Back->CPR.EnablePredicateSpeculation);
+  EXPECT_FALSE(Back->CPR.EnableTakenVariation);
+  EXPECT_EQ(Back->UnrollFactor, 2u);
+  EXPECT_TRUE(Back->Lint);
+  EXPECT_TRUE(Back->RegionEquivalence);
+  EXPECT_EQ(Back->InterpMaxSteps, 123456u);
+  EXPECT_EQ(Back->TransformBudget.MaxSteps, 40u);
+  EXPECT_EQ(Back->TransformBudget.MaxWallMs, 12.5);
+  EXPECT_EQ(Back->DeadlineMs, 0.0);
 }
 
 /// Concurrent identical requests: coalescing makes the cache-wide

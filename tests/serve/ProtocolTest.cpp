@@ -3,8 +3,9 @@
 // Part of the control-cpr project (PLDI 1999 Control CPR reproduction).
 //
 // Requests cross a trust boundary: decodeRequest must reject malformed
-// JSON, duplicate keys, unknown fields and wrong types with a recoverable
-// ParseError diagnostic at site "cprd.frame" -- never a fatal error.
+// JSON, duplicate keys, unknown fields, wrong types and integer options
+// that do not fit their field with a recoverable ParseError diagnostic at
+// site "cprd.frame" -- never a fatal error.
 // Response decoding is lenient (unknown fields ignored) so older clients
 // keep working against newer daemons.
 //
@@ -101,6 +102,49 @@ TEST(Protocol, RejectsWrongTypes) {
   expectFrameError("{\"proto\":\"cprd-v1\",\"id\":\"r1\",\"ir\":3}");
   expectFrameError("{\"proto\":\"cprd-v1\",\"id\":\"r1\",\"ir\":\"x\","
                    "\"options\":{\"unroll\":\"four\"}}");
+}
+
+TEST(Protocol, RejectsIntegerOptionsThatDoNotFitTheirField) {
+  // A cast would wrap -1 to 4294967295, truncate 2.5 to 2, and is
+  // undefined for 1e20; each is a parse error that names its field.
+  const std::pair<const char *, const char *> Bad[] = {
+      {"unroll", "-1"},
+      {"unroll", "2.5"},
+      {"unroll", "4294967296"},
+      {"max_branches", "1e20"},
+      {"max_branches", "-3"},
+      {"min_branches", "0.5"},
+      {"interp_max_steps", "-1"},
+      {"interp_max_steps", "1.5"},
+      {"interp_max_steps", "1e20"},
+      {"interp_max_steps", "18446744073709551616"},
+      {"budget_steps", "-2"},
+      {"budget_steps", "7.25"},
+  };
+  for (const auto &[Field, Value] : Bad) {
+    std::string Line =
+        std::string("{\"proto\":\"cprd-v1\",\"id\":\"r1\",\"ir\":\"x\","
+                    "\"options\":{\"") +
+        Field + "\":" + Value + "}}";
+    expectFrameError(Line);
+    Expected<CompileRequest> R = decodeRequest(Line);
+    ASSERT_FALSE(R.ok());
+    EXPECT_NE(R.diagnostic().Message.find(std::string("\"") + Field + "\""),
+              std::string::npos)
+        << R.diagnostic().Message;
+  }
+
+  // The ends of each field's range still decode, exactly.
+  Expected<CompileRequest> Max = decodeRequest(
+      "{\"proto\":\"cprd-v1\",\"id\":\"r1\",\"ir\":\"x\",\"options\":{"
+      "\"unroll\":4294967295,\"max_branches\":0,\"min_branches\":-0,"
+      "\"interp_max_steps\":18446744073709549568,\"budget_steps\":1e3}}");
+  ASSERT_TRUE(Max.ok()) << Max.diagnostic().str();
+  EXPECT_EQ(Max->UnrollFactor, 4294967295u);
+  EXPECT_EQ(Max->CPR.MaxBranchesPerBlock, 0u);
+  EXPECT_EQ(Max->CPR.MinBranchesPerBlock, 0u);
+  EXPECT_EQ(Max->InterpMaxSteps, 18446744073709549568u);
+  EXPECT_EQ(Max->TransformBudget.MaxSteps, 1000u);
 }
 
 TEST(Protocol, MissingIRRejectedForCompileOnly) {

@@ -39,6 +39,20 @@ TEST(JSON, RoundTripsDocuments) {
   EXPECT_EQ(writeJSON(Again.Value), writeJSON(R.Value));
 }
 
+TEST(JSON, WriterEscapesExactlyWhatJSONRequires) {
+  // Quotes, backslashes and control characters are escaped wherever they
+  // fall in a run; every other byte, high ones included, passes through.
+  const std::string S = std::string("a\"b\\c\nd\te\rf") + '\x01' + "g" +
+                        '\x1f' + "\xc3\xa9\x7f" + "\n";
+  EXPECT_EQ(writeJSON(JSONValue::str(S), false),
+            "\"a\\\"b\\\\c\\nd\\te\\rf\\u0001g\\u001f\xc3\xa9\x7f\\n\"");
+  JSONParseResult Back = parseJSON(writeJSON(JSONValue::str(S), false));
+  ASSERT_TRUE(static_cast<bool>(Back)) << Back.Error;
+  EXPECT_EQ(Back.Value.getString(), S);
+  EXPECT_EQ(writeJSON(JSONValue::str(""), false), "\"\"");
+  EXPECT_EQ(writeJSON(JSONValue::str("plain"), false), "\"plain\"");
+}
+
 TEST(JSON, RejectsDuplicateKeys) {
   expectParseError("{\"k\":1,\"k\":2}");
   expectParseError("{\"a\":{\"x\":1,\"x\":2}}"); // nested objects too

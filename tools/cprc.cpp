@@ -605,7 +605,8 @@ int main(int argc, char **argv) {
       OracleBaselineFinal = recordRun(*OracleBaseline, C.InitMem, C.InitRegs);
       Ctx.RegionOracle = [&](const Function &Candidate) -> Status {
         return checkRegionEquivalence(*OracleBaseline, OracleBaselineFinal,
-                                      Candidate, C.InitMem, C.InitRegs);
+                                      Candidate, C.InitMem, C.InitRegs,
+                                      oracleStepCap(C.InterpMaxSteps));
       };
     }
     CPRResult CR = runControlCPR(*F, *PhaseProfile, C.CPR, Ctx);

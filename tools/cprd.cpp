@@ -6,7 +6,7 @@
 // JSON; see docs/SERVICE.md) over a Unix-domain socket (--socket=) or the
 // stdin/stdout pipe (--stdio), compiles each request through the
 // fail-safe pipeline on a shared thread pool, and caches every clean
-// response under its request fingerprint in one LRU shared by all requests.
+// response under its request in one LRU shared by all requests.
 //
 //   cprd --socket=/tmp/cprd.sock --threads=8 --cache-mb=64
 //   cprc input.cpr --server=/tmp/cprd.sock

@@ -1,4 +1,4 @@
-//===- fuzz/Differential.cpp - Differential CPR oracle --------------------===//
+//===- fuzz/Differential.cpp - The fuzzer's judges -----------------------===//
 //
 // Part of the control-cpr project (PLDI 1999 Control CPR reproduction).
 //
@@ -7,10 +7,9 @@
 #include "fuzz/Differential.h"
 
 #include "ir/Verifier.h"
+#include "lint/Witness.h"
 #include "pipeline/PipelineRun.h"
 #include "support/Error.h"
-
-#include <cstring>
 
 using namespace cpr;
 
@@ -83,13 +82,17 @@ std::vector<FuzzVariant> cpr::defaultFuzzVariants() {
   return Vs;
 }
 
-DifferentialRunner::DifferentialRunner(std::vector<FuzzVariant> VariantsIn,
-                                       std::vector<MachineDesc> MachinesIn)
-    : Variants(std::move(VariantsIn)), Machines(std::move(MachinesIn)) {
+FuzzJudge::FuzzJudge(FuzzOracle OracleIn, std::vector<FuzzVariant> VariantsIn,
+                     std::vector<MachineDesc> MachinesIn)
+    : Oracle(OracleIn), Variants(std::move(VariantsIn)),
+      Machines(std::move(MachinesIn)) {
   if (Variants.empty())
     Variants = defaultFuzzVariants();
   if (Machines.empty())
     Machines = {MachineDesc::medium(), MachineDesc::wide()};
+  LintOptions LintOpts;
+  LintOpts.Machines = Machines;
+  Linter = LintDriver(std::move(LintOpts));
 }
 
 namespace {
@@ -100,74 +103,131 @@ bool isVerifierMessage(const std::string &Msg) {
   return Msg.rfind("IR verification failed (", 0) == 0;
 }
 
+/// The static oracle's stand-in for a profiling run: every branch is hot
+/// and almost never taken -- exactly the bias the CPR heuristics form
+/// on-trace blocks for -- so the transform exercises its full machinery
+/// on every case without an interpreter in the loop.
+ProfileData syntheticBiasedProfile(const Function &F) {
+  ProfileData Prof;
+  for (size_t B = 0; B < F.numBlocks(); ++B)
+    for (const Operation &Op : F.block(B).ops())
+      if (Op.isBranch()) {
+        Prof.addBranchReached(Op.getId(), 100);
+        Prof.addBranchTaken(Op.getId(), 2);
+      }
+  return Prof;
+}
+
+/// The first error finding of \p R whose solved witness confirms on a
+/// replay through \p F, or null.
+const LintFinding *firstConfirmedError(const Function &F,
+                                       const LintResult &R) {
+  for (const LintFinding &Fd : R.Findings)
+    if (Fd.Severity == DiagSeverity::Error && Fd.Witness &&
+        Fd.Witness->Solved && confirmWitness(F, *Fd.Witness).Confirmed)
+      return &Fd;
+  return nullptr;
+}
+
 } // namespace
 
-CellResult DifferentialRunner::runCell(const KernelProgram &P,
-                                       size_t VariantIdx,
-                                       size_t MachineIdx) const {
+FuzzVerdict FuzzJudge::judge(const KernelProgram &P,
+                             size_t VariantIdx) const {
   const FuzzVariant &Variant = Variants[VariantIdx];
-  const MachineDesc &Machine = Machines[MachineIdx];
-  CellResult Res;
+  FuzzVerdict Res;
+  auto Fail = [&](FuzzOutcome O, const std::string &What) {
+    Res.Outcome = O;
+    Res.Detail = "[" + Variant.Name + "] " + What;
+    return Res;
+  };
 
   PipelineOptions Opts;
   Opts.CPR = Variant.CPR;
   Opts.UnrollFactor = Variant.UnrollFactor;
-  Opts.Machines = {Machine};
+  Opts.Machines = Machines;
   Opts.CheckEquivalence = false; // the non-fatal oracle runs below
-  // Strict mode, explicitly: fail-safe rollback would *hide* the defects
-  // this campaign exists to find. Fatal stage failures surface through
-  // the trap below; miscompiles through the oracle.
-  Opts.FailSafe = false;
+  // Strict, because fail-safe rollback would hide the defects a campaign
+  // hunts -- except under the static oracle, whose fail-safe transform
+  // rolls ordinary failures back and commits what only the checks can
+  // see (a verifier-clean invariant break such as the planted defect).
+  Opts.FailSafe = Oracle == FuzzOracle::StaticLint;
 
   // Fatal errors (reportFatalError, CPR_UNREACHABLE) on this thread now
-  // throw instead of aborting, so one broken cell cannot take down the
+  // throw instead of aborting, so one broken variant cannot take down the
   // campaign.
   ScopedFatalErrorTrap Trap;
   try {
-    // A private clone: sessions mutate their program, and cells of one
-    // case may run concurrently.
     PipelineRun Session(P.clone(), Opts);
+    if (Oracle == FuzzOracle::StaticLint)
+      Session.setBaselineProfile(syntheticBiasedProfile(Session.baseline()));
     const Function &Treated = Session.treated();
     std::vector<std::string> Violations = verifyFunction(Treated);
-    if (!Violations.empty()) {
-      Res.Outcome = FuzzOutcome::VerifierReject;
-      Res.Detail = "treated function fails verification: " + Violations[0];
-      return Res;
+    if (!Violations.empty())
+      return Fail(FuzzOutcome::VerifierReject,
+                  "treated function fails verification: " + Violations[0]);
+
+    LintResult TreatedLint;
+    if (Oracle != FuzzOracle::Differential) {
+      // Differential gate: findings the baseline already has are the
+      // generator's, not the transform's.
+      if (Linter.run(Session.baseline(), nullptr, &P.InitRegs).errorCount() >
+          0) {
+        Res.BaselineDirty = true;
+        return Res;
+      }
+      TreatedLint = Linter.run(Treated, nullptr, &P.InitRegs);
+      if (Oracle == FuzzOracle::StaticLint) {
+        for (const LintFinding &Fd : TreatedLint.Findings)
+          if (Fd.Severity == DiagSeverity::Error)
+            return Fail(FuzzOutcome::LintReject, Fd.str());
+        return Res;
+      }
     }
+
     const EquivResult &E = Session.checkEquivalenceResult();
-    if (!E.Equivalent) {
-      Res.Outcome = FuzzOutcome::Mismatch;
+    if (Oracle == FuzzOracle::CrossValidate) {
+      const LintFinding *Confirmed =
+          E.Equivalent ? firstConfirmedError(Treated, TreatedLint) : nullptr;
+      if (Confirmed) {
+        Res.Cross = CrossDisagreement::ConfirmedButPass;
+        return Fail(FuzzOutcome::Mismatch,
+                    "confirmed-witness-differential-pass: " +
+                        Confirmed->str());
+      }
+      if (!E.Equivalent && TreatedLint.errorCount() == 0) {
+        Res.Cross = CrossDisagreement::MismatchUnproved;
+        return Fail(FuzzOutcome::Mismatch,
+                    std::string("differential-mismatch-no-finding [") +
+                        divergenceName(E.Kind) + "]: " + E.Detail);
+      }
+      if (!E.Equivalent)
+        return Res; // both oracles reject the treated code: they agree
+    } else if (!E.Equivalent) {
       Res.Divergence = E.Kind;
-      Res.Detail = "[" + Variant.Name + " x " + Machine.getName() + "] " +
-                   E.Detail;
-      return Res;
+      return Fail(FuzzOutcome::Mismatch, E.Detail);
     }
-    // Downstream crash coverage: force the treated profile and the
-    // machine estimate so scheduler/estimator faults surface here too.
+    // Downstream crash coverage: the treated profile and the estimate on
+    // every machine, so scheduler and estimator faults surface here too.
     Session.prepare();
-    (void)Session.estimateMachine(Machine);
+    for (const MachineDesc &M : Machines)
+      (void)Session.estimateMachine(M);
   } catch (const FatalError &E) {
-    Res.Outcome = isVerifierMessage(E.message()) ? FuzzOutcome::VerifierReject
-                                                 : FuzzOutcome::Crash;
-    Res.Detail = "[" + Variant.Name + " x " + Machine.getName() + "] " +
-                 E.message();
+    return Fail(isVerifierMessage(E.message()) ? FuzzOutcome::VerifierReject
+                                               : FuzzOutcome::Crash,
+                E.message());
   }
   return Res;
 }
 
-CaseResult DifferentialRunner::runCase(const KernelProgram &P) const {
-  CaseResult Case;
-  Case.Cells.reserve(numCells());
+CaseVerdict FuzzJudge::judgeCase(const KernelProgram &P) const {
+  CaseVerdict Case;
   for (size_t V = 0; V < Variants.size(); ++V) {
-    for (size_t M = 0; M < Machines.size(); ++M) {
-      CellResult Cell = runCell(P, V, M);
-      if (fuzzOutcomeSeverity(Cell.Outcome) >
-          fuzzOutcomeSeverity(Case.Worst)) {
-        Case.Worst = Cell.Outcome;
-        Case.WorstVariant = V;
-        Case.WorstMachine = M;
-      }
-      Case.Cells.push_back(std::move(Cell));
+    FuzzVerdict Verdict = judge(P, V);
+    Case.BaselineDirty |= Verdict.BaselineDirty;
+    if (fuzzOutcomeSeverity(Verdict.Outcome) >
+        fuzzOutcomeSeverity(Case.Worst.Outcome)) {
+      Case.Worst = std::move(Verdict);
+      Case.Variant = V;
     }
   }
   return Case;

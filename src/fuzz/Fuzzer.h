@@ -1,4 +1,4 @@
-//===- fuzz/Fuzzer.h - Differential fuzzing campaigns -----------*- C++ -*-===//
+//===- fuzz/Fuzzer.h - Fuzzing campaigns ------------------------*- C++ -*-===//
 //
 // Part of the control-cpr project (PLDI 1999 Control CPR reproduction).
 //
@@ -7,8 +7,9 @@
 /// \file
 /// The campaign layer tying the subsystem together: draw cases (fresh
 /// generations and corpus mutations), fan them out on the ThreadPool
-/// through the differential oracle, then serially reduce each failure
-/// and write a minimal `.ir` reproducer.
+/// through one judge (fuzz/Differential.h) -- the differential, static
+/// or cross-validating oracle -- then serially reduce each failure under
+/// the same judge and write a minimal `.ir` reproducer.
 ///
 /// Determinism contract: each case's program is a pure function of
 /// (campaign seed, case index), results land in preallocated per-case
@@ -40,7 +41,10 @@ struct FuzzCampaignOptions {
   /// entry instead of generating a fresh program.
   double MutateFrac = 0.5;
   GeneratorConfig Generator;
-  /// Variant/machine grid (empty selects the defaults).
+  /// The judge of every (program, variant).
+  FuzzOracle Oracle = FuzzOracle::Differential;
+  /// The variant sweep and the machines each session estimates (empty
+  /// selects the defaults, see FuzzJudge).
   std::vector<FuzzVariant> Variants;
   std::vector<MachineDesc> Machines;
   /// Reduce failures and write reproducers into OutDir.
@@ -67,8 +71,8 @@ struct FuzzFailure {
   uint64_t CaseSeed = 0;
   FuzzOutcome Outcome = FuzzOutcome::Pass;
   EquivResult::Divergence Divergence = EquivResult::Divergence::None;
-  /// Grid cell the failure was reduced against.
-  std::string VariantName, MachineName;
+  /// The variant the failure was judged (and reduced) under.
+  std::string VariantName;
   std::string Detail;
   /// Serialized reduced reproducer (corpus format).
   std::string ReducedText;
@@ -85,11 +89,11 @@ struct FuzzCampaignResult {
   unsigned VerifierRejects = 0;
   unsigned LintRejects = 0;
   unsigned Crashes = 0;
-  /// Static-oracle campaigns: cases whose *baseline* already carried a
-  /// lint finding, excluded from the differential comparison.
+  /// Static and cross-validating campaigns: cases where some variant's
+  /// *baseline* already carried a lint finding, left unjudged there.
   unsigned LintBaselineDirty = 0;
-  /// Cross-validation campaigns: discrepancy tallies by direction (see
-  /// runCrossValidationCampaign).
+  /// Cross-validating campaigns: the mismatches by the way the oracles
+  /// disagreed (CrossDisagreement).
   unsigned CrossConfirmedButPass = 0;
   unsigned CrossMismatchUnproved = 0;
   /// Failures in case order (deterministic).
@@ -101,42 +105,10 @@ struct FuzzCampaignResult {
   std::string summary() const;
 };
 
-/// Runs one campaign. Deterministic at any Opts.Threads (see file
-/// comment). InjectDefect arms the process-global fault registry and must
-/// not be used concurrently with other campaigns.
+/// Runs one campaign under Opts.Oracle. Deterministic at any Opts.Threads
+/// (see file comment). InjectDefect arms the process-global fault
+/// registry and must not be used concurrently with other campaigns.
 FuzzCampaignResult runFuzzCampaign(const FuzzCampaignOptions &Opts);
-
-/// The static-oracle campaign (docs/LINT.md): same case construction as
-/// runFuzzCampaign, but the oracle never executes a program. Each case is
-/// given a synthetic heavily-biased profile (every branch reached often
-/// and rarely taken, the shape CPR forms blocks for), transformed under a
-/// fail-safe CPRContext, and judged *differentially* by the cpr-lint
-/// checks: a case whose baseline already carries an error finding is
-/// excluded (LintBaselineDirty), and a finding that is new in the treated
-/// function is a LintReject failure. Reduction is unsupported here
-/// (failures keep their full program text). Deterministic at any
-/// Opts.Threads.
-FuzzCampaignResult runStaticLintCampaign(const FuzzCampaignOptions &Opts);
-
-/// The cross-validation campaign (docs/FUZZING.md): every case is judged
-/// by BOTH oracles over the same treated function -- the differential
-/// interpreter comparison, and the witness-producing static checks with
-/// each witness replayed through the interpreter -- and the verdicts are
-/// required to agree. A disagreement is a *harness* bug, not (only) a
-/// compiler bug:
-///  - differential pass + an error finding whose witness CONFIRMS on
-///    replay: the replay exhibited the proved violation on inputs the
-///    single-input equivalence comparison never tried
-///    ("confirmed-witness-differential-pass");
-///  - differential mismatch + no error finding: a miscompile the static
-///    oracle failed to prove -- in this harness the transform is the only
-///    miscompile source and its invariant breaks are what the checks
-///    prove ("differential-mismatch-no-finding").
-/// Discrepancies are classified in Fail.Detail, tallied in
-/// CrossConfirmedButPass / CrossMismatchUnproved, and -- with Opts.Reduce
-/// -- reduced with the discrepancy itself as the oracle (reduceCaseWith).
-/// Deterministic at any Opts.Threads.
-FuzzCampaignResult runCrossValidationCampaign(const FuzzCampaignOptions &Opts);
 
 } // namespace cpr
 

@@ -15,14 +15,13 @@ using namespace cpr;
 
 namespace {
 
-/// Shared state of one reduction: the classification oracle, the failure
-/// signature to preserve, and the oracle budget.
+/// Shared state of one reduction: the judging oracle, the verdict whose
+/// failure signature to preserve, and the oracle budget.
 struct ReduceCtx {
   const CaseOracle &Oracle;
-  FuzzOutcome WantOutcome;
-  EquivResult::Divergence WantKind;
+  const FuzzVerdict &Want;
   /// Unified oracle-run / wall-clock budget (support/Budget.h); one step
-  /// is one differential cell.
+  /// is one judged variant.
   BudgetTracker Tracker;
   /// Step bound for the cheap halting pre-screen, derived from the
   /// original program's own run length.
@@ -47,12 +46,7 @@ struct ReduceCtx {
     }
     if (!Tracker.consume())
       return false;
-    OracleVerdict V = Oracle(Cand);
-    if (V.Outcome != WantOutcome)
-      return false;
-    if (WantOutcome == FuzzOutcome::Mismatch && V.Divergence != WantKind)
-      return false;
-    return true;
+    return Oracle(Cand).sameFailure(Want);
   }
 
   bool tryReplace(KernelProgram &Best, KernelProgram Cand) {
@@ -182,18 +176,6 @@ bool inputsPass(KernelProgram &Best, ReduceCtx &Ctx) {
 
 } // namespace
 
-ReduceResult cpr::reduceCase(const KernelProgram &P,
-                             const DifferentialRunner &Runner,
-                             size_t VariantIdx, size_t MachineIdx,
-                             const ReducerOptions &Opts) {
-  CaseOracle Oracle = [&Runner, VariantIdx,
-                       MachineIdx](const KernelProgram &Cand) {
-    CellResult Cell = Runner.runCell(Cand, VariantIdx, MachineIdx);
-    return OracleVerdict{Cell.Outcome, Cell.Divergence};
-  };
-  return reduceCaseWith(P, Oracle, Opts);
-}
-
 ReduceResult cpr::reduceCaseWith(const KernelProgram &P,
                                  const CaseOracle &Oracle,
                                  const ReducerOptions &Opts) {
@@ -203,15 +185,14 @@ ReduceResult cpr::reduceCaseWith(const KernelProgram &P,
   Res.ReducedOps = Res.OriginalOps;
 
   // Establish the signature to preserve.
-  OracleVerdict Seed = Oracle(P);
+  FuzzVerdict Seed = Oracle(P);
   Res.Outcome = Seed.Outcome;
   Res.Divergence = Seed.Divergence;
   Res.OracleRuns = 1;
   if (Seed.Outcome == FuzzOutcome::Pass)
     return Res; // nothing to reduce
 
-  ReduceCtx Ctx{Oracle, Seed.Outcome, Seed.Divergence,
-                BudgetTracker(Opts.OracleBudget)};
+  ReduceCtx Ctx{Oracle, Seed, BudgetTracker(Opts.OracleBudget)};
   // Halting pre-screen budget: 4x the original's own run length (the
   // interesting candidates shrink the program, not grow its runtime).
   {

@@ -7,8 +7,9 @@
 /// \file
 /// Shrinks a failing fuzz program to a minimal reproducer while
 /// preserving its failure signature (outcome classification plus, for
-/// mismatches, the kind of diverging artifact) on the same
-/// (variant, machine) cell. ddmin-style passes iterate to a fixpoint:
+/// mismatches, the kind of diverging artifact or oracle disagreement)
+/// under the same judge and variant. ddmin-style passes iterate to a
+/// fixpoint:
 ///
 ///   1. whole-block removal;
 ///   2. operation-chunk removal (halving chunk sizes down to 1);
@@ -18,8 +19,8 @@
 /// Every candidate must still pass the IR verifier before the oracle
 /// re-runs; invalid candidates are rejected without an oracle run. The
 /// reduction itself is deterministic (pure function of the input and
-/// the runner's grid), so two reductions of the same finding emit
-/// byte-identical reproducers.
+/// the oracle), so two reductions of the same finding emit byte-identical
+/// reproducers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,8 +35,8 @@
 namespace cpr {
 
 struct ReducerOptions {
-  /// Budget for oracle invocations (each "step" is one full differential
-  /// cell) and, optionally, reduction wall-clock (support/Budget.h).
+  /// Budget for oracle invocations (each "step" is one judged variant)
+  /// and, optionally, reduction wall-clock (support/Budget.h).
   /// Exhaustion stops the reduction at the best candidate so far -- a
   /// degradation, not a failure.
   Budget OracleBudget = {/*MaxSteps=*/600, /*MaxWallMs=*/0.0};
@@ -53,30 +54,14 @@ struct ReduceResult {
   size_t ReducedOps = 0;
 };
 
-/// Verdict of a pluggable reduction oracle (reduceCaseWith).
-struct OracleVerdict {
-  FuzzOutcome Outcome = FuzzOutcome::Pass;
-  EquivResult::Divergence Divergence = EquivResult::Divergence::None;
-};
+/// Judges one candidate program. Must be a pure function of the program
+/// (the reduction is deterministic only if the oracle is), and must not
+/// let FatalError escape -- FuzzJudge::judge of one variant is one.
+using CaseOracle = std::function<FuzzVerdict(const KernelProgram &)>;
 
-/// Classifies one candidate program. Must be a pure function of the
-/// program (the reduction is deterministic only if the oracle is), and
-/// must not let FatalError escape -- contain stage crashes and return
-/// the verdict they map to.
-using CaseOracle = std::function<OracleVerdict(const KernelProgram &)>;
-
-/// Reduces \p P against cell (\p VariantIdx, \p MachineIdx) of \p Runner.
-/// \p P must currently fail that cell (Outcome != Pass); when it does
-/// not, the input is returned unreduced with Outcome == Pass.
-ReduceResult reduceCase(const KernelProgram &P,
-                        const DifferentialRunner &Runner, size_t VariantIdx,
-                        size_t MachineIdx,
-                        const ReducerOptions &Opts = ReducerOptions());
-
-/// Same ddmin loop against an arbitrary classification oracle -- the
-/// cross-validation campaign reduces against the *discrepancy between two
-/// oracles*, which no single differential cell expresses. The preserved
-/// signature is \p Oracle's verdict on the unreduced \p P.
+/// Shrinks \p P while \p Oracle's verdict keeps the failure signature
+/// (FuzzVerdict::sameFailure) of its verdict on the unreduced \p P. When
+/// that verdict is Pass, the input is returned unreduced.
 ReduceResult reduceCaseWith(const KernelProgram &P, const CaseOracle &Oracle,
                             const ReducerOptions &Opts = ReducerOptions());
 

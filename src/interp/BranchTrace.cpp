@@ -6,45 +6,15 @@
 
 #include "interp/BranchTrace.h"
 
-#include <cassert>
-#include <cinttypes>
 #include <cstdio>
 #include <limits>
 #include <sstream>
 
 using namespace cpr;
 
-void BranchTrace::record(OpId Op, bool Taken) {
-  ++Total;
-  if (Capacity == 0 || Buf.size() < Capacity) {
-    Buf.push_back(BranchEvent{Op, Taken});
-    return;
-  }
-  // Ring full: overwrite the oldest slot and advance the head.
-  Buf[Head] = BranchEvent{Op, Taken};
-  Head = (Head + 1) % Capacity;
-}
-
-const BranchEvent &BranchTrace::event(size_t I) const {
-  assert(I < Buf.size() && "event index out of range");
-  return Buf[(Head + I) % Buf.size()];
-}
-
-void BranchTrace::clear() {
-  Buf.clear();
-  Head = 0;
-  Total = 0;
-  Terminal = InvalidOpId;
-}
-
 std::string cpr::serializeBranchTrace(const BranchTrace &T) {
   std::string Out = "btrace v1\n";
   char Line[96];
-  if (T.droppedEvents() != 0) {
-    std::snprintf(Line, sizeof(Line), "drop %" PRIu64 "\n",
-                  T.droppedEvents());
-    Out += Line;
-  }
   for (size_t I = 0, E = T.size(); I != E;) {
     const BranchEvent &Ev = T.event(I);
     size_t Run = 1;
@@ -122,15 +92,6 @@ Expected<BranchTrace> cpr::tryParseBranchTrace(const std::string &Text) {
       if (Trace.hasTerminal())
         return fail("duplicate term record");
       Trace.markTerminal(static_cast<OpId>(Id));
-    } else if (Kind == "drop") {
-      uint64_t N;
-      if (!(L >> N) || (L >> Extra))
-        return fail("bad drop record");
-      // The serializer writes at most one drop record, before any event;
-      // anything else corrupts the Total/retained accounting.
-      if (Trace.totalRecorded() != 0 || Trace.hasTerminal())
-        return fail("drop record must appear once, before any ev record");
-      Trace.addDropped(N);
     } else {
       return fail("unknown record '" + Kind + "'");
     }
@@ -139,14 +100,4 @@ Expected<BranchTrace> cpr::tryParseBranchTrace(const std::string &Text) {
     return Diagnostic{DiagSeverity::Error, DiagCode::ParseError,
                       "missing 'btrace v1' header", "btrace", 0};
   return Trace;
-}
-
-TraceParseResult cpr::parseBranchTrace(const std::string &Text) {
-  TraceParseResult Res;
-  Expected<BranchTrace> E = tryParseBranchTrace(Text);
-  if (E)
-    Res.Trace = E.takeValue();
-  else
-    Res.Error = E.diagnostic().Message;
-  return Res;
 }

@@ -13,10 +13,8 @@
 /// it exposes exactly the mispredictions the paper's frequency-weighted
 /// formula ignores.
 ///
-/// Storage is an in-memory ring: with a capacity the oldest events are
-/// dropped once full (cheap always-on recording); with capacity 0 the
-/// trace is unbounded (required for cycle simulation, which must replay
-/// the run from its first branch).
+/// The trace keeps every event: cycle simulation replays the run from its
+/// first branch.
 ///
 /// A compact line-oriented serialization lives alongside, in the format
 /// family of analysis/ProfileIO.h. Consecutive identical (branch, outcome)
@@ -24,7 +22,6 @@
 /// traces unrolled kernels produce:
 ///
 ///   btrace v1
-///   drop <count>              # events lost to the ring (omitted when 0)
 ///   ev <opId> <t|n> <count>   # <count> consecutive identical events
 ///   term <opId>               # the halt/trap that ended the run
 ///
@@ -36,6 +33,7 @@
 #include "ir/Operation.h"
 #include "support/Diagnostic.h"
 
+#include <cassert>
 #include <string>
 #include <vector>
 
@@ -53,45 +51,33 @@ struct BranchEvent {
   }
 };
 
-/// Execution-ordered branch events with bounded (ring) or unbounded
-/// storage.
+/// Execution-ordered branch events.
 class BranchTrace {
 public:
-  /// \p Capacity of 0 keeps every event; otherwise the trace is a ring
-  /// that retains only the newest \p Capacity events.
-  explicit BranchTrace(size_t Capacity = 0) : Capacity(Capacity) {}
-
-  /// Appends one event, evicting the oldest when the ring is full.
-  void record(OpId Op, bool Taken);
+  /// Appends one event.
+  void record(OpId Op, bool Taken) { Buf.push_back(BranchEvent{Op, Taken}); }
 
   /// Notes the halt/trap operation that ended the run.
   void markTerminal(OpId Op) { Terminal = Op; }
   bool hasTerminal() const { return Terminal != InvalidOpId; }
   OpId terminalOp() const { return Terminal; }
 
-  /// Number of retained events.
+  /// Number of events.
   size_t size() const { return Buf.size(); }
   bool empty() const { return Buf.empty(); }
 
-  /// The \p I-th retained event, oldest first.
-  const BranchEvent &event(size_t I) const;
+  /// The \p I-th event, in execution order.
+  const BranchEvent &event(size_t I) const {
+    assert(I < Buf.size() && "event index out of range");
+    return Buf[I];
+  }
 
-  /// Total events ever recorded, including evicted ones.
-  uint64_t totalRecorded() const { return Total; }
-
-  /// Events lost to ring eviction. A simulation requires 0.
-  uint64_t droppedEvents() const { return Total - Buf.size(); }
-
-  /// Accounts \p N externally dropped events (used by deserialization to
-  /// preserve the drop count of a serialized ring trace).
-  void addDropped(uint64_t N) { Total += N; }
-
-  void clear();
+  void clear() {
+    Buf.clear();
+    Terminal = InvalidOpId;
+  }
 
 private:
-  size_t Capacity;
-  size_t Head = 0; ///< index of the oldest event when the ring wrapped
-  uint64_t Total = 0;
   OpId Terminal = InvalidOpId;
   std::vector<BranchEvent> Buf;
 };
@@ -106,23 +92,12 @@ std::string serializeBranchTrace(const BranchTrace &T);
 inline constexpr uint64_t MaxTraceRunLength = uint64_t(1) << 30;
 
 /// Parses a trace serialized by serializeBranchTrace, rejecting
-/// malformed input -- bad records, trailing tokens, operation ids wider
-/// than OpId, run lengths above MaxTraceRunLength, records in an order
-/// the serializer never emits (events after term, a duplicate or late
-/// drop) -- with a recoverable ParseError diagnostic (Line set to the
-/// offending 1-based line).
+/// malformed input -- bad or unknown records, trailing tokens, operation
+/// ids wider than OpId, run lengths above MaxTraceRunLength, records in an
+/// order the serializer never emits (events after term, a duplicate term)
+/// -- with a recoverable ParseError diagnostic (Line set to the offending
+/// 1-based line).
 Expected<BranchTrace> tryParseBranchTrace(const std::string &Text);
-
-/// Parse result for branch traces (legacy string-error form).
-struct TraceParseResult {
-  BranchTrace Trace;
-  std::string Error; ///< empty on success
-  explicit operator bool() const { return Error.empty(); }
-};
-
-/// Parses a trace serialized by serializeBranchTrace. Compatibility shim
-/// over tryParseBranchTrace.
-TraceParseResult parseBranchTrace(const std::string &Text);
 
 } // namespace cpr
 

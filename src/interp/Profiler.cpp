@@ -66,16 +66,8 @@ RunState cpr::recordRun(const Function &F, const Memory &InitMem,
   return S;
 }
 
-uint64_t cpr::oracleStepCap(uint64_t SessionMaxSteps) {
-  return SessionMaxSteps != 0 ? std::min(SessionMaxSteps, DefaultMaxSteps)
-                              : DefaultMaxSteps;
-}
-
-bool cpr::matchesOracleRun(const RunResult &R, uint64_t MaxSteps) {
-  uint64_t Cap = MaxSteps != 0 ? MaxSteps : DefaultMaxSteps;
-  if (R.St == RunResult::Status::StepLimit)
-    return Cap == DefaultMaxSteps;
-  return Cap <= DefaultMaxSteps || R.Steps < DefaultMaxSteps;
+uint64_t cpr::sessionStepCap(uint64_t InterpMaxSteps) {
+  return InterpMaxSteps != 0 ? InterpMaxSteps : DefaultMaxSteps;
 }
 
 const char *cpr::divergenceName(EquivResult::Divergence Kind) {
@@ -189,7 +181,8 @@ EquivResult cpr::compareRuns(const Function &A, const RunState &SA,
 
 EquivResult cpr::checkEquivalence(const Function &A, const Function &B,
                                   const Memory &Mem,
-                                  const std::vector<RegBinding> &InitRegs) {
+                                  const std::vector<RegBinding> &InitRegs,
+                                  uint64_t MaxSteps) {
   RunState SA, SB;
   SA.Mem = Mem;
   SB.Mem = Mem;
@@ -197,6 +190,8 @@ EquivResult cpr::checkEquivalence(const Function &A, const Function &B,
   InterpOptions OptsA, OptsB;
   OptsA.StoreTrace = &StoresA;
   OptsB.StoreTrace = &StoresB;
+  if (MaxSteps != 0)
+    OptsA.MaxSteps = OptsB.MaxSteps = MaxSteps;
   SA.Result = interpret(A, SA.Mem, InitRegs, OptsA);
   SB.Result = interpret(B, SB.Mem, InitRegs, OptsB);
   return compareRuns(A, SA, B, SB, &StoresA, &StoresB);
@@ -208,11 +203,11 @@ EquivResult cpr::checkAgainstBaseline(const Function &Baseline,
                                       const RunState *CandidateFinal,
                                       const Memory &InitMem,
                                       const std::vector<RegBinding> &InitRegs,
-                                      uint64_t *Runs) {
+                                      uint64_t *Runs, uint64_t MaxSteps) {
   uint64_t Made = 0;
   RunState Fresh;
   if (!CandidateFinal) {
-    Fresh = recordRun(Candidate, InitMem, InitRegs);
+    Fresh = recordRun(Candidate, InitMem, InitRegs, MaxSteps);
     CandidateFinal = &Fresh;
     ++Made;
   }
@@ -221,7 +216,7 @@ EquivResult cpr::checkAgainstBaseline(const Function &Baseline,
   // Only a memory divergence's detail needs what the recorded states
   // lack: each run's store trace.
   if (E.Kind == EquivResult::Divergence::Memory) {
-    E = checkEquivalence(Baseline, Candidate, InitMem, InitRegs);
+    E = checkEquivalence(Baseline, Candidate, InitMem, InitRegs, MaxSteps);
     Made += 2;
   }
   if (Runs)
@@ -242,7 +237,8 @@ Status cpr::checkRegionEquivalence(const Function &Baseline,
   if (Runs)
     ++*Runs;
   EquivResult E = checkAgainstBaseline(Baseline, BaselineFinal, Candidate,
-                                       &Fresh, InitMem, InitRegs, Runs);
+                                       &Fresh, InitMem, InitRegs, Runs,
+                                       MaxSteps);
   if (!E.Equivalent)
     return Status::error(DiagCode::OracleMismatch,
                          "region equivalence re-check failed [" +

@@ -11,9 +11,10 @@
 ///
 /// The oracle compares final run states (RunState). A state recorded once
 /// -- by a profiling run, or by recordRun -- can stand in for a fresh run
-/// of the same function on the same inputs, so a caller that checks many
-/// candidates against one baseline, or that profiles the candidate anyway,
-/// pays one interpreter run per candidate instead of two.
+/// of the same function on the same inputs under the same step cap, so a
+/// caller that checks many candidates against one baseline, or that
+/// profiles the candidate anyway, pays one interpreter run per candidate
+/// instead of two.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,34 +47,25 @@ Expected<ProfileData> tryProfileRun(const Function &F, Memory &Mem,
                                     BranchTrace *TraceOut = nullptr,
                                     uint64_t MaxSteps = 0);
 
-/// The final state of one run, as the equivalence oracle compares it. The
-/// oracle runs under DefaultMaxSteps, so a recorded state stands in for
-/// the oracle's own run only if the run ended as it would have there
-/// (recordRun at its default cap, or matchesOracleRun). The region oracle
-/// (checkRegionEquivalence) is the exception: it runs each candidate under
-/// the session's cap.
+/// The final state of one run, as the equivalence oracle compares it. A
+/// state recorded once -- by a profiling run, or by recordRun -- stands in
+/// for a fresh run of the same function on the same inputs under the same
+/// step cap.
 struct RunState {
   RunResult Result; ///< exit status, steps, observable registers
   Memory Mem;       ///< final memory
 };
 
 /// Runs \p F once from \p InitMem and \p InitRegs under a step cap of
-/// \p MaxSteps (0 = the oracle's, DefaultMaxSteps) and returns its final
-/// state.
+/// \p MaxSteps (0 = DefaultMaxSteps) and returns its final state.
 RunState recordRun(const Function &F, const Memory &InitMem,
                    const std::vector<RegBinding> &InitRegs,
                    uint64_t MaxSteps = 0);
 
-/// The step cap of the oracle's runs in a session whose runs are capped at
-/// \p SessionMaxSteps (0 = no session cap): the tighter of that and
-/// DefaultMaxSteps.
-uint64_t oracleStepCap(uint64_t SessionMaxSteps);
-
-/// Whether run \p R, made under a step cap of \p MaxSteps (0 = the
-/// interpreter's default), ended exactly as the same run under the
-/// oracle's cap would have: a run that stopped at a tighter cap might
-/// have gone on, and one past DefaultMaxSteps would have stopped sooner.
-bool matchesOracleRun(const RunResult &R, uint64_t MaxSteps);
+/// The step cap of every interpreter run a session makes when its
+/// PipelineOptions::InterpMaxSteps is \p InterpMaxSteps: that cap, or
+/// DefaultMaxSteps when it is 0.
+uint64_t sessionStepCap(uint64_t InterpMaxSteps);
 
 /// Result of an equivalence comparison. On a mismatch, \c Detail names the
 /// first diverging artifact -- the exit path, an observable register (by
@@ -109,31 +101,37 @@ EquivResult compareRuns(const Function &A, const RunState &SA,
                         const std::vector<StoreEvent> *StoresB = nullptr);
 
 /// Runs \p A and \p B from identical initial memory (\p Mem, copied) and
-/// register bindings, recording their stores, then compares them with
+/// register bindings under a step cap of \p MaxSteps (0 =
+/// DefaultMaxSteps), recording their stores, then compares them with
 /// compareRuns.
 EquivResult checkEquivalence(const Function &A, const Function &B,
                              const Memory &Mem,
-                             const std::vector<RegBinding> &InitRegs);
+                             const std::vector<RegBinding> &InitRegs,
+                             uint64_t MaxSteps = 0);
 
 /// The oracle's verdict on \p Candidate against \p Baseline from \p InitMem
 /// and \p InitRegs, given the baseline's recorded final state
 /// \p BaselineFinal and, when one exists, the candidate's
-/// (\p CandidateFinal; null runs the candidate once). A memory divergence,
-/// whose detail names each run's last store to the address, is re-derived
-/// by checkEquivalence, so the result always equals checkEquivalence's.
-/// Adds the interpreter runs it makes to \p Runs when given.
+/// (\p CandidateFinal; null runs the candidate once). Every state must
+/// come from a run under \p MaxSteps (0 = DefaultMaxSteps), the cap of the
+/// runs this makes. A memory divergence, whose detail names each run's
+/// last store to the address, is re-derived by checkEquivalence, so the
+/// result always equals checkEquivalence's under that cap. Adds the
+/// interpreter runs it makes to \p Runs when given.
 EquivResult checkAgainstBaseline(const Function &Baseline,
                                  const RunState &BaselineFinal,
                                  const Function &Candidate,
                                  const RunState *CandidateFinal,
                                  const Memory &InitMem,
                                  const std::vector<RegBinding> &InitRegs,
-                                 uint64_t *Runs = nullptr);
+                                 uint64_t *Runs = nullptr,
+                                 uint64_t MaxSteps = 0);
 
 /// The per-region equivalence re-check (CPRContext::RegionOracle,
 /// docs/ROBUSTNESS.md): checkAgainstBaseline of one fresh run of
-/// \p Candidate under a step cap of \p MaxSteps (0 = DefaultMaxSteps), as
-/// a Status at fault site "interp.oracle". A mismatch is an OracleMismatch
+/// \p Candidate under a step cap of \p MaxSteps (0 = DefaultMaxSteps), the
+/// cap \p BaselineFinal was recorded under, as a Status at fault site
+/// "interp.oracle". A mismatch is an OracleMismatch
 /// error there; so is a candidate the cap stops where the baseline halted.
 Status checkRegionEquivalence(const Function &Baseline,
                               const RunState &BaselineFinal,

@@ -91,8 +91,10 @@ struct PipelineOptions {
   /// Catches verifier-clean miscompiles (e.g. a dropped compensation
   /// copy) at the cost of one interpreter run per CPR block.
   bool RegionEquivalence = false;
-  /// Step cap for the tryPrepare() profiling runs; 0 keeps the
-  /// interpreter's default. Exhaustion is a BudgetExhausted diagnostic.
+  /// Step cap of every interpreter run of a session (profiling runs, the
+  /// equivalence oracle and the region re-check); 0 keeps the
+  /// interpreter's DefaultMaxSteps. A profiling run that exhausts it is a
+  /// BudgetExhausted diagnostic, an oracle run an exit-path mismatch.
   uint64_t InterpMaxSteps = 0;
   /// Budget for the transform stage (steps = CPR-block transforms, plus
   /// an optional wall-clock cap). Zero-initialized = unlimited.

@@ -123,16 +123,16 @@ void PipelineRun::countRuns(uint64_t N) const {
     Stats->addCount(Prefix + "interp/runs", static_cast<double>(N));
 }
 
-Status PipelineRun::profileInto(const Function &F, uint64_t MaxSteps,
-                                const char *Side, ProfiledRun &Out,
+Status PipelineRun::profileInto(const Function &F, const char *Side,
+                                ProfiledRun &Out,
                                 std::optional<RunState> *FinalOut) {
   PassTimer T(Stats, Prefix + "profile_" + Side);
   Out = ProfiledRun();
   Memory Mem = Program.InitMem;
   RunResult R;
-  Expected<ProfileData> P =
-      tryProfileRun(F, Mem, Program.InitRegs, &R,
-                    Opts.Simulate ? &Out.Trace : nullptr, MaxSteps);
+  Expected<ProfileData> P = tryProfileRun(
+      F, Mem, Program.InitRegs, &R, Opts.Simulate ? &Out.Trace : nullptr,
+      sessionStepCap(Opts.InterpMaxSteps));
   countRuns(1);
   Status S = Status::success();
   if (P) {
@@ -163,14 +163,15 @@ Status PipelineRun::profileInto(const Function &F, uint64_t MaxSteps,
     Out = ProfiledRun(); // drop the partial trace
     S = Status::failure(P.takeDiagnostic());
   }
-  if (FinalOut && matchesOracleRun(R, MaxSteps))
+  if (FinalOut)
     *FinalOut = RunState{std::move(R), std::move(Mem)};
   return S;
 }
 
 const RunState &PipelineRun::baselineFinal() {
   if (!BaselineFinal) {
-    BaselineFinal = recordRun(baseline(), Program.InitMem, Program.InitRegs);
+    BaselineFinal = recordRun(baseline(), Program.InitMem, Program.InitRegs,
+                              sessionStepCap(Opts.InterpMaxSteps));
     countRuns(1);
   }
   return *BaselineFinal;
@@ -206,8 +207,7 @@ const FunctionAnalyses &PipelineRun::treatedAnalyses() {
 const ProfileData &PipelineRun::baselineProfile() {
   requireLive("baselineProfile");
   if (!BaseRun.Done)
-    if (Status S = profileInto(baseline(), 0, "baseline", BaseRun,
-                               &BaselineFinal);
+    if (Status S = profileInto(baseline(), "baseline", BaseRun, &BaselineFinal);
         !S)
       reportFatalError(S.diagnostic().Message);
   return BaseRun.Profile;
@@ -312,7 +312,7 @@ const Function &PipelineRun::treated() {
         uint64_t Runs = 0;
         Status S = checkRegionEquivalence(
             Base, baselineFinal(), Candidate, Program.InitMem,
-            Program.InitRegs, oracleStepCap(Opts.InterpMaxSteps), &Runs);
+            Program.InitRegs, sessionStepCap(Opts.InterpMaxSteps), &Runs);
         countRuns(Runs);
         return S;
       };
@@ -360,21 +360,18 @@ const EquivResult &PipelineRun::checkEquivalenceResult() {
     const Function &TreatedF = treated();
     const RunState &BaseFinal = baselineFinal();
     // The oracle's run of the treated code is its profiling run, so
-    // treatedProfile() is then a cache hit. It runs under the oracle's
-    // step cap (or the session's budget, when tighter). A run that does
-    // not halt is no profiling run, yet its state still decides the exit
-    // path -- unless the tighter budget stopped it, in which case
-    // checkAgainstBaseline runs it again under the oracle's cap.
+    // treatedProfile() is then a cache hit. A run that does not halt is no
+    // profiling run, yet its state still decides the exit path: every run
+    // of the session has the same step cap.
     std::optional<RunState> TreatedFinal;
     if (!TreatedRun.Done)
-      (void)profileInto(TreatedF, oracleStepCap(Opts.InterpMaxSteps),
-                        "treated", TreatedRun, &TreatedFinal);
+      (void)profileInto(TreatedF, "treated", TreatedRun, &TreatedFinal);
     PassTimer T(Stats, Prefix + "equivalence");
     uint64_t Runs = 0;
     Equivalence = checkAgainstBaseline(
         baseline(), BaseFinal, TreatedF,
         TreatedFinal ? &*TreatedFinal : nullptr, Program.InitMem,
-        Program.InitRegs, &Runs);
+        Program.InitRegs, &Runs, sessionStepCap(Opts.InterpMaxSteps));
     countRuns(Runs);
     EquivalenceDone = true;
     // The last oracle of the session: the region oracles ran in the
@@ -401,7 +398,7 @@ void PipelineRun::checkEquivalence() {
 const ProfileData &PipelineRun::treatedProfile() {
   requireLive("treatedProfile");
   if (!TreatedRun.Done)
-    if (Status S = profileInto(treated(), 0, "treated", TreatedRun); !S)
+    if (Status S = profileInto(treated(), "treated", TreatedRun); !S)
       reportFatalError(S.diagnostic().Message);
   return TreatedRun.Profile;
 }
@@ -419,16 +416,8 @@ const BranchTrace &PipelineRun::treatedTrace() {
 }
 
 void PipelineRun::prepare() {
-  baselineProfile();
-  treated();
-  if (Opts.CheckEquivalence)
-    checkEquivalence();
-  treatedProfile();
-  // Solve the shared analysis bundles serially, before the concurrent
-  // per-machine stages consume them.
-  baselineAnalyses();
-  treatedAnalyses();
-  BaselineFinal.reset(); // the oracles are done with it
+  if (Status S = tryPrepare(); !S)
+    reportFatalError(S.diagnostic().Message);
 }
 
 Status PipelineRun::tryPrepare() {
@@ -468,11 +457,10 @@ Status PipelineRun::tryPrepare() {
     return Status::success();
   };
 
-  // Baseline profile, budgeted and non-fatal: without it nothing
-  // downstream can run, so a failure here fails the session.
+  // Baseline profile, non-fatal: without it nothing downstream can run,
+  // so a failure here fails the session.
   if (!BaseRun.Done)
-    if (Status S = profileInto(baseline(), Opts.InterpMaxSteps, "baseline",
-                               BaseRun, &BaselineFinal);
+    if (Status S = profileInto(baseline(), "baseline", BaseRun, &BaselineFinal);
         !S) {
       if (Opts.Diags)
         Opts.Diags->report(S.diagnostic());
@@ -498,11 +486,10 @@ Status PipelineRun::tryPrepare() {
     if (DiagCode Code = ExpiryCode(); Code != DiagCode::None)
       return DegradeExpired(Code);
 
-  // Treated profile, budgeted: an unprofilable treated function degrades
-  // to the baseline (whose profile succeeded above) in fail-safe mode.
+  // Treated profile: an unprofilable treated function degrades to the
+  // baseline (whose profile succeeded above) in fail-safe mode.
   for (int Attempt = 0; !TreatedRun.Done; ++Attempt) {
-    Status S =
-        profileInto(treated(), Opts.InterpMaxSteps, "treated", TreatedRun);
+    Status S = profileInto(treated(), "treated", TreatedRun);
     if (S)
       break;
     const Diagnostic &D = S.diagnostic();
@@ -513,6 +500,8 @@ Status PipelineRun::tryPrepare() {
     }
     fallbackToBaseline(D.Code, D.Message, "interp.profile");
   }
+  // Solve the shared analysis bundles serially, before the concurrent
+  // per-machine stages consume them.
   baselineAnalyses();
   treatedAnalyses();
   return Status::success();

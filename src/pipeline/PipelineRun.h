@@ -35,7 +35,10 @@
 /// candidate once. Where the baseline profiling run left no state (an
 /// injected profile) one run records it. The baseline's state is held
 /// until the oracle has compared it, or until prepare() or tryPrepare()
-/// returns.
+/// returns. Every interpreter run of the session -- profiling, oracle and
+/// region re-check alike -- has one step cap,
+/// sessionStepCap(Opts.InterpMaxSteps), so a recorded state always stands
+/// in for the run it replaces.
 ///
 /// Stage accessors are lazy: asking for an artifact runs the stages it
 /// depends on (once) and caches the result, so a caller that only wants
@@ -140,11 +143,12 @@ public:
   const FunctionAnalyses &baselineAnalyses();
   const FunctionAnalyses &treatedAnalyses();
 
-  /// Forces every serial stage above (honoring Opts.CheckEquivalence).
+  /// Forces every serial stage above (honoring Opts.CheckEquivalence):
+  /// tryPrepare(), with a failure fatal.
   void prepare();
 
-  /// Fail-safe form of prepare() (docs/ROBUSTNESS.md): profiling runs are
-  /// budgeted (Opts.InterpMaxSteps) and non-halting runs come back as a
+  /// Non-fatal form of prepare() (docs/ROBUSTNESS.md): a profiling run
+  /// that does not halt under the session's step cap comes back as a
   /// diagnostic instead of aborting. A failed *baseline* profile makes
   /// the whole session unusable and is returned; everything downstream
   /// degrades -- failing CPR regions roll back, an equivalence mismatch
@@ -190,18 +194,16 @@ private:
     BranchTrace Trace;
   };
 
-  /// Profiles \p F into \p Out under a step cap of \p MaxSteps (0 = the
-  /// interpreter's default) and reports it as side \p Side ("baseline" or
-  /// "treated"). A run that does not halt leaves \p Out empty and comes
-  /// back as its diagnostic; callers decide whether that is fatal. When
-  /// \p FinalOut is given, the run's final state lands there if it ended
-  /// as the oracle's run would have (matchesOracleRun), halted or not.
-  Status profileInto(const Function &F, uint64_t MaxSteps, const char *Side,
-                     ProfiledRun &Out,
+  /// Profiles \p F into \p Out under the session's step cap and reports
+  /// it as side \p Side ("baseline" or "treated"). A run that does not
+  /// halt leaves \p Out empty and comes back as its diagnostic; callers
+  /// decide whether that is fatal. When \p FinalOut is given, the run's
+  /// final state lands there, halted or not.
+  Status profileInto(const Function &F, const char *Side, ProfiledRun &Out,
                      std::optional<RunState> *FinalOut = nullptr);
   /// The baseline's final state for the oracles: the baseline profiling
-  /// run's, or, where that run left none (an injected profile, a run past
-  /// the oracle's step cap, a state already released), one recorded now.
+  /// run's, or, where that run left none (an injected profile, a state
+  /// already released), one recorded now.
   const RunState &baselineFinal();
   /// Solves \p F's analysis bundle, with its dependence graphs for
   /// Opts.Machines, as side \p Side.

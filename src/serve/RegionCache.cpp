@@ -15,9 +15,10 @@ using namespace cpr::serve;
 
 namespace {
 
-/// Rough heap footprint of one cached response, for the memory budget.
-/// Only clean responses are cached (no diagnostics, no stats payload), so
-/// the treated program text dominates.
+/// Rough heap footprint of one cached response, for the memory budget:
+/// the key once (the map holds a view of the node's copy) and the
+/// response. Only clean responses are cached (no diagnostics, no stats
+/// payload), so the treated program text dominates.
 size_t approximateBytes(const std::string &Key, const CompileResponse &R) {
   return sizeof(CompileResponse) + Key.size() + R.Id.size() +
          R.Status.size() + R.IR.size();
@@ -96,7 +97,7 @@ void RegionCache::insertLocked(const std::string &Key,
     return;
   size_t Bytes = approximateBytes(Key, Entry);
   LRU.push_front(Node{Key, std::move(Entry), Bytes});
-  Map[Key] = LRU.begin();
+  Map.emplace(LRU.front().Key, LRU.begin());
   TotalBytes += Bytes;
   // Evict strictly past the budget, oldest first. An entry larger than
   // the whole budget evicts immediately (waiters already hold copies via
@@ -104,7 +105,7 @@ void RegionCache::insertLocked(const std::string &Key,
   while (MaxBytes != 0 && TotalBytes > MaxBytes && !LRU.empty()) {
     Node &Victim = LRU.back();
     TotalBytes -= Victim.Bytes;
-    Map.erase(Victim.Key);
+    Map.erase(Victim.Key); // before the node (and the key it views) goes
     LRU.pop_back();
     ++NEvictions;
   }
@@ -125,7 +126,7 @@ RegionCacheStats RegionCache::stats() const {
 
 void RegionCache::clear() {
   std::lock_guard<std::mutex> Lock(Mu);
-  LRU.clear();
   Map.clear();
+  LRU.clear();
   TotalBytes = 0;
 }

@@ -41,6 +41,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 
 namespace cpr {
@@ -100,7 +101,10 @@ private:
   mutable std::mutex Mu;
   std::condition_variable CV;
   std::list<Node> LRU; ///< front = most recently used
-  std::unordered_map<std::string, std::list<Node>::iterator> Map;
+  /// Keyed on a view of its node's key: a resident key is stored once, in
+  /// the node, which a std::list never moves. An entry leaves the map
+  /// before its node leaves the list.
+  std::unordered_map<std::string_view, std::list<Node>::iterator> Map;
   std::unordered_map<std::string, std::shared_ptr<Claim>> Claims;
   size_t MaxBytes;
   size_t TotalBytes = 0;

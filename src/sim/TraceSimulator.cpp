@@ -80,9 +80,6 @@ TraceReplay cpr::replayTrace(const Function &F, const BranchTrace &Trace,
 
   if (F.numBlocks() == 0)
     return fail("function has no blocks");
-  if (Trace.droppedEvents() != 0)
-    return fail("trace is incomplete: ring dropped " +
-                std::to_string(Trace.droppedEvents()) + " event(s)");
   if (!Trace.hasTerminal())
     return fail("trace has no terminal marker (run did not halt?)");
 

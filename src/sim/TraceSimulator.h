@@ -131,7 +131,7 @@ struct SimEstimate {
   PredictorStats Pred;
   std::vector<SimBlockStats> Blocks;
   /// Non-empty when the trace could not be replayed against the function
-  /// (diverged ids, dropped ring events, missing terminal, ...); the
+  /// (diverged ids, missing terminal, ...); the
   /// counters are then unspecified.
   std::string Error;
 
@@ -191,9 +191,9 @@ struct TraceReplay {
 /// Replays \p Trace through \p F's layout, predicting every branch with
 /// \p Pred (which is trained in place; reset it between runs) and, when
 /// \p FE.UseBTB, looking taken targets up in a fresh BTB of geometry
-/// \p FE.BTB; the rest of \p FE is for pricing. The trace must be
-/// complete (no ring drops) and carry a terminal marker, i.e. come from a
-/// halted interpreter run of exactly this function.
+/// \p FE.BTB; the rest of \p FE is for pricing. The trace must carry a
+/// terminal marker, i.e. come from a halted interpreter run of exactly
+/// this function.
 TraceReplay replayTrace(const Function &F, const BranchTrace &Trace,
                         BranchPredictor &Pred,
                         const FrontendOptions &FE = FrontendOptions());
@@ -217,7 +217,7 @@ SimEstimate priceReplay(const TraceReplay &R, const Function &F,
 /// priceReplay(replayTrace(F, Trace, Pred, Opts.Frontend), F, MD, Opts,
 /// LV, Graphs), whose comments describe the arguments. When the result
 /// has an Error, the text is that of the first inconsistency the replay
-/// met (diverged ids, dropped ring events, missing terminal, ...) and the
+/// met (diverged ids, missing terminal, ...) and the
 /// counters are unspecified.
 SimEstimate simulateTrace(const Function &F, const MachineDesc &MD,
                           const BranchTrace &Trace, BranchPredictor &Pred,

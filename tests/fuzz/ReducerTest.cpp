@@ -21,14 +21,26 @@ using namespace cpr;
 
 namespace {
 
-/// Finds the first generated program that trips the planted defect on
-/// the default x medium cell. The hook must already be set.
-KernelProgram findFailingProgram(const DifferentialRunner &Runner,
-                                 size_t &SeedOut) {
+/// The differential judge of the default variant, estimated on medium.
+FuzzJudge defaultJudge() {
+  return FuzzJudge(FuzzOracle::Differential, {{"default", CPROptions(), 1}},
+                   {MachineDesc::medium()});
+}
+
+/// Reduces \p P under variant 0 of \p Judge.
+ReduceResult reduce(const KernelProgram &P, const FuzzJudge &Judge,
+                    const ReducerOptions &Opts = ReducerOptions()) {
+  return reduceCaseWith(
+      P, [&Judge](const KernelProgram &C) { return Judge.judge(C, 0); }, Opts);
+}
+
+/// Finds the first generated program that trips the planted defect under
+/// variant 0 of \p Judge. The hook must already be set.
+KernelProgram findFailingProgram(const FuzzJudge &Judge, size_t &SeedOut) {
   GeneratorConfig Cfg;
   for (uint64_t Seed = 0; Seed < 64; ++Seed) {
     KernelProgram P = generateProgram(Seed, Cfg);
-    if (Runner.runCell(P, 0, 0).Outcome == FuzzOutcome::Mismatch) {
+    if (Judge.judge(P, 0).Outcome == FuzzOutcome::Mismatch) {
       SeedOut = Seed;
       return P;
     }
@@ -40,12 +52,11 @@ KernelProgram findFailingProgram(const DifferentialRunner &Runner,
 TEST(ReducerTest, PlantedDefectReducesToTinyReproducer) {
   fault::ScopedFault Inject("cpr.restructure.compensation",
                             fault::EveryHit);
-  DifferentialRunner Runner({{"default", CPROptions(), 1}},
-                            {MachineDesc::medium()});
+  FuzzJudge Judge = defaultJudge();
   size_t Seed = 0;
-  KernelProgram P = findFailingProgram(Runner, Seed);
+  KernelProgram P = findFailingProgram(Judge, Seed);
 
-  ReduceResult R = reduceCase(P, Runner, 0, 0);
+  ReduceResult R = reduce(P, Judge);
   EXPECT_EQ(R.Outcome, FuzzOutcome::Mismatch);
   EXPECT_LE(R.ReducedOps, 20u)
       << "seed " << Seed << ": " << R.OriginalOps << " -> " << R.ReducedOps;
@@ -53,14 +64,14 @@ TEST(ReducerTest, PlantedDefectReducesToTinyReproducer) {
   EXPECT_TRUE(verifyFunction(*R.Reduced.Func).empty());
 
   // The reduced program still fails with the same signature.
-  CellResult Cell = Runner.runCell(R.Reduced, 0, 0);
-  EXPECT_EQ(Cell.Outcome, FuzzOutcome::Mismatch);
-  EXPECT_EQ(Cell.Divergence, R.Divergence);
+  FuzzVerdict Again = Judge.judge(R.Reduced, 0);
+  EXPECT_EQ(Again.Outcome, FuzzOutcome::Mismatch);
+  EXPECT_EQ(Again.Divergence, R.Divergence);
 
   // ... and survives a serialize/parse round trip still failing.
   FuzzParseResult FR = parseFuzzProgram(serializeFuzzProgram(R.Reduced));
   ASSERT_TRUE(FR) << FR.Error;
-  CellResult Replayed = Runner.runCell(FR.Program, 0, 0);
+  FuzzVerdict Replayed = Judge.judge(FR.Program, 0);
   EXPECT_EQ(Replayed.Outcome, FuzzOutcome::Mismatch);
   EXPECT_EQ(Replayed.Divergence, R.Divergence);
 }
@@ -68,23 +79,21 @@ TEST(ReducerTest, PlantedDefectReducesToTinyReproducer) {
 TEST(ReducerTest, ReductionIsDeterministic) {
   fault::ScopedFault Inject("cpr.restructure.compensation",
                             fault::EveryHit);
-  DifferentialRunner Runner({{"default", CPROptions(), 1}},
-                            {MachineDesc::medium()});
+  FuzzJudge Judge = defaultJudge();
   size_t Seed = 0;
-  KernelProgram P = findFailingProgram(Runner, Seed);
-  ReduceResult A = reduceCase(P, Runner, 0, 0);
-  ReduceResult B = reduceCase(P, Runner, 0, 0);
+  KernelProgram P = findFailingProgram(Judge, Seed);
+  ReduceResult A = reduce(P, Judge);
+  ReduceResult B = reduce(P, Judge);
   EXPECT_EQ(serializeFuzzProgram(A.Reduced), serializeFuzzProgram(B.Reduced));
   EXPECT_EQ(A.OracleRuns, B.OracleRuns);
 }
 
 TEST(ReducerTest, PassingProgramIsReturnedUnreduced) {
   // No injection: the pipeline is correct and there is nothing to chase.
-  DifferentialRunner Runner({{"default", CPROptions(), 1}},
-                            {MachineDesc::medium()});
+  FuzzJudge Judge = defaultJudge();
   GeneratorConfig Cfg;
   KernelProgram P = generateProgram(2, Cfg);
-  ReduceResult R = reduceCase(P, Runner, 0, 0);
+  ReduceResult R = reduce(P, Judge);
   EXPECT_EQ(R.Outcome, FuzzOutcome::Pass);
   EXPECT_EQ(R.ReducedOps, R.OriginalOps);
   EXPECT_EQ(R.OracleRuns, 1u);
@@ -93,13 +102,12 @@ TEST(ReducerTest, PassingProgramIsReturnedUnreduced) {
 TEST(ReducerTest, OracleBudgetIsRespected) {
   fault::ScopedFault Inject("cpr.restructure.compensation",
                             fault::EveryHit);
-  DifferentialRunner Runner({{"default", CPROptions(), 1}},
-                            {MachineDesc::medium()});
+  FuzzJudge Judge = defaultJudge();
   size_t Seed = 0;
-  KernelProgram P = findFailingProgram(Runner, Seed);
+  KernelProgram P = findFailingProgram(Judge, Seed);
   ReducerOptions Opts;
   Opts.OracleBudget.MaxSteps = 5;
-  ReduceResult R = reduceCase(P, Runner, 0, 0, Opts);
+  ReduceResult R = reduce(P, Judge, Opts);
   EXPECT_LE(R.OracleRuns, 5u + 1u); // +1 for the signature-seeding run
 }
 

@@ -3,8 +3,9 @@
 // Part of the control-cpr project (PLDI 1999 Control CPR reproduction).
 //
 // Replays every minimized reproducer in tests/fuzz/regressions/ through
-// the full differential grid. A reproducer that once exposed a (since
-// fixed or injected) defect must now pass every cell; files named
+// every default variant of the differential judge. A reproducer that once
+// exposed a (since fixed or injected) defect must now pass every variant;
+// files named
 // "inject-*" came from the planted compensation-skip defect and are
 // additionally re-verified to still trip it under the hook, so the
 // harness itself cannot rot.
@@ -44,24 +45,21 @@ TEST(FuzzRegressionTest, DirectoryIsNotEmpty) {
 }
 
 TEST(FuzzRegressionTest, EveryReproducerPassesTheProductionPipeline) {
-  DifferentialRunner Runner; // full default grid
+  FuzzJudge Judge; // every default variant
   for (const std::string &Path : regressionFiles()) {
     FuzzParseResult FR = loadFuzzProgramFile(Path);
     ASSERT_TRUE(FR) << Path << ": " << FR.Error;
     ASSERT_TRUE(verifyFunction(*FR.Program.Func).empty()) << Path;
-    CaseResult Case = Runner.runCase(FR.Program);
-    const CellResult &Worst =
-        Case.Cells[Case.WorstVariant * Runner.machines().size() +
-                   Case.WorstMachine];
-    EXPECT_EQ(Case.Worst, FuzzOutcome::Pass)
-        << Path << ": " << Worst.Detail;
+    CaseVerdict Case = Judge.judgeCase(FR.Program);
+    EXPECT_EQ(Case.Worst.Outcome, FuzzOutcome::Pass)
+        << Path << ": " << Case.Worst.Detail;
   }
 }
 
 TEST(FuzzRegressionTest, InjectReproducersStillTripThePlantedDefect) {
   fault::ScopedFault Inject("cpr.restructure.compensation",
                             fault::EveryHit);
-  DifferentialRunner Runner;
+  FuzzJudge Judge;
   bool SawOne = false;
   for (const std::string &Path : regressionFiles()) {
     if (!isInjectReproducer(Path))
@@ -69,8 +67,8 @@ TEST(FuzzRegressionTest, InjectReproducersStillTripThePlantedDefect) {
     SawOne = true;
     FuzzParseResult FR = loadFuzzProgramFile(Path);
     ASSERT_TRUE(FR) << Path << ": " << FR.Error;
-    CaseResult Case = Runner.runCase(FR.Program);
-    EXPECT_EQ(Case.Worst, FuzzOutcome::Mismatch)
+    EXPECT_EQ(Judge.judgeCase(FR.Program).Worst.Outcome,
+              FuzzOutcome::Mismatch)
         << Path << " no longer reproduces under the hook";
   }
   EXPECT_TRUE(SawOne) << "no inject-* reproducers found";

@@ -292,8 +292,9 @@ TEST(RecordedOracleTest, RegionCheckReportsAtTheOracleFaultSite) {
 
 TEST(RecordedOracleTest, RegionCheckRunsTheCandidateUnderItsStepCap) {
   // A candidate that loops where the baseline halts is stopped by the
-  // session's cap, not run on to the oracle's own, and its region fails
-  // the re-check on the exit path.
+  // session's cap, not run on to DefaultMaxSteps, and its region fails
+  // the re-check on the exit path. A session's cap is its InterpMaxSteps
+  // as given, DefaultMaxSteps only when that is 0.
   std::unique_ptr<Function> Halts =
       parseFunctionOrDie("func @f {\nblock @A:\n  halt\n}\n");
   std::unique_ptr<Function> Loops = parseFunctionOrDie(
@@ -308,9 +309,9 @@ TEST(RecordedOracleTest, RegionCheckRunsTheCandidateUnderItsStepCap) {
             std::string::npos)
       << S.diagnostic().Message;
   EXPECT_EQ(Runs, 1u);
-  EXPECT_EQ(oracleStepCap(1000), 1000u);
-  EXPECT_EQ(oracleStepCap(0), DefaultMaxSteps);
-  EXPECT_EQ(oracleStepCap(DefaultMaxSteps + 1), DefaultMaxSteps);
+  EXPECT_EQ(sessionStepCap(1000), 1000u);
+  EXPECT_EQ(sessionStepCap(0), DefaultMaxSteps);
+  EXPECT_EQ(sessionStepCap(DefaultMaxSteps + 1), DefaultMaxSteps + 1);
 }
 
 } // namespace

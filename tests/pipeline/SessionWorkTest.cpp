@@ -12,10 +12,10 @@
 //    suite, the benchmark ladder (including its two known miscompiles),
 //    generated programs and the planted compensation defect, in strict and
 //    fail-safe sessions, with an injected treated function, an injected
-//    baseline profile and a budget the treated run exceeds.
+//    baseline profile and a step cap both runs just fit under.
 //  - SessionWork: the "interp/runs", "estimate/depgraphs_built" and
-//    "sim/replays" counters, and the step cap the region oracle's runs
-//    are held to.
+//    "sim/replays" counters, and the one step cap every run of a session
+//    is held to.
 //  - PipelineSharedGraphs: finish() on eight threads reads one graph set
 //    per side concurrently and matches the serial session.
 //  - PipelineSharedReplays: finish() on eight threads races for each
@@ -36,6 +36,8 @@
 #include "workloads/BenchmarkSuite.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace cpr;
 
@@ -107,16 +109,24 @@ struct ParityTally {
 };
 
 /// One session of \p P in mode \p M: its oracle must equal a fresh
-/// checkEquivalence of the session's own baseline and treated functions,
-/// and a treated profile the oracle produced must equal a fresh profiling
-/// run of the treated function.
+/// checkEquivalence of the session's own baseline and treated functions
+/// under the session's step cap, and a treated profile the oracle produced
+/// must equal a fresh profiling run of the treated function.
 void checkParity(const KernelProgram &P, Mode M, ParityTally &T) {
   SCOPED_TRACE(std::string(modeName(M)) + " @" + P.Func->getName());
   PipelineOptions Opts;
   Opts.FailSafe = M == Mode::FailSafe || M == Mode::InjectedProfile;
   Opts.Simulate = M == Mode::FailSafe;
-  if (M == Mode::Budget)
-    Opts.InterpMaxSteps = 5; // below every treated run: no recorded state
+  if (M == Mode::Budget) {
+    // The longer run's length: both sides halt within the cap, one of
+    // them exactly at it. (A treated run the cap stops is
+    // SessionWork.FinalOracleComparesTheCappedTreatedRun's case.)
+    PipelineRun Source(P.clone());
+    Memory BaseMem = P.InitMem, TreatedMem = P.InitMem;
+    Opts.InterpMaxSteps =
+        std::max(interpret(*P.Func, BaseMem, P.InitRegs).Steps,
+                 interpret(Source.treated(), TreatedMem, P.InitRegs).Steps);
+  }
   PipelineRun Run(P.clone(), Opts);
   if (M == Mode::InjectedTreated) {
     // Another session's output, injected: the session runs no transform.
@@ -129,8 +139,9 @@ void checkParity(const KernelProgram &P, Mode M, ParityTally &T) {
   }
 
   const EquivResult &Got = Run.checkEquivalenceResult();
-  EquivResult Want =
-      checkEquivalence(Run.baseline(), Run.treated(), P.InitMem, P.InitRegs);
+  EquivResult Want = checkEquivalence(Run.baseline(), Run.treated(),
+                                      P.InitMem, P.InitRegs,
+                                      Opts.InterpMaxSteps);
   EXPECT_EQ(Got.Equivalent, Want.Equivalent);
   EXPECT_EQ(Got.Kind, Want.Kind);
   EXPECT_EQ(Got.Detail, Want.Detail);
@@ -146,7 +157,8 @@ void checkParity(const KernelProgram &P, Mode M, ParityTally &T) {
   BranchTrace FreshTrace;
   Expected<ProfileData> Fresh =
       tryProfileRun(Run.treated(), Mem, P.InitRegs, &R,
-                    Opts.Simulate ? &FreshTrace : nullptr);
+                    Opts.Simulate ? &FreshTrace : nullptr,
+                    Opts.InterpMaxSteps);
   if (!Fresh)
     return; // nothing to profile; the oracle reported the exit path
   EXPECT_EQ(serializeProfile(Run.treatedProfile(), Run.treated()),
@@ -368,6 +380,71 @@ TEST(SessionWork, RegionOracleRunsCandidatesUnderTheSessionStepCap) {
   for (const Diagnostic &D : Diags.diagnostics())
     Found += D.Message.find(Want) != std::string::npos;
   EXPECT_GT(Found, 0u) << Want;
+}
+
+TEST(SessionWork, EveryProfilingRunKeepsTheSessionStepCap) {
+  // One step below generator program 7's baseline length, the profile the
+  // transform reads cannot be made: every way of asking for it fails,
+  // fatally or as the session's BudgetExhausted diagnostic.
+  KernelProgram P = generateProgram(7, GeneratorConfig());
+  Memory BaseMem = P.InitMem;
+  RunResult Base = interpret(*P.Func, BaseMem, P.InitRegs);
+  ASSERT_TRUE(Base.halted());
+  PipelineOptions Opts;
+  Opts.InterpMaxSteps = Base.Steps - 1;
+
+  ScopedFatalErrorTrap Trap;
+  {
+    PipelineRun Run(P.clone(), Opts);
+    EXPECT_THROW(Run.baselineProfile(), FatalError);
+  }
+  {
+    PipelineRun Run(P.clone(), Opts);
+    EXPECT_THROW(Run.treated(), FatalError);
+  }
+  {
+    PipelineRun Run(P.clone(), Opts);
+    EXPECT_THROW(Run.prepare(), FatalError);
+  }
+  PipelineRun Run(P.clone(), Opts);
+  Status S = Run.tryPrepare();
+  ASSERT_FALSE(S.ok());
+  EXPECT_EQ(S.diagnostic().Code, DiagCode::BudgetExhausted);
+  EXPECT_NE(S.diagnostic().Message.find(
+                "(" + std::to_string(Base.Steps - 1) + " steps)"),
+            std::string::npos)
+      << S.diagnostic().Message;
+}
+
+TEST(SessionWork, FinalOracleComparesTheCappedTreatedRun) {
+  // Capped at exactly the baseline's steps, program 7's treated run (which
+  // needs more) stops at the cap. The final oracle compares that run -- an
+  // exit-path mismatch, as the region re-check reports one -- instead of
+  // running it again uncapped, and the fail-safe session falls back on
+  // it: one baseline run, one treated run, one run of the fallback clone.
+  KernelProgram P = generateProgram(7, GeneratorConfig());
+  Memory BaseMem = P.InitMem;
+  RunResult Base = interpret(*P.Func, BaseMem, P.InitRegs);
+  ASSERT_TRUE(Base.halted());
+
+  DiagnosticEngine Diags;
+  StatsRegistry Stats;
+  PipelineOptions Opts;
+  Opts.Machines.clear();
+  Opts.FailSafe = true; // with the final oracle (CheckEquivalence)
+  Opts.InterpMaxSteps = Base.Steps;
+  Opts.Diags = &Diags;
+  PipelineRun Run(P.clone(), Opts, &Stats, "s/");
+  ASSERT_TRUE(Run.tryPrepare().ok());
+  EXPECT_TRUE(Run.fellBack());
+  const std::string Want =
+      "hit the step limit after " + std::to_string(Base.Steps) + " steps";
+  size_t Found = 0;
+  for (const Diagnostic &D : Diags.diagnostics())
+    Found += D.Code == DiagCode::OracleMismatch &&
+             D.Message.find(Want) != std::string::npos;
+  EXPECT_EQ(Found, 1u) << Want;
+  EXPECT_EQ(Stats.count("s/interp/runs"), 3.0);
 }
 
 /// The benchmark's sim sessions: tage-sc-l on fetch4.btb64x4, strict.

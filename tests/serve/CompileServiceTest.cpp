@@ -22,6 +22,7 @@
 
 #include "fuzz/Corpus.h"
 #include "fuzz/Generator.h"
+#include "support/FaultInjector.h"
 #include "workloads/Kernels.h"
 
 #include "gtest/gtest.h"
@@ -174,6 +175,34 @@ TEST(CompileService, UncleanResponseIsNeverCached) {
   RegionCacheStats S = Service.cacheStats();
   EXPECT_EQ(S.Misses, 3u);
   EXPECT_EQ(S.Hits, 0u);
+}
+
+/// An insert the serve.cache.insert fault drops leaves no trace in what
+/// any later request receives: the dropped miss, the miss that then
+/// commits and the hit after it all answer a cold service's bytes.
+TEST(CompileService, FaultedCacheInsertKeepsEveryResponseIntact) {
+  std::string IR = serializeFuzzProgram(buildStrcpyKernel(4, 512, 1));
+  CompileResponse Cold = CompileService().compile(requestFor(IR, "cold"));
+  ASSERT_TRUE(Cold.ok()) << Cold.Status;
+  const std::string Want = canonicalFrame(Cold, "x");
+
+  CompileService Service;
+  std::vector<CompileResponse> Got;
+  {
+    fault::ScopedFault Armed("serve.cache.insert", 1); // the first commit
+    for (unsigned Send = 0; Send < 3; ++Send)
+      Got.push_back(Service.compile(requestFor(IR, std::to_string(Send))));
+    EXPECT_TRUE(fault::fired());
+  }
+  for (unsigned Send = 0; Send < 3; ++Send) {
+    ASSERT_TRUE(Got[Send].ok()) << "send " << Send;
+    EXPECT_EQ(canonicalFrame(Got[Send], "x"), Want) << "send " << Send;
+    EXPECT_EQ(Got[Send].CacheHits, Send == 2 ? 1u : 0u) << "send " << Send;
+  }
+  RegionCacheStats S = Service.cacheStats();
+  EXPECT_EQ(S.Misses, 2u);
+  EXPECT_EQ(S.Hits, 1u);
+  EXPECT_EQ(S.Entries, 1u);
 }
 
 TEST(CompileService, ParseErrorIsIsolated) {

@@ -22,40 +22,23 @@ TEST(BranchTraceTest, UnboundedKeepsEverything) {
   for (OpId I = 1; I <= 100; ++I)
     T.record(I, I % 3 == 0);
   EXPECT_EQ(T.size(), 100u);
-  EXPECT_EQ(T.totalRecorded(), 100u);
-  EXPECT_EQ(T.droppedEvents(), 0u);
   EXPECT_EQ(T.event(0).Op, 1u);
   EXPECT_EQ(T.event(99).Op, 100u);
   EXPECT_FALSE(T.hasTerminal());
 }
 
-TEST(BranchTraceTest, RingEvictsOldestInOrder) {
-  BranchTrace T(3);
-  for (OpId I = 1; I <= 5; ++I)
-    T.record(I, I % 2 == 0);
-  EXPECT_EQ(T.size(), 3u);
-  EXPECT_EQ(T.totalRecorded(), 5u);
-  EXPECT_EQ(T.droppedEvents(), 2u);
-  // Oldest-first iteration over the retained suffix: 3, 4, 5.
-  EXPECT_EQ(T.event(0).Op, 3u);
-  EXPECT_EQ(T.event(1).Op, 4u);
-  EXPECT_EQ(T.event(2).Op, 5u);
-  EXPECT_TRUE(T.event(1).Taken);
-  EXPECT_FALSE(T.event(2).Taken);
-}
-
 TEST(BranchTraceTest, ClearResetsEverything) {
-  BranchTrace T(2);
+  BranchTrace T;
   T.record(1, true);
   T.record(2, false);
   T.record(3, true);
   T.markTerminal(9);
   T.clear();
   EXPECT_EQ(T.size(), 0u);
-  EXPECT_EQ(T.totalRecorded(), 0u);
   EXPECT_FALSE(T.hasTerminal());
-  // The ring restarts cleanly after clear.
+  // Recording restarts cleanly after clear.
   T.record(4, true);
+  EXPECT_EQ(T.size(), 1u);
   EXPECT_EQ(T.event(0).Op, 4u);
 }
 
@@ -79,44 +62,35 @@ TEST(BranchTraceTest, InterpreterTraceRoundTrips) {
   ASSERT_GT(T.size(), 0u);
   ASSERT_TRUE(T.hasTerminal());
 
-  TraceParseResult R = parseBranchTrace(serializeBranchTrace(T));
-  ASSERT_TRUE(R) << R.Error;
-  ASSERT_EQ(R.Trace.size(), T.size());
+  Expected<BranchTrace> R = tryParseBranchTrace(serializeBranchTrace(T));
+  ASSERT_TRUE(R.ok()) << R.diagnostic().str();
+  ASSERT_EQ(R->size(), T.size());
   for (size_t I = 0; I < T.size(); ++I)
-    EXPECT_TRUE(R.Trace.event(I) == T.event(I)) << "event " << I;
-  EXPECT_EQ(R.Trace.terminalOp(), T.terminalOp());
-  EXPECT_EQ(R.Trace.droppedEvents(), 0u);
+    EXPECT_TRUE(R->event(I) == T.event(I)) << "event " << I;
+  EXPECT_EQ(R->terminalOp(), T.terminalOp());
 
   // And serialization is a fixed point.
-  EXPECT_EQ(serializeBranchTrace(R.Trace), serializeBranchTrace(T));
-}
-
-TEST(BranchTraceTest, RoundTripPreservesDropCount) {
-  BranchTrace T(2);
-  for (OpId I = 1; I <= 10; ++I)
-    T.record(I, true);
-  TraceParseResult R = parseBranchTrace(serializeBranchTrace(T));
-  ASSERT_TRUE(R) << R.Error;
-  EXPECT_EQ(R.Trace.size(), 2u);
-  EXPECT_EQ(R.Trace.droppedEvents(), 8u);
-  EXPECT_EQ(R.Trace.totalRecorded(), 10u);
+  EXPECT_EQ(serializeBranchTrace(*R), serializeBranchTrace(T));
 }
 
 TEST(BranchTraceTest, ParseErrors) {
-  EXPECT_FALSE(parseBranchTrace(""));                       // no header
-  EXPECT_FALSE(parseBranchTrace("ev 1 t 1\n"));             // missing header
-  EXPECT_FALSE(parseBranchTrace("btrace v2\n"));            // bad version
-  EXPECT_FALSE(parseBranchTrace("btrace v1\nbogus\n"));     // unknown record
-  EXPECT_FALSE(parseBranchTrace("btrace v1\nev 1 x 2\n"));  // bad direction
-  EXPECT_FALSE(parseBranchTrace("btrace v1\nev 1 t 0\n"));  // zero run
-  EXPECT_FALSE(parseBranchTrace("btrace v1\nterm\n"));      // missing id
-  EXPECT_FALSE(parseBranchTrace("btrace v1\ndrop x\n"));    // malformed drop
+  auto Rejects = [](const char *Text) {
+    return !tryParseBranchTrace(Text).ok();
+  };
+  EXPECT_TRUE(Rejects(""));                        // no header
+  EXPECT_TRUE(Rejects("ev 1 t 1\n"));              // missing header
+  EXPECT_TRUE(Rejects("btrace v2\n"));             // bad version
+  EXPECT_TRUE(Rejects("btrace v1\nbogus\n"));      // unknown record
+  EXPECT_TRUE(Rejects("btrace v1\nev 1 x 2\n"));   // bad direction
+  EXPECT_TRUE(Rejects("btrace v1\nev 1 t 0\n"));   // zero run
+  EXPECT_TRUE(Rejects("btrace v1\nterm\n"));       // missing id
+  EXPECT_TRUE(Rejects("btrace v1\ndrop x\n"));     // no drop record
 
-  TraceParseResult Ok = parseBranchTrace(
+  Expected<BranchTrace> Ok = tryParseBranchTrace(
       "# comment\nbtrace v1\nev 4 t 2 # trailing\n\nterm 8\n");
-  ASSERT_TRUE(Ok) << Ok.Error;
-  EXPECT_EQ(Ok.Trace.size(), 2u);
-  EXPECT_EQ(Ok.Trace.terminalOp(), 8u);
+  ASSERT_TRUE(Ok.ok()) << Ok.diagnostic().str();
+  EXPECT_EQ(Ok->size(), 2u);
+  EXPECT_EQ(Ok->terminalOp(), 8u);
 }
 
 // --- btrace v1 hygiene -----------------------------------------------
@@ -138,7 +112,8 @@ TEST(BranchTraceTest, MalformedLinesAreRecoverableParseErrors) {
            {"btrace v1\nev 4294967296 t 1\n", 2},          // id wider than OpId
            {"btrace v1\nev 1 t 1\nterm 3\nterm 3\n", 4},   // duplicate term
            {"btrace v1\nev 1 t 1\nterm 3\nev 1 t 1\n", 4}, // event after term
-           {"btrace v1\ndrop 1\ndrop 1\n", 3},             // duplicate drop
+           {"btrace v1\ndrop 1\n", 2},                     // no drop record
+           {"btrace v1\nev 1 t 1\ndrop 0\n", 3},           // ... anywhere
        }) {
     Expected<BranchTrace> E = tryParseBranchTrace(C.Text);
     ASSERT_FALSE(E.ok()) << C.Text;
@@ -184,12 +159,11 @@ TEST(BranchTraceTest, SerializationIsAFixedPointOverGeneratedPrograms) {
     EXPECT_EQ(serializeBranchTrace(*R), Text) << "seed " << Seed;
 
     // The parsed trace is semantically identical too, not just
-    // textually: same events, terminal, and drop accounting.
+    // textually: same events and terminal.
     ASSERT_EQ(R->size(), T.size()) << "seed " << Seed;
     for (size_t I = 0; I < T.size(); ++I)
       ASSERT_TRUE(R->event(I) == T.event(I)) << "seed " << Seed << " ev " << I;
     EXPECT_EQ(R->terminalOp(), T.terminalOp());
-    EXPECT_EQ(R->totalRecorded(), T.totalRecorded());
   }
 }
 

@@ -113,9 +113,6 @@ SimEstimate referenceSimulateTrace(const Function &F, const MachineDesc &MD,
 
   if (F.numBlocks() == 0)
     return fail("function has no blocks");
-  if (Trace.droppedEvents() != 0)
-    return fail("trace is incomplete: ring dropped " +
-                std::to_string(Trace.droppedEvents()) + " event(s)");
   if (!Trace.hasTerminal())
     return fail("trace has no terminal marker (run did not halt?)");
 
@@ -438,12 +435,6 @@ block @Loop:
   OpId Halt = Good.terminalOp();
 
   expectSameError(Function("empty"), Good, "no blocks");
-
-  BranchTrace Ring(1);
-  for (size_t I = 0; I < Good.size(); ++I)
-    Ring.record(Good.event(I).Op, Good.event(I).Taken);
-  Ring.markTerminal(Halt);
-  expectSameError(*Loop, Ring, "dropped");
 
   BranchTrace NoTerminal;
   NoTerminal.record(Br, true);

@@ -78,23 +78,6 @@ block @A:
   EXPECT_NE(E.Error.find("terminal"), std::string::npos);
 }
 
-TEST(TraceSimulatorTest, DroppedRingEventsAreRejected) {
-  KernelProgram P = buildStrcpyKernel(4, 512);
-  Memory Mem = P.InitMem;
-  InterpOptions IO;
-  BranchTrace Ring(8); // far too small for the run
-  IO.Trace = &Ring;
-  RunResult R = interpret(*P.Func, Mem, P.InitRegs, IO);
-  ASSERT_TRUE(R.halted());
-  ASSERT_GT(Ring.droppedEvents(), 0u);
-
-  std::unique_ptr<BranchPredictor> Pred =
-      makePredictor(PredictorKind::Bimodal);
-  SimEstimate E = simulateTrace(*P.Func, MachineDesc::wide(), Ring, *Pred);
-  EXPECT_FALSE(E.ok());
-  EXPECT_NE(E.Error.find("dropped"), std::string::npos);
-}
-
 TEST(TraceSimulatorTest, SingleBranchLoop) {
   std::unique_ptr<Function> F = parseFunctionOrDie(R"(
 func @loop {

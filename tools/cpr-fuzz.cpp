@@ -1,11 +1,11 @@
-//===- tools/cpr-fuzz.cpp - Differential CPR fuzzing driver ---------------===//
+//===- tools/cpr-fuzz.cpp - CPR fuzzing front end -------------------------===//
 //
 // Part of the control-cpr project (PLDI 1999 Control CPR reproduction).
 //
 // Command-line front end of the fuzzing subsystem (src/fuzz/): runs
-// campaigns of random and corpus-mutated programs through the
-// differential oracle, reduces failures to minimal reproducers, and
-// replays saved `.ir` reproducers.
+// campaigns of random and corpus-mutated programs through one of three
+// oracles (differential by default), reduces failures to minimal
+// reproducers, and replays saved `.ir` reproducers.
 //
 //   cpr-fuzz --seed=1 --runs=200 --threads=4        # campaign
 //   cpr-fuzz --corpus=dir --runs=100 --reduce --out=dir
@@ -14,8 +14,9 @@
 //   cpr-fuzz --static-oracle --runs=200             # lint-judged campaign
 //   cpr-fuzz --cross-validate --runs=100            # oracle-vs-oracle
 //
-// Campaigns are deterministic for a fixed --seed at any --threads
-// setting; see docs/FUZZING.md for the triage workflow and
+// Replay judges each file under the oracle the flags select. Campaigns
+// are deterministic for a fixed --seed at any --threads setting; see
+// docs/FUZZING.md for the triage workflow and
 // docs/ROBUSTNESS.md for the fault-injection campaign.
 //
 // Exit codes (support/Diagnostic.h): 0 clean, 1 findings/contract
@@ -117,7 +118,7 @@ OptionTable buildOptions(Config &C) {
   T.addFlag("--cross-validate",
             "judge each case with BOTH oracles (differential execution "
             "and witness-replaying static checks); any disagreement is a "
-            "harness bug, classified and reduced",
+            "harness bug",
             C.CrossValidate);
   T.addFlag("--inject-defect",
             "plant the hidden compensation-skip miscompile (oracle "
@@ -134,13 +135,14 @@ OptionTable buildOptions(Config &C) {
   return T;
 }
 
-/// Replays saved reproducers through the full differential grid.
-/// Counts files whose grid had any non-pass cell (Failing) separately
+/// Replays saved reproducers through every variant under the campaign's
+/// judge. Counts files with any non-pass variant (Failing) separately
 /// from files that could not even be loaded (Unloadable) so main() can
 /// exit with the distinct parse-error code for the latter.
 void replayFiles(const std::vector<std::string> &Files, const Config &C,
                  int &Failing, int &Unloadable) {
-  DifferentialRunner Runner(C.Campaign.Variants, C.Campaign.Machines);
+  FuzzJudge Judge(C.Campaign.Oracle, C.Campaign.Variants,
+                  C.Campaign.Machines);
   for (const std::string &Path : Files) {
     FuzzParseResult PR = loadFuzzProgramFile(Path);
     if (!PR) {
@@ -148,18 +150,16 @@ void replayFiles(const std::vector<std::string> &Files, const Config &C,
       ++Unloadable;
       continue;
     }
-    CaseResult Case = Runner.runCase(PR.Program);
-    if (Case.Worst == FuzzOutcome::Pass) {
-      std::printf("%s: pass (%zu cells)\n", Path.c_str(),
-                  Runner.numCells());
+    CaseVerdict Case = Judge.judgeCase(PR.Program);
+    if (Case.Worst.Outcome == FuzzOutcome::Pass) {
+      std::printf("%s: pass (%zu variants)\n", Path.c_str(),
+                  Judge.variants().size());
       continue;
     }
     ++Failing;
-    const CellResult &Worst =
-        Case.Cells[Case.WorstVariant * Runner.machines().size() +
-                   Case.WorstMachine];
     std::printf("%s: %s: %s\n", Path.c_str(),
-                fuzzOutcomeName(Case.Worst), Worst.Detail.c_str());
+                fuzzOutcomeName(Case.Worst.Outcome),
+                Case.Worst.Detail.c_str());
   }
 }
 
@@ -215,6 +215,16 @@ int main(int argc, char **argv) {
                  "cpr-fuzz: --fault-campaign takes no reproducer files\n");
     return exit_codes::UsageError;
   }
+  if (C.StaticOracle && C.CrossValidate) {
+    std::fprintf(stderr,
+                 "cpr-fuzz: --static-oracle and --cross-validate are "
+                 "mutually exclusive\n");
+    return exit_codes::UsageError;
+  }
+  if (C.StaticOracle)
+    C.Campaign.Oracle = FuzzOracle::StaticLint;
+  if (C.CrossValidate)
+    C.Campaign.Oracle = FuzzOracle::CrossValidate;
 
   // Replay mode: positional reproducer files, no campaign.
   if (!Positional.empty()) {
@@ -268,24 +278,7 @@ int main(int argc, char **argv) {
     return Res.clean() ? exit_codes::Success : exit_codes::Failure;
   }
 
-  if (C.StaticOracle && C.CrossValidate) {
-    std::fprintf(stderr,
-                 "cpr-fuzz: --static-oracle and --cross-validate are "
-                 "mutually exclusive\n");
-    return exit_codes::UsageError;
-  }
-  if (C.StaticOracle && C.Campaign.Reduce) {
-    std::fprintf(stderr,
-                 "cpr-fuzz: --reduce is not supported with "
-                 "--static-oracle (the reducer's oracle is the "
-                 "differential runner)\n");
-    return exit_codes::UsageError;
-  }
-  FuzzCampaignResult Res = C.CrossValidate
-                               ? runCrossValidationCampaign(C.Campaign)
-                               : C.StaticOracle
-                                     ? runStaticLintCampaign(C.Campaign)
-                                     : runFuzzCampaign(C.Campaign);
+  FuzzCampaignResult Res = runFuzzCampaign(C.Campaign);
   std::printf("%s\n", Res.summary().c_str());
   for (const FuzzFailure &F : Res.Failures)
     if (!F.ReproducerPath.empty())

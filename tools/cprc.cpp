@@ -192,7 +192,7 @@ OptionTable buildOptions(Config &C) {
             "reported (budget exhaustion, lint warnings, ...)",
             C.Werror);
   T.addUnsigned("--interp-max-steps", "<n>",
-                "step budget for profiling/oracle runs (0 = unlimited)",
+                "step cap of every interpreter run (0 = the default)",
                 C.InterpMaxSteps);
   T.addUnsigned("--transform-steps", "<n>",
                 "transform budget: max CPR block transforms "
@@ -597,16 +597,19 @@ int main(int argc, char **argv) {
         return lintStatus(Linter.run(Candidate, nullptr, &C.InitRegs));
       };
     // The per-region re-check runs each candidate once against the
-    // baseline's final state, recorded here with one run.
+    // baseline's final state, recorded here with one run, both under the
+    // session's step cap.
     std::unique_ptr<Function> OracleBaseline;
     RunState OracleBaselineFinal;
+    const uint64_t StepCap = sessionStepCap(C.InterpMaxSteps);
     if (C.FailSafe && C.RegionEquiv) {
       OracleBaseline = F->clone();
-      OracleBaselineFinal = recordRun(*OracleBaseline, C.InitMem, C.InitRegs);
+      OracleBaselineFinal =
+          recordRun(*OracleBaseline, C.InitMem, C.InitRegs, StepCap);
       Ctx.RegionOracle = [&](const Function &Candidate) -> Status {
         return checkRegionEquivalence(*OracleBaseline, OracleBaselineFinal,
                                       Candidate, C.InitMem, C.InitRegs,
-                                      oracleStepCap(C.InterpMaxSteps));
+                                      StepCap);
       };
     }
     CPRResult CR = runControlCPR(*F, *PhaseProfile, C.CPR, Ctx);

@@ -10,13 +10,10 @@
 ///
 ///   --threads=<n>      worker threads for the suite run (0 = all cores)
 ///   --stats-json=<f>   write per-stage counters and wall times as JSON
-///   --micro            also run the google-benchmark micro timers
 ///   --help / -h        generated from the table
 ///
-/// Unknown `--benchmark_*` flags are collected and forwarded to
-/// google-benchmark (and imply --micro); any other unknown option is an
-/// error. By default the drivers print their paper table and exit, so a
-/// suite run's wall clock measures the pipeline sessions themselves.
+/// Any other option is an error. The drivers print their paper table and
+/// exit; compile-time measurement is cprbench's (cprbench/README.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,12 +23,9 @@
 #include "support/OptionParser.h"
 #include "support/Statistics.h"
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 namespace cpr {
 
@@ -39,10 +33,7 @@ namespace cpr {
 struct DriverConfig {
   unsigned Threads = 1;
   std::string StatsJSON;
-  bool Micro = false;
   bool Help = false;
-  /// Unrecognized options, forwarded to google-benchmark.
-  std::vector<std::string> Forwarded;
 };
 
 /// Parses the shared driver options; exits on --help or a parse error.
@@ -56,26 +47,15 @@ inline DriverConfig parseDriverOptions(int argc, char **argv,
   T.addString("--stats-json", "<file>",
               "write per-stage counters and wall times as JSON",
               C.StatsJSON);
-  T.addFlag("--micro", "also run the google-benchmark micro timers",
-            C.Micro);
   T.addFlag("--help", "print this help", C.Help);
   T.addFlag("-h", "print this help", C.Help);
 
   std::string Error;
-  if (!T.parse(argc, argv, Error, /*Positional=*/nullptr, &C.Forwarded)) {
+  if (!T.parse(argc, argv, Error, /*Positional=*/nullptr)) {
     std::fprintf(stderr, "%s: %s\n%s", Tool, Error.c_str(),
                  T.help(std::string("usage: ") + Tool + " [options]")
                      .c_str());
     std::exit(2);
-  }
-  for (const std::string &Arg : C.Forwarded) {
-    if (Arg.rfind("--benchmark_", 0) != 0) {
-      std::fprintf(stderr, "%s: unknown option '%s'\n%s", Tool, Arg.c_str(),
-                   T.help(std::string("usage: ") + Tool + " [options]")
-                       .c_str());
-      std::exit(2);
-    }
-    C.Micro = true; // an explicit benchmark flag implies the timers
   }
   if (C.Help) {
     std::printf("%s", T.help(std::string("usage: ") + Tool + " [options]")
@@ -95,22 +75,6 @@ inline void maybeWriteStats(const DriverConfig &C,
     std::fprintf(stderr, "%s\n", Error.c_str());
     std::exit(1);
   }
-}
-
-/// Runs the registered google-benchmark timers when --micro (or any
-/// --benchmark_* flag) was given, forwarding those flags.
-inline void maybeRunMicroBenchmarks(const DriverConfig &C, char *Argv0) {
-  if (!C.Micro)
-    return;
-  std::vector<std::string> Args;
-  Args.emplace_back(Argv0);
-  Args.insert(Args.end(), C.Forwarded.begin(), C.Forwarded.end());
-  std::vector<char *> Argv;
-  for (std::string &A : Args)
-    Argv.push_back(A.data());
-  int Argc = static_cast<int>(Argv.size());
-  benchmark::Initialize(&Argc, Argv.data());
-  benchmark::RunSpecifiedBenchmarks();
 }
 
 } // namespace cpr

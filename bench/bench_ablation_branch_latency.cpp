@@ -18,8 +18,6 @@
 #include "support/TableFormat.h"
 #include "workloads/BenchmarkSuite.h"
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 using namespace cpr;
@@ -60,22 +58,9 @@ void printAblation() {
               "collapsed branch saves Lat cycles of dependence height)\n\n");
 }
 
-void BM_PipelineLat3(benchmark::State &State) {
-  for (auto _ : State) {
-    KernelProgram P = buildStrcpyKernel(8, 4096, 1);
-    PipelineOptions Opts;
-    Opts.Machines = MachineDesc::paperModels(3);
-    PipelineResult R = runPipeline(P, Opts);
-    benchmark::DoNotOptimize(R.Machines.data());
-  }
-}
-BENCHMARK(BM_PipelineLat3)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
-int main(int argc, char **argv) {
+int main() {
   printAblation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

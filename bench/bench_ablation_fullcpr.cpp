@@ -27,8 +27,6 @@
 #include "support/TableFormat.h"
 #include "workloads/BenchmarkSuite.h"
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 using namespace cpr;
@@ -118,22 +116,9 @@ void printComparison() {
               "CPR's redundant compares execute on every path)\n\n");
 }
 
-void BM_FullCprTransform(benchmark::State &State) {
-  std::vector<BenchmarkSpec> Suite = paperBenchmarkSuite();
-  KernelProgram P = findBenchmark(Suite, "126.gcc").Build();
-  for (auto _ : State) {
-    std::unique_ptr<Function> Full = P.Func->clone();
-    FullCPRStats S = runFullCPR(*Full);
-    benchmark::DoNotOptimize(S.LookaheadsInserted);
-  }
-}
-BENCHMARK(BM_FullCprTransform)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
-int main(int argc, char **argv) {
+int main() {
   printComparison();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

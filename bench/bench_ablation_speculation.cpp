@@ -16,8 +16,6 @@
 #include "support/TableFormat.h"
 #include "workloads/BenchmarkSuite.h"
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 using namespace cpr;
@@ -61,21 +59,9 @@ void printAblation() {
               T.render().c_str());
 }
 
-void BM_SpeculationPhase(benchmark::State &State) {
-  std::vector<BenchmarkSpec> Suite = paperBenchmarkSuite();
-  for (auto _ : State) {
-    KernelProgram P = findBenchmark(Suite, "126.gcc").Build();
-    PipelineResult R = runPipeline(P);
-    benchmark::DoNotOptimize(R.CPR.Promoted);
-  }
-}
-BENCHMARK(BM_SpeculationPhase)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
-int main(int argc, char **argv) {
+int main() {
   printAblation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

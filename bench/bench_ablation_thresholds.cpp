@@ -17,8 +17,6 @@
 #include "support/TableFormat.h"
 #include "workloads/BenchmarkSuite.h"
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 using namespace cpr;
@@ -85,21 +83,9 @@ void printAblation() {
               std::size(SubsetNames));
 }
 
-void BM_ThresholdPoint(benchmark::State &State) {
-  for (auto _ : State) {
-    CPROptions CPR;
-    CPR.ExitWeightThreshold = 0.20;
-    std::vector<double> G = gmeansAcrossSubset(CPR);
-    benchmark::DoNotOptimize(G.data());
-  }
-}
-BENCHMARK(BM_ThresholdPoint)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
-int main(int argc, char **argv) {
+int main() {
   printAblation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -18,8 +18,6 @@
 #include "sched/ListScheduler.h"
 #include "support/TableFormat.h"
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 using namespace cpr;
@@ -108,20 +106,9 @@ void printFigure1() {
               T.render().c_str());
 }
 
-void BM_FrpConversion(benchmark::State &State) {
-  for (auto _ : State) {
-    std::unique_ptr<Function> F = parseFunctionOrDie(Fig1Src);
-    FRPConversionStats S = convertToFRP(*F, F->block(0));
-    benchmark::DoNotOptimize(S.BranchesConverted);
-  }
-}
-BENCHMARK(BM_FrpConversion)->Unit(benchmark::kMicrosecond);
-
 } // namespace
 
-int main(int argc, char **argv) {
+int main() {
   printFigure1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

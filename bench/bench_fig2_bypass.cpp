@@ -19,8 +19,6 @@
 #include "sched/ListScheduler.h"
 #include "support/TableFormat.h"
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 using namespace cpr;
@@ -127,23 +125,9 @@ void printFigure2() {
               CR.OpsMovedOffTrace, CR.OpsSplit);
 }
 
-void BM_ControlCprFig2(benchmark::State &State) {
-  KernelProgram P = makeFig2Program();
-  Memory Mem = P.InitMem;
-  ProfileData Prof = profileRun(*P.Func, Mem, P.InitRegs);
-  for (auto _ : State) {
-    std::unique_ptr<Function> T = applyControlCPR(*P.Func, Prof,
-                                                  CPROptions());
-    benchmark::DoNotOptimize(T.get());
-  }
-}
-BENCHMARK(BM_ControlCprFig2)->Unit(benchmark::kMicrosecond);
-
 } // namespace
 
-int main(int argc, char **argv) {
+int main() {
   printFigure2();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

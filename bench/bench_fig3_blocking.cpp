@@ -16,8 +16,6 @@
 #include "support/TableFormat.h"
 #include "workloads/SyntheticProgram.h"
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 using namespace cpr;
@@ -68,22 +66,9 @@ void printFigure3() {
               "superblock as one CPR block, cap 1 = no transformation)\n\n");
 }
 
-void BM_BlockingSweepPoint(benchmark::State &State) {
-  for (auto _ : State) {
-    KernelProgram P = makeLongSuperblock(0.99);
-    PipelineOptions Opts;
-    Opts.CPR.MaxBranchesPerBlock = 4;
-    PipelineResult R = runPipeline(P, Opts);
-    benchmark::DoNotOptimize(R.CPR.CPRBlocksTransformed);
-  }
-}
-BENCHMARK(BM_BlockingSweepPoint)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
-int main(int argc, char **argv) {
+int main() {
   printFigure3();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -18,8 +18,6 @@
 #include "ir/IRPrinter.h"
 #include "pipeline/CompilerPipeline.h"
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 using namespace cpr;
@@ -146,23 +144,9 @@ void printFigure4() {
     std::printf("off-trace code:\n%s\n", printBlock(*Treated, *Comp).c_str());
 }
 
-void BM_SchemaTransform(benchmark::State &State) {
-  KernelProgram P = makeFig4Program();
-  Memory Mem = P.InitMem;
-  ProfileData Prof = profileRun(*P.Func, Mem, P.InitRegs);
-  for (auto _ : State) {
-    std::unique_ptr<Function> T =
-        applyControlCPR(*P.Func, Prof, CPROptions());
-    benchmark::DoNotOptimize(T.get());
-  }
-}
-BENCHMARK(BM_SchemaTransform)->Unit(benchmark::kMicrosecond);
-
 } // namespace
 
-int main(int argc, char **argv) {
+int main() {
   printFigure4();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

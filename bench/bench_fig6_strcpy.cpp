@@ -21,8 +21,6 @@
 #include "sched/ListScheduler.h"
 #include "support/TableFormat.h"
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 using namespace cpr;
@@ -116,20 +114,9 @@ void printWalkthrough() {
               "matches)\n\n");
 }
 
-void BM_StrcpyFullPipeline(benchmark::State &State) {
-  for (auto _ : State) {
-    KernelProgram P = buildStrcpyKernel(4, 4096);
-    PipelineResult R = runPipeline(P);
-    benchmark::DoNotOptimize(R.Machines.data());
-  }
-}
-BENCHMARK(BM_StrcpyFullPipeline)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
-int main(int argc, char **argv) {
+int main() {
   printWalkthrough();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -27,21 +27,17 @@
 //              bench_sim_predictors --quick --out=/tmp/b.json   (CI smoke)
 //              bench_sim_predictors --validate=bench/BENCH_sim.json
 //
-// --micro runs the google-benchmark simulation-cost timers. Exit codes:
-// 0 success, 1 failure (bad validate target, I/O), 2 usage error.
+// Exit codes: 0 success, 1 failure (bad validate target, I/O), 2 usage
+// error.
 //
 //===----------------------------------------------------------------------===//
 
 #include "DriverCommon.h"
-#include "interp/Profiler.h"
 #include "pipeline/PipelineRun.h"
 #include "pipeline/Reports.h"
 #include "support/JSON.h"
 #include "support/ThreadPool.h"
 #include "workloads/BenchmarkSuite.h"
-#include "workloads/Kernels.h"
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <fstream>
@@ -56,7 +52,7 @@ struct SimBenchConfig {
   std::string Validate;
   unsigned MaxWorkloads = 0; ///< 0 = the whole paper suite
   bool Quick = false;
-  DriverConfig Driver; ///< --threads / --stats-json / --micro
+  DriverConfig Driver; ///< --threads / --stats-json / --help
 };
 
 OptionTable buildOptions(SimBenchConfig &C) {
@@ -80,8 +76,6 @@ OptionTable buildOptions(SimBenchConfig &C) {
   T.addString("--stats-json", "<file>",
               "write per-stage counters and wall times as JSON",
               C.Driver.StatsJSON);
-  T.addFlag("--micro", "also run the google-benchmark micro timers",
-            C.Driver.Micro);
   T.addFlag("--help", "print this help", C.Driver.Help);
   T.addFlag("-h", "print this help", C.Driver.Help);
   return T;
@@ -247,35 +241,6 @@ int runSweep(const SimBenchConfig &C) {
   return 0;
 }
 
-/// Simulation cost: one trace replay through gshare on the wide machine.
-void BM_SimulateGshare(benchmark::State &State) {
-  KernelProgram P = buildStrcpyKernel(8, 4096, 1);
-  Memory Mem = P.InitMem;
-  BranchTrace Trace;
-  ProfileData Prof = profileRun(*P.Func, Mem, P.InitRegs, nullptr, &Trace);
-  for (auto _ : State) {
-    std::unique_ptr<BranchPredictor> Pred =
-        makePredictor(PredictorKind::Gshare);
-    SimEstimate E =
-        simulateTrace(*P.Func, MachineDesc::wide(), Trace, *Pred);
-    benchmark::DoNotOptimize(E.TotalCycles);
-  }
-}
-BENCHMARK(BM_SimulateGshare)->Unit(benchmark::kMillisecond);
-
-/// Predictor-model throughput on a synthetic alternating stream; the
-/// dense range covers every registered kind, tage-sc-l included.
-void BM_PredictorObserve(benchmark::State &State) {
-  std::unique_ptr<BranchPredictor> Pred =
-      makePredictor(static_cast<PredictorKind>(State.range(0)));
-  uint64_t I = 0;
-  for (auto _ : State) {
-    benchmark::DoNotOptimize(Pred->observe(OpId(1 + I % 7), I % 3 == 0));
-    ++I;
-  }
-}
-BENCHMARK(BM_PredictorObserve)->DenseRange(0, 4);
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -284,19 +249,10 @@ int main(int argc, char **argv) {
   const std::string Usage = "usage: bench_sim_predictors [options]";
 
   std::string Error;
-  if (!Options.parse(argc, argv, Error, /*Positional=*/nullptr,
-                     &C.Driver.Forwarded)) {
+  if (!Options.parse(argc, argv, Error, /*Positional=*/nullptr)) {
     std::fprintf(stderr, "bench_sim_predictors: %s\n%s", Error.c_str(),
                  Options.help(Usage).c_str());
     return 2;
-  }
-  for (const std::string &Arg : C.Driver.Forwarded) {
-    if (Arg.rfind("--benchmark_", 0) != 0) {
-      std::fprintf(stderr, "bench_sim_predictors: unknown option '%s'\n%s",
-                   Arg.c_str(), Options.help(Usage).c_str());
-      return 2;
-    }
-    C.Driver.Micro = true;
   }
   if (C.Driver.Help) {
     std::printf("%s", Options.help(Usage).c_str());
@@ -305,9 +261,5 @@ int main(int argc, char **argv) {
   if (!C.Validate.empty())
     return validateDocument(C.Validate);
 
-  int Ret = runSweep(C);
-  if (Ret != 0)
-    return Ret;
-  maybeRunMicroBenchmarks(C.Driver, argv[0]);
-  return 0;
+  return runSweep(C);
 }

@@ -5,18 +5,12 @@
 // Regenerates Table 1: the behavior of the PlayDoh two-target compare
 // destination actions (un/uc/on/oc/an/ac) as a function of the input
 // (guard) predicate and the comparison result, printed from the library's
-// executable semantics. Also microbenchmarks the interpreter's cmpp
-// evaluation and the BDD algebra the Predicate Query System layers on it.
+// executable semantics.
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/BDD.h"
-#include "interp/Interpreter.h"
 #include "ir/CmppAction.h"
-#include "ir/IRParser.h"
 #include "support/TableFormat.h"
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
@@ -44,61 +38,9 @@ void printTable1() {
               T.render().c_str());
 }
 
-/// Interpreter throughput on a cmpp-dense block (the operation class
-/// control CPR multiplies).
-void BM_InterpretCmppBlock(benchmark::State &State) {
-  std::unique_ptr<Function> F = parseFunctionOrDie(R"(
-func @f {
-block @Loop:
-  p1 = mov(1)
-  p2 = mov(0)
-  p1:ac, p2:on = cmpp.eq(r1, 1)
-  p1:ac, p2:on = cmpp.eq(r2, 2)
-  p1:ac, p2:on = cmpp.eq(r3, 3)
-  p1:ac, p2:on = cmpp.eq(r4, 4)
-  r9 = sub(r9, 1)
-  p3:un = cmpp.gt(r9, 0)
-  b1 = pbr(@Loop)
-  branch(p3, b1)
-  halt
-}
-)");
-  for (auto _ : State) {
-    Memory Mem;
-    RunResult R = interpret(*F, Mem, {{Reg::gpr(9), 1000}});
-    benchmark::DoNotOptimize(R.Steps);
-  }
-}
-BENCHMARK(BM_InterpretCmppBlock)->Unit(benchmark::kMicrosecond);
-
-/// BDD cost of the disjointness queries the scheduler issues for an
-/// FRP-converted branch chain.
-void BM_BddFrpChainDisjointness(benchmark::State &State) {
-  for (auto _ : State) {
-    BDD M;
-    constexpr int N = 16;
-    std::vector<BDD::NodeRef> Taken;
-    BDD::NodeRef Path = BDD::True;
-    for (int I = 0; I < N; ++I) {
-      BDD::NodeRef C = M.var(static_cast<uint32_t>(I));
-      Taken.push_back(M.mkAnd(Path, C));
-      Path = M.mkAnd(Path, M.mkNot(C));
-    }
-    bool AllDisjoint = true;
-    for (int I = 0; I < N; ++I)
-      for (int J = I + 1; J < N; ++J)
-        AllDisjoint &= M.disjoint(Taken[static_cast<size_t>(I)],
-                                  Taken[static_cast<size_t>(J)]);
-    benchmark::DoNotOptimize(AllDisjoint);
-  }
-}
-BENCHMARK(BM_BddFrpChainDisjointness)->Unit(benchmark::kMicrosecond);
-
 } // namespace
 
-int main(int argc, char **argv) {
+int main() {
   printTable1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

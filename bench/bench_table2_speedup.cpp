@@ -11,20 +11,16 @@
 // The suite runs as one staged PipelineRun session per benchmark on a
 // work-queue thread pool (--threads=<n>); the rendered table is identical
 // at every thread count. --stats-json=<file> dumps per-stage counters and
-// wall times; --micro (or any --benchmark_* flag) also runs the
-// google-benchmark timers for the pipeline's compile-side cost.
+// wall times.
 //
 //===----------------------------------------------------------------------===//
 
 #include "DriverCommon.h"
 #include "pipeline/CompilerPipeline.h"
-#include "interp/Profiler.h"
 #include "support/Statistics.h"
 #include "support/TableFormat.h"
 #include "pipeline/Reports.h"
 #include "workloads/BenchmarkSuite.h"
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
@@ -44,30 +40,6 @@ void printTable2(const DriverConfig &C, StatsRegistry *Stats) {
               renderTable2(Rows).c_str());
 }
 
-/// Compile-side cost of the full pipeline on the strcpy kernel.
-void BM_PipelineStrcpy(benchmark::State &State) {
-  for (auto _ : State) {
-    KernelProgram P = buildStrcpyKernel(8, 4096, 1);
-    PipelineResult R = runPipeline(P);
-    benchmark::DoNotOptimize(R.Machines.data());
-  }
-}
-BENCHMARK(BM_PipelineStrcpy)->Unit(benchmark::kMillisecond);
-
-/// ICBM transformation alone on a synthetic application.
-void BM_ControlCPROnly(benchmark::State &State) {
-  std::vector<BenchmarkSpec> Suite = paperBenchmarkSuite();
-  KernelProgram P = findBenchmark(Suite, "126.gcc").Build();
-  Memory Mem = P.InitMem;
-  ProfileData Prof = profileRun(*P.Func, Mem, P.InitRegs);
-  for (auto _ : State) {
-    std::unique_ptr<Function> T = applyControlCPR(*P.Func, Prof,
-                                                  CPROptions());
-    benchmark::DoNotOptimize(T.get());
-  }
-}
-BENCHMARK(BM_ControlCPROnly)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -75,6 +47,5 @@ int main(int argc, char **argv) {
   StatsRegistry Stats;
   printTable2(C, C.StatsJSON.empty() ? nullptr : &Stats);
   maybeWriteStats(C, Stats);
-  maybeRunMicroBenchmarks(C, argv[0]);
   return 0;
 }

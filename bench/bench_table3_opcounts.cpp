@@ -20,8 +20,6 @@
 #include "pipeline/Reports.h"
 #include "workloads/BenchmarkSuite.h"
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 using namespace cpr;
@@ -40,16 +38,6 @@ void printTable3(const DriverConfig &C, StatsRegistry *Stats) {
               renderTable3(Rows).c_str());
 }
 
-/// Dynamic-count measurement cost (two interpreter runs per benchmark).
-void BM_DynamicCountsWc(benchmark::State &State) {
-  for (auto _ : State) {
-    KernelProgram P = buildWcKernel(4, 8192, 66);
-    PipelineResult R = runPipeline(P);
-    benchmark::DoNotOptimize(R.DynTreated.OpsDispatched);
-  }
-}
-BENCHMARK(BM_DynamicCountsWc)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -57,6 +45,5 @@ int main(int argc, char **argv) {
   StatsRegistry Stats;
   printTable3(C, C.StatsJSON.empty() ? nullptr : &Stats);
   maybeWriteStats(C, Stats);
-  maybeRunMicroBenchmarks(C, argv[0]);
   return 0;
 }

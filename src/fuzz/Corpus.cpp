@@ -33,10 +33,31 @@ std::string cpr::serializeFuzzProgram(const KernelProgram &P) {
 
 namespace {
 
-/// Parses "r12" / "f3" / "p2" / "b1" (plain digits up to MaxRegId, no
-/// pretty names).
-bool parseRegName(const std::string &Name, Reg &Out) {
-  if (Name.size() < 2)
+/// Splits "lhs=rhs"; returns false when '=' is absent.
+bool splitAssign(const std::string &S, std::string &Lhs, std::string &Rhs) {
+  size_t Eq = S.find('=');
+  if (Eq == std::string::npos)
+    return false;
+  Lhs = S.substr(0, Eq);
+  Rhs = S.substr(Eq + 1);
+  return !Lhs.empty() && !Rhs.empty();
+}
+
+std::string trim(const std::string &S) {
+  size_t B = S.find_first_not_of(" \t\r");
+  if (B == std::string::npos)
+    return "";
+  size_t E = S.find_last_not_of(" \t\r");
+  return S.substr(B, E - B + 1);
+}
+
+} // namespace
+
+bool cpr::parseRegBinding(const std::string &Spec, RegBinding &Out) {
+  // The name is plain digits up to MaxRegId after the class letter, with
+  // no pretty names.
+  std::string Name, Value;
+  if (!splitAssign(Spec, Name, Value) || Name.size() < 2)
     return false;
   RegClass RC;
   switch (Name[0]) {
@@ -58,29 +79,10 @@ bool parseRegName(const std::string &Name, Reg &Out) {
   uint32_t Id;
   if (!parseRegId(std::string_view(Name).substr(1), Id))
     return false;
-  Out = Reg(RC, Id);
+  Out.R = Reg(RC, Id);
+  Out.Value = std::strtoll(Value.c_str(), nullptr, 10);
   return true;
 }
-
-/// Splits "lhs=rhs"; returns false when '=' is absent.
-bool splitAssign(const std::string &S, std::string &Lhs, std::string &Rhs) {
-  size_t Eq = S.find('=');
-  if (Eq == std::string::npos)
-    return false;
-  Lhs = S.substr(0, Eq);
-  Rhs = S.substr(Eq + 1);
-  return !Lhs.empty() && !Rhs.empty();
-}
-
-std::string trim(const std::string &S) {
-  size_t B = S.find_first_not_of(" \t\r");
-  if (B == std::string::npos)
-    return "";
-  size_t E = S.find_last_not_of(" \t\r");
-  return S.substr(B, E - B + 1);
-}
-
-} // namespace
 
 FuzzParseResult cpr::parseFuzzProgram(const std::string &Text) {
   FuzzParseResult Res;
@@ -99,16 +101,15 @@ FuzzParseResult cpr::parseFuzzProgram(const std::string &Text) {
     std::string Kw;
     Dir >> Kw;
     if (Kw == "reg") {
-      std::string Spec, Lhs, Rhs;
+      std::string Spec;
       Dir >> Spec;
-      Reg R;
-      if (!splitAssign(Spec, Lhs, Rhs) || !parseRegName(Lhs, R)) {
+      RegBinding B;
+      if (!parseRegBinding(Spec, B)) {
         Res.Error = "line " + std::to_string(LineNo) +
                     ": malformed reg directive: " + Body;
         return Res;
       }
-      Res.Program.InitRegs.push_back(
-          {R, std::strtoll(Rhs.c_str(), nullptr, 10)});
+      Res.Program.InitRegs.push_back(B);
     } else if (Kw == "mem") {
       std::string Spec, Lhs, Rhs;
       Dir >> Spec;

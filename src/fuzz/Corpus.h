@@ -48,6 +48,10 @@ struct FuzzParseResult {
   explicit operator bool() const { return Error.empty(); }
 };
 
+/// Parses one register binding, "rN=V" (or fN/pN/bN), as a `; reg`
+/// directive and cprc's --reg flag spell it.
+bool parseRegBinding(const std::string &Spec, RegBinding &Out);
+
 /// Parses a corpus entry. Accepts plain IR without directives too (the
 /// program then starts with empty registers and memory). Does not run the
 /// verifier; callers do.

@@ -142,15 +142,6 @@ std::vector<Bypass> findBypasses(const Function &F, const Block &B) {
   return Out;
 }
 
-/// The paper machine named \p Name, for pinned schedules; null if none.
-const MachineDesc *paperMachine(const std::string &Name) {
-  static const std::vector<MachineDesc> Models = MachineDesc::paperModels();
-  for (const MachineDesc &M : Models)
-    if (M.getName() == Name)
-      return &M;
-  return nullptr;
-}
-
 } // namespace
 
 namespace cpr {
@@ -286,7 +277,7 @@ public:
     for (const InjectedSchedule &Inj : Opts.Schedules) {
       if (Inj.BlockName != B.getName())
         continue;
-      const MachineDesc *MD = paperMachine(Inj.MachineName);
+      const MachineDesc *MD = MachineDesc::findPaperModel(Inj.MachineName);
       std::string Why;
       int Op = -1;
       if (!MD)

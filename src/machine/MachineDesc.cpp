@@ -55,6 +55,14 @@ std::vector<MachineDesc> MachineDesc::paperModels(int BranchLatency) {
   return Models;
 }
 
+const MachineDesc *MachineDesc::findPaperModel(const std::string &Name) {
+  static const std::vector<MachineDesc> Models = paperModels();
+  for (const MachineDesc &M : Models)
+    if (M.getName() == Name)
+      return &M;
+  return nullptr;
+}
+
 int MachineDesc::issueWidth() const {
   if (Sequential)
     return 1;

@@ -43,6 +43,8 @@ public:
 
   /// All five models in the paper's column order: Seq, Nar, Med, Wid, Inf.
   static std::vector<MachineDesc> paperModels(int BranchLatency = 1);
+  /// The paper model named \p Name (branch latency 1), or null if none.
+  static const MachineDesc *findPaperModel(const std::string &Name);
 
   const std::string &getName() const { return Name; }
 

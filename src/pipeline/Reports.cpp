@@ -89,79 +89,6 @@ std::string cpr::renderTable2(const std::vector<SuiteRow> &Rows) {
   return T.render();
 }
 
-std::string cpr::renderTable2Dyn(const std::vector<SuiteRow> &Rows) {
-  if (Rows.empty() || Rows[0].Result.Sim.empty())
-    return "";
-  // Collect the distinct machine and predictor names in first-seen order.
-  std::vector<std::string> Machines, Predictors;
-  for (const SimComparison &S : Rows[0].Result.Sim) {
-    if (std::find(Machines.begin(), Machines.end(), S.MachineName) ==
-        Machines.end())
-      Machines.push_back(S.MachineName);
-    if (std::find(Predictors.begin(), Predictors.end(), S.PredictorName) ==
-        Predictors.end())
-      Predictors.push_back(S.PredictorName);
-  }
-
-  std::string Out;
-  for (const std::string &P : Predictors) {
-    TextTable T;
-    std::vector<std::string> Header{"Benchmark"};
-    for (const std::string &M : Machines)
-      Header.push_back(M.substr(0, 3));
-    T.setHeader(Header);
-
-    std::vector<std::vector<double>> All(Machines.size());
-    for (const SuiteRow &Row : Rows) {
-      std::vector<std::string> Cells{Row.Name};
-      for (size_t M = 0; M < Machines.size(); ++M) {
-        const SimComparison *S = Row.Result.simOn(Machines[M], P);
-        double Speedup = S ? S->speedup() : 0.0;
-        Cells.push_back(TextTable::fmt(Speedup));
-        All[M].push_back(Speedup);
-      }
-      T.addRow(Cells);
-    }
-    T.addSeparator();
-    std::vector<std::string> GA{"Gmean-all"};
-    for (size_t M = 0; M < Machines.size(); ++M)
-      GA.push_back(TextTable::fmt(geometricMean(All[M])));
-    T.addRow(GA);
-
-    Out += "Table 2-dyn (" + P + " predictor):\n" + T.render() + "\n";
-  }
-  return Out;
-}
-
-std::string cpr::renderSimMPKI(const std::vector<SuiteRow> &Rows) {
-  if (Rows.empty() || Rows[0].Result.Sim.empty())
-    return "";
-  const std::string &Machine = Rows[0].Result.Sim[0].MachineName;
-  std::vector<std::string> Predictors;
-  for (const SimComparison &S : Rows[0].Result.Sim)
-    if (S.MachineName == Machine &&
-        std::find(Predictors.begin(), Predictors.end(), S.PredictorName) ==
-            Predictors.end())
-      Predictors.push_back(S.PredictorName);
-
-  TextTable T;
-  std::vector<std::string> Header{"Benchmark"};
-  for (const std::string &P : Predictors)
-    Header.push_back(P + " base>cpr");
-  T.setHeader(Header);
-  for (const SuiteRow &Row : Rows) {
-    std::vector<std::string> Cells{Row.Name};
-    for (const std::string &P : Predictors) {
-      const SimComparison *S = Row.Result.simOn(Machine, P);
-      Cells.push_back(S ? TextTable::fmt(S->Baseline.mpki()) + ">" +
-                              TextTable::fmt(S->Treated.mpki())
-                        : "-");
-    }
-    T.addRow(Cells);
-  }
-  return T.render();
-}
-
 std::vector<FrontendCellConfig> cpr::defaultFrontendConfigs() {
   std::vector<FrontendCellConfig> Configs(2);
   Configs[0].Name = "flat";

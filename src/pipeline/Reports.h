@@ -45,17 +45,6 @@ std::string renderTable2(const std::vector<SuiteRow> &Rows);
 /// Renders Table 3 (static/dynamic operation-count ratios, Gmean rows).
 std::string renderTable3(const std::vector<SuiteRow> &Rows);
 
-/// Renders the dynamic variant of Table 2: one sub-table per simulated
-/// predictor, speedups computed from trace-driven cycle estimates with
-/// misprediction penalties (requires rows produced with
-/// PipelineOptions::Simulate). Empty when no simulation data is present.
-std::string renderTable2Dyn(const std::vector<SuiteRow> &Rows);
-
-/// Renders baseline -> treated MPKI per benchmark and predictor.
-/// Misprediction counts are machine-independent, so one table covers all
-/// machines. Empty when no simulation data is present.
-std::string renderSimMPKI(const std::vector<SuiteRow> &Rows);
-
 /// --- The Table 2-dyn frontend sweep ----------------------------------
 ///
 /// The deliverable of the frontend-fidelity subsystem (docs/SIMULATOR.md):

@@ -197,13 +197,13 @@ CompileResponse CompileService::compileLocked(const CompileRequest &Req,
   std::string Description = FP.Program.Description;
 
   PipelineRun Run(std::move(FP.Program), PO);
-  if (Status S = Run.tryPrepare(); !S) {
-    Diagnostic D = S.takeDiagnostic();
-    Diags.report(D);
+  if (!Run.tryPrepare()) {
+    // tryPrepare() reported the failure into Diags; the engine snapshot
+    // carries it.
     CompileResponse Res;
     Res.Id = Req.Id;
     Res.Status = "error";
-    return Res; // the engine snapshot carries the details
+    return Res;
   }
 
   CompileResponse Res;

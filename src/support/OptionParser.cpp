@@ -55,8 +55,7 @@ void OptionTable::addDouble(const std::string &Name, const std::string &Meta,
 }
 
 bool OptionTable::parse(int argc, char **argv, std::string &Error,
-                        std::vector<std::string> *Positional,
-                        std::vector<std::string> *Unknown) const {
+                        std::vector<std::string> *Positional) const {
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     if (Arg.empty() || Arg[0] != '-') {
@@ -81,10 +80,6 @@ bool OptionTable::parse(int argc, char **argv, std::string &Error,
       }
     }
     if (!Match) {
-      if (Unknown) {
-        Unknown->push_back(Arg);
-        continue;
-      }
       Error = "unknown option '" + Arg + "'";
       return false;
     }

@@ -9,9 +9,7 @@
 /// benchmark drivers: each option is one row (name, argument kind, help
 /// text, setter), `--help` output is generated from the table, and
 /// parsing handles `--name`, `--name=value`, and `--name value` forms
-/// uniformly. Unknown options can either be errors (tools) or collected
-/// for a downstream parser (the bench drivers forward `--benchmark_*`
-/// flags to google-benchmark).
+/// uniformly. Unknown options are errors.
 ///
 /// Thread-safety: an OptionTable is built and used on one thread during
 /// startup; it has no global state.
@@ -62,13 +60,11 @@ public:
                  const std::string &Help, double &Target);
 
   /// Parses argv[1..argc-1]. Plain arguments append to \p Positional.
-  /// Unknown `--options` append to \p Unknown when it is non-null and are
-  /// errors otherwise. Returns false with a message in \p Error on any
-  /// malformed input. `--help`/`-h` are handled by the caller (add a
+  /// Returns false with a message in \p Error on an unknown option or
+  /// any malformed input. `--help`/`-h` are handled by the caller (add a
   /// flag row for them).
   bool parse(int argc, char **argv, std::string &Error,
-             std::vector<std::string> *Positional,
-             std::vector<std::string> *Unknown = nullptr) const;
+             std::vector<std::string> *Positional) const;
 
   /// Renders the generated help text: \p UsageLine, then one aligned row
   /// per option in registration order.

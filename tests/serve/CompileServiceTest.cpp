@@ -458,4 +458,17 @@ TEST(CompileService, InterpStepCapIsClamped) {
   EXPECT_FALSE(Res.Diagnostics.empty());
 }
 
+TEST(CompileService, FailedBaselineProfileIsReportedOnce) {
+  CompileService Service;
+  CompileRequest Req =
+      requestFor(serializeFuzzProgram(buildWcKernel(4, 256, 4)), "cap5");
+  Req.InterpMaxSteps = 5;
+  CompileResponse Res = Service.compile(Req);
+  EXPECT_EQ(Res.Status, "error");
+  unsigned Exhausted = 0;
+  for (const WireDiagnostic &D : Res.Diagnostics)
+    Exhausted += D.Code == "budget-exhausted";
+  EXPECT_EQ(Exhausted, 1u);
+}
+
 } // namespace

@@ -127,41 +127,4 @@ TEST(SimPipelineTest, ZeroPenaltyStaticSimMatchesTable2Estimate) {
   }
 }
 
-TEST(SimPipelineTest, ReportsRenderDynTables) {
-  PipelineOptions Opts = simOptions();
-  Opts.Predictors = {PredictorKind::Static, PredictorKind::Gshare};
-
-  std::vector<SuiteRow> Rows;
-  for (const char *Name : {"strcpy", "wc"}) {
-    SuiteRow Row;
-    Row.Name = Name;
-    KernelProgram P = Name == std::string("strcpy")
-                          ? buildStrcpyKernel(4, 512)
-                          : buildWcKernel(4, 512);
-    Row.Result = runPipeline(P, Opts);
-    Rows.push_back(std::move(Row));
-  }
-
-  std::string Dyn = renderTable2Dyn(Rows);
-  EXPECT_NE(Dyn.find("Table 2-dyn (static predictor):"), std::string::npos);
-  EXPECT_NE(Dyn.find("Table 2-dyn (gshare predictor):"), std::string::npos);
-  EXPECT_NE(Dyn.find("strcpy"), std::string::npos);
-  EXPECT_NE(Dyn.find("Gmean-all"), std::string::npos);
-
-  std::string MPKI = renderSimMPKI(Rows);
-  EXPECT_NE(MPKI.find("static base>cpr"), std::string::npos);
-  EXPECT_NE(MPKI.find("gshare base>cpr"), std::string::npos);
-  EXPECT_NE(MPKI.find("wc"), std::string::npos);
-
-  // Without simulation data both renderers degrade to empty output.
-  std::vector<SuiteRow> Plain;
-  SuiteRow Row;
-  Row.Name = "strcpy";
-  KernelProgram P = buildStrcpyKernel(4, 512);
-  Row.Result = runPipeline(P);
-  Plain.push_back(std::move(Row));
-  EXPECT_EQ(renderTable2Dyn(Plain), "");
-  EXPECT_EQ(renderSimMPKI(Plain), "");
-}
-
 } // namespace

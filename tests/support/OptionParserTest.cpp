@@ -96,19 +96,6 @@ TEST(OptionTable, RejectsMalformedInput) {
   EXPECT_NE(Error.find("--mystery"), std::string::npos);
 }
 
-TEST(OptionTable, CollectsUnknownOptionsWhenRequested) {
-  bool Flag = false;
-  OptionTable T;
-  T.addFlag("--flag", "a flag", Flag);
-  Argv A({"--benchmark_filter=foo", "--flag", "--benchmark_repetitions=3"});
-  std::string Error;
-  std::vector<std::string> Unknown;
-  ASSERT_TRUE(T.parse(A.argc(), A.argv(), Error, nullptr, &Unknown));
-  EXPECT_TRUE(Flag);
-  EXPECT_EQ(Unknown, (std::vector<std::string>{"--benchmark_filter=foo",
-                                               "--benchmark_repetitions=3"}));
-}
-
 TEST(OptionTable, HelpIsGeneratedFromTheTable) {
   bool Flag = false;
   unsigned N = 0;

@@ -3,7 +3,8 @@
 // Part of the control-cpr project (PLDI 1999 Control CPR reproduction).
 //
 // Runs the built-in static checks of src/lint/ (docs/LINT.md) over a
-// textual IR file, or -- with --workloads -- over every benchmark of the
+// textual IR file (read as a corpus entry: its `; reg` directives declare
+// the function's inputs), or -- with --workloads -- over every benchmark of the
 // paper's suite both before and after the CPR treatment:
 //
 //   cpr-lint input.ir [options]
@@ -24,8 +25,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "fuzz/Corpus.h"
 #include "interp/Profiler.h"
-#include "ir/IRParser.h"
 #include "ir/Verifier.h"
 #include "lint/Lint.h"
 #include "lint/Witness.h"
@@ -99,17 +100,15 @@ std::vector<std::string> splitList(const std::string &S) {
 /// Resolves --machine into the model list for schedule-legality.
 bool resolveMachines(const std::string &Name,
                      std::vector<MachineDesc> &Out) {
-  std::vector<MachineDesc> Models = MachineDesc::paperModels();
   if (Name == "all") {
-    Out = std::move(Models);
+    Out = MachineDesc::paperModels();
     return true;
   }
-  for (MachineDesc &M : Models)
-    if (M.getName() == Name) {
-      Out = {std::move(M)};
-      return true;
-    }
-  return false;
+  const MachineDesc *MD = MachineDesc::findPaperModel(Name);
+  if (!MD)
+    return false;
+  Out = {*MD};
+  return true;
 }
 
 struct Report {
@@ -282,16 +281,19 @@ int main(int argc, char **argv) {
   Buf << In.rdbuf();
   std::string Text = Buf.str();
 
-  ParseResult PR = parseFunction(Text);
-  if (!PR.Func) {
-    std::fprintf(stderr, "cpr-lint: %s:%u: error: %s\n", Inputs[0].c_str(),
-                 PR.Line, PR.Error.c_str());
+  // The corpus reader: a file's `; reg` bindings are the function's
+  // declared inputs, as for a workload's InitRegs.
+  FuzzParseResult FP = parseFuzzProgram(Text);
+  if (!FP) {
+    std::fprintf(stderr, "cpr-lint: %s: error: %s\n", Inputs[0].c_str(),
+                 FP.Error.c_str());
     return exit_codes::ParseError;
   }
+  const Function &F = *FP.Program.Func;
   // Complete verification report, not just the first violation
   // (ir/Verifier reportVerification).
   DiagnosticEngine VerifyDiags;
-  if (reportVerification(*PR.Func, VerifyDiags, "cpr-lint input") > 0) {
+  if (reportVerification(F, VerifyDiags, "cpr-lint input") > 0) {
     for (const Diagnostic &D : VerifyDiags.diagnostics())
       std::fprintf(stderr, "cpr-lint: %s\n", D.str().c_str());
     return exit_codes::VerifyError;
@@ -302,6 +304,6 @@ int main(int argc, char **argv) {
     return exit_codes::ParseError;
   }
   LintDriver Driver(Opts);
-  lintOne(Driver, *PR.Func, PR.Func->getName(), C, R);
+  lintOne(Driver, F, F.getName(), C, R, &FP.Program.InitRegs);
   return finish(C, R);
 }

@@ -2,61 +2,52 @@
 //
 // Part of the control-cpr project (PLDI 1999 Control CPR reproduction).
 //
-// A command-line driver over the library: reads a program in the textual
-// IR, runs the requested phases, and prints the result. Initial register
-// values and memory cells come from flags, so small experiments need no
-// C++ at all.
+// A command-line driver over the library: reads a program in the corpus
+// format (textual IR after optional `; reg` / `; mem` input directives,
+// fuzz/Corpus.h), compiles it, and prints the result. --reg/--mem flags
+// append to the directives, so a fuzz reproducer runs as-is.
 //
 //   cprc input.cpr [options]     (see --help; the option list below is
 //                                 generated from one declarative table)
 //
-// The measurement paths (--estimate, --simulate, --check-equivalence,
-// --trace-out) are built on the staged pipeline session API
-// (pipeline/PipelineRun.h): one PipelineRun owns the baseline program,
-// profiles it once, and shares that artifact across every machine and
-// predictor estimate; --threads fans the independent estimates out on a
-// work-queue thread pool, and --stats-json dumps the per-stage counters
-// and wall times the session records. cprc is the exemplar caller of the
-// staged API -- see docs/PIPELINE.md.
-//
-// --fail-safe switches the compile from strict (first failure is fatal)
-// to the recoverable model of docs/ROBUSTNESS.md: failing regions roll
+// The whole compile is one staged pipeline session (pipeline/PipelineRun.h,
+// docs/PIPELINE.md): unroll, profile, transform (under --lint, --fail-safe,
+// --region-equivalence and the budgets), the equivalence oracle, and the
+// estimate and simulation fan-out over --threads. cprc adds only what the
+// session has no stage for: if-conversion and --simplify before it, and
+// --phase=frp|speculate|none, injected as the treated function. --fail-safe
+// selects the recoverable model of docs/ROBUSTNESS.md: failing regions roll
 // back, budgets degrade to the baseline, and diagnostics print at exit.
+// --server=<socket> compiles the same program on a cprd daemon
+// (docs/SERVICE.md); each mode rejects the other mode's flags.
 //
-// Exit codes (support/Diagnostic.h): 0 success, 1 failure (I/O,
-// recovered-but-degraded fail-safe compile), 2 usage error, 3 input IR
-// parse error, 4 input IR verification error.
+// Exit codes (support/Diagnostic.h): 0 success, 1 failure (I/O, a
+// baseline that does not halt, recovered-but-degraded fail-safe compile),
+// 2 usage error, 3 input IR parse error, 4 input IR verification error.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/ProfileIO.h"
-#include "cpr/ControlCPR.h"
-#include "interp/Profiler.h"
-#include "ir/IRParser.h"
+#include "cpr/PredicateSpeculation.h"
+#include "fuzz/Corpus.h"
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
-#include "cpr/PredicateSpeculation.h"
-#include "lint/Lint.h"
 #include "pipeline/PipelineRun.h"
-#include "fuzz/Corpus.h"
-#include "regions/FRPConversion.h"
 #include "regions/DeadCodeElim.h"
+#include "regions/FRPConversion.h"
 #include "regions/IfConversion.h"
-#include "regions/LoopUnroller.h"
 #include "regions/Simplify.h"
 #include "sched/ListScheduler.h"
 #include "serve/Client.h"
-#include "sim/TraceSimulator.h"
-#include "support/Budget.h"
 #include "support/Diagnostic.h"
 #include "support/OptionParser.h"
 #include "support/Statistics.h"
 #include "support/ThreadPool.h"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 using namespace cpr;
 
@@ -94,33 +85,6 @@ struct Config {
   Memory InitMem;
 };
 
-bool parseReg(const std::string &Spec, RegBinding &Out) {
-  size_t Eq = Spec.find('=');
-  if (Eq == std::string::npos || Eq < 2)
-    return false;
-  std::string Name = Spec.substr(0, Eq);
-  RegClass RC;
-  switch (Name[0]) {
-  case 'r':
-    RC = RegClass::GPR;
-    break;
-  case 'f':
-    RC = RegClass::FPR;
-    break;
-  case 'p':
-    RC = RegClass::PR;
-    break;
-  default:
-    return false;
-  }
-  uint32_t Id;
-  if (!parseRegId(std::string_view(Name).substr(1), Id))
-    return false;
-  Out.R = Reg(RC, Id);
-  Out.Value = std::strtoll(Spec.c_str() + Eq + 1, nullptr, 10);
-  return true;
-}
-
 /// The declarative option table; --help output is generated from it.
 OptionTable buildOptions(Config &C) {
   OptionTable T;
@@ -128,17 +92,17 @@ OptionTable buildOptions(Config &C) {
               "stop after the named phase (default all)", C.Phase);
   T.addFlag("--run", "interpret the (final) program", C.Run);
   T.add({"--reg", OptArg::Separate, "rN=V",
-         "initial register value, repeatable; runs need enough inputs to "
-         "halt",
+         "initial register value, repeatable, after the file's `; reg` "
+         "inputs; runs need enough inputs to halt",
          [&C](const std::string &V) {
            RegBinding B;
-           if (!parseReg(V, B))
+           if (!parseRegBinding(V, B))
              return false;
            C.InitRegs.push_back(B);
            return true;
          }});
   T.add({"--mem", OptArg::Separate, "A=V",
-         "initial memory cell, repeatable",
+         "initial memory cell, repeatable, after the file's `; mem` inputs",
          [&C](const std::string &V) {
            size_t Eq = V.find('=');
            if (Eq == std::string::npos)
@@ -300,26 +264,39 @@ OptionTable buildOptions(Config &C) {
   return T;
 }
 
-/// --server=: ship the compile to a cprd daemon and render its response
-/// the way a local compile would have. The file is normalized through the
-/// fuzz-program serializer first so --reg/--mem flags merge with any
-/// `; reg`/`; mem` directives the file already carries, and so the frame
-/// is deterministic (docs/SERVICE.md: equal frames hit the response cache).
-int runServerMode(const Config &C, const std::string &Text) {
-  FuzzParseResult FP = parseFuzzProgram(Text);
-  if (!FP) {
-    std::fprintf(stderr, "%s: error: %s\n", C.InputPath.c_str(),
-                 FP.Error.c_str());
-    return exit_codes::ParseError;
-  }
-  for (const RegBinding &B : C.InitRegs)
-    FP.Program.InitRegs.push_back(B);
-  for (const auto &Cell : C.InitMem.sortedCells())
-    FP.Program.InitMem.store(Cell.first, Cell.second);
+/// Flags only a local compile serves, and flags only --server serves.
+const std::vector<std::string_view> LocalOnlyFlags = {
+    "--phase",         "--run",        "--schedule",      "--estimate",
+    "--simplify",      "--if-convert", "--show-ids",      "--profile-out",
+    "--profile-in",    "--simulate",   "--predictor",     "--btb",
+    "--check-equivalence",             "--btb-miss-penalty",
+    "--fetch-width",   "--trace-out",  "--mispredict-penalty",
+    "--threads",       "--stats-json"};
+const std::vector<std::string_view> ServerOnlyFlags = {"--retries",
+                                                       "--deadline-ms"};
 
+/// The first option of \p Flags on the command line, or "" if none.
+std::string_view firstGiven(int argc, char **argv,
+                            const std::vector<std::string_view> &Flags) {
+  for (int I = 1; I < argc; ++I) {
+    std::string_view Arg = argv[I];
+    Arg = Arg.substr(0, Arg.find('='));
+    for (std::string_view F : Flags)
+      if (Arg == F)
+        return F;
+  }
+  return {};
+}
+
+/// --server=: ship the compile to a cprd daemon and render its response
+/// the way a local compile would have. The program goes out in the
+/// corpus format, with the --reg/--mem flags already merged into its
+/// directives, so the frame is deterministic (docs/SERVICE.md: equal
+/// frames hit the response cache).
+int runServerMode(const Config &C, const KernelProgram &Program) {
   serve::CompileRequest Req;
   Req.Id = "cprc";
-  Req.IR = serializeFuzzProgram(FP.Program);
+  Req.IR = serializeFuzzProgram(Program);
   Req.CPR = C.CPR;
   Req.UnrollFactor = C.UnrollFactor;
   Req.Lint = C.Lint;
@@ -380,19 +357,269 @@ int runServerMode(const Config &C, const std::string &Text) {
                Res->CPR.CPRBlocksTransformed,
                Res->CacheHits > 0 ? "hit" : "miss");
   std::printf("%s", Res->IR.c_str());
-  if (Errors > 0)
-    return exit_codes::Failure;
-  if (C.Werror && Warnings > 0)
-    return exit_codes::Failure;
-  return exit_codes::Success;
+  return Errors > 0 || (C.Werror && Warnings > 0) ? exit_codes::Failure
+                                                  : exit_codes::Success;
 }
 
-const MachineDesc *findMachine(const std::vector<MachineDesc> &Machines,
-                               const std::string &Name) {
-  for (const MachineDesc &M : Machines)
-    if (M.getName() == Name)
-      return &M;
-  return nullptr;
+/// Whether the equivalence oracle reported a mismatch.
+bool oracleMismatched(const DiagnosticEngine &Diags) {
+  for (const Diagnostic &D : Diags.diagnostics())
+    if (D.Code == DiagCode::OracleMismatch)
+      return true;
+  return false;
+}
+
+/// The local compile: one PipelineRun session over \p Program.
+int runLocal(const Config &C, KernelProgram Program) {
+  Function &F = *Program.Func;
+  std::vector<std::string> Errors = verifyFunction(F);
+  if (!Errors.empty()) {
+    for (const std::string &E : Errors)
+      std::fprintf(stderr, "%s: error: verifier: %s\n", C.InputPath.c_str(),
+                   E.c_str());
+    return exit_codes::VerifyError;
+  }
+
+  // Preparation the session has no stage for (applied to the shared
+  // baseline, as the paper's IMPACT preprocessing was). --unroll, and the
+  // simplify + DCE that follow it, are the session's.
+  if (C.IfConvert) {
+    IfConversionStats IS = ifConvert(F);
+    verifyOrDie(F, "after if-conversion");
+    std::fprintf(stderr, "if-convert: %u branch(es) folded, %u ops "
+                 "predicated\n",
+                 IS.BranchesConverted, IS.OpsPredicated);
+  }
+  if (C.Simplify && C.UnrollFactor < 2) {
+    SimplifyStats SS = simplifyFunction(F);
+    eliminateDeadCode(F);
+    verifyOrDie(F, "after simplify");
+    std::fprintf(stderr,
+                 "simplify: %u folded, %u copies propagated, %u CSE\n",
+                 SS.ConstantsFolded, SS.CopiesPropagated,
+                 SS.ExpressionsReused);
+  }
+
+  const bool Transform = C.Phase == "cpr" || C.Phase == "all";
+  const bool NeedTrace = C.Simulate || !C.TraceOut.empty();
+  const bool NeedProfile = Transform || C.Estimate || C.CheckEquiv ||
+                           NeedTrace || !C.ProfileOut.empty();
+  StatsRegistry Stats;
+  StatsRegistry *StatsPtr = C.StatsJSON.empty() ? nullptr : &Stats;
+  const std::string Prefix = F.getName() + "/";
+  DiagnosticEngine Diags(StatsPtr, Prefix);
+  PipelineOptions Opts;
+  Opts.CPR = C.CPR;
+  Opts.UnrollFactor = C.UnrollFactor;
+  Opts.CheckEquivalence = C.CheckEquiv;
+  Opts.Simulate = NeedTrace;
+  Opts.Predictors.clear();
+  if (C.Simulate)
+    Opts.Predictors = C.Predictors.empty() ? allPredictorKinds()
+                                           : C.Predictors;
+  Opts.MispredictPenalty = C.MispredictPenalty;
+  Opts.Frontend = C.Frontend;
+  Opts.FailSafe = C.FailSafe;
+  Opts.RegionEquivalence = C.RegionEquiv;
+  Opts.InterpMaxSteps = C.InterpMaxSteps;
+  Opts.TransformBudget.MaxSteps = C.TransformSteps;
+  Opts.TransformBudget.MaxWallMs = C.TransformMs;
+  Opts.Lint = C.Lint;
+  Opts.Diags = &Diags;
+  // The paper machines are what the tables price and lint schedules on;
+  // a plain compile schedules nothing.
+  if (!C.Estimate && !C.Simulate && !C.Lint)
+    Opts.Machines.clear();
+
+  // The epilogue: a fail-safe compile may have been degraded (rollbacks,
+  // budget skips, baseline fallback); its diagnostics print and fail it.
+  auto Finish = [&](int Exit) {
+    if (StatsPtr) {
+      std::string Error;
+      if (!writeStatsJSONFile(Stats, C.StatsJSON, &Error)) {
+        std::fprintf(stderr, "cprc: error: %s\n", Error.c_str());
+        Exit = exit_codes::Failure;
+      }
+    }
+    for (const Diagnostic &D : Diags.diagnostics())
+      std::fprintf(stderr, "cprc: %s\n", D.str().c_str());
+    if (Diags.errorCount() > 0 ||
+        (C.Werror && Diags.count(DiagSeverity::Warning) > 0))
+      Exit = exit_codes::Failure;
+    return Exit;
+  };
+
+  // --run interprets the output against the same inputs.
+  const std::vector<RegBinding> InitRegs = Program.InitRegs;
+  const Memory InitMem = Program.InitMem;
+  PipelineRun Session(std::move(Program), Opts, StatsPtr, Prefix);
+
+  if (!C.ProfileIn.empty()) {
+    std::ifstream PIn(C.ProfileIn);
+    if (!PIn) {
+      std::fprintf(stderr, "cprc: error: cannot open profile '%s'\n",
+                   C.ProfileIn.c_str());
+      return exit_codes::Failure;
+    }
+    std::stringstream PBuf;
+    PBuf << PIn.rdbuf();
+    ProfileParseResult PP = parseProfile(PBuf.str());
+    if (!PP) {
+      std::fprintf(stderr, "%s: error: %s\n", C.ProfileIn.c_str(),
+                   PP.Error.c_str());
+      return exit_codes::ParseError;
+    }
+    Session.setBaselineProfile(std::move(PP.Profile));
+  }
+
+  // --phase=frp|speculate|none stop before the session's transform; their
+  // output is the treated function.
+  if (!Transform) {
+    std::unique_ptr<Function> Phased = Session.baseline().clone();
+    if (C.Phase != "none")
+      convertFunctionToFRP(*Phased);
+    if (C.Phase == "speculate")
+      for (size_t I = 0; I < Phased->numBlocks(); ++I)
+        if (!Phased->block(I).isCompensation())
+          speculatePredicates(*Phased, Phased->block(I));
+    Session.setTreated(std::move(Phased));
+  }
+
+  // Every stage the flags ask for, once; a baseline that does not run to
+  // completion fails the compile with its one diagnostic.
+  if (NeedProfile)
+    if (!Session.tryPrepare())
+      return Finish(exit_codes::Failure);
+
+  if (!C.ProfileOut.empty()) {
+    std::ofstream POut(C.ProfileOut);
+    if (!POut) {
+      std::fprintf(stderr, "cprc: error: cannot write profile '%s'\n",
+                   C.ProfileOut.c_str());
+      return exit_codes::Failure;
+    }
+    POut << serializeProfile(Session.baselineProfile(), Session.baseline());
+  }
+
+  if (Transform) {
+    const CPRResult &CR = Session.cprResult();
+    std::fprintf(stderr,
+                 "cpr: %u region(s), %u CPR block(s) formed, %u "
+                 "transformed (%u taken variation), %u ops moved "
+                 "off-trace, %u split\n",
+                 CR.RegionsProcessed, CR.CPRBlocksFormed,
+                 CR.CPRBlocksTransformed, CR.TakenVariants,
+                 CR.OpsMovedOffTrace, CR.OpsSplit);
+    if (CR.BlocksRolledBack > 0 || CR.RegionsSkippedBudget > 0)
+      std::fprintf(stderr,
+                   "cpr: fail-safe: %u block(s) rolled back in %u "
+                   "region(s), %u region(s) skipped on budget\n",
+                   CR.BlocksRolledBack, CR.RegionsRolledBack,
+                   CR.RegionsSkippedBudget);
+  }
+
+  const Function &Out = Session.treated();
+  std::printf("%s", printFunction(Out, C.PO).c_str());
+
+  if (C.Run) {
+    Memory Mem = InitMem;
+    InterpOptions IO;
+    IO.MaxSteps = sessionStepCap(C.InterpMaxSteps);
+    RunResult R = interpret(Out, Mem, InitRegs, IO);
+    std::printf("\n; run: %s after %llu steps",
+                R.halted() ? "halted" : R.ErrorMsg.c_str(),
+                static_cast<unsigned long long>(R.Steps));
+    if (!R.Observed.empty()) {
+      std::printf("; observables:");
+      for (size_t I = 0; I < R.Observed.size(); ++I)
+        std::printf(" %s=%lld", Out.observableRegs()[I].str().c_str(),
+                    static_cast<long long>(R.Observed[I]));
+    }
+    std::printf("\n");
+  }
+
+  if (const MachineDesc *MD = MachineDesc::findPaperModel(C.ScheduleFor)) {
+    for (size_t BI = 0; BI < Out.numBlocks(); ++BI) {
+      const Block &B = Out.block(BI);
+      if (B.empty())
+        continue;
+      Schedule S = scheduleBlockWithAnalyses(Out, B, *MD);
+      std::printf("\n; schedule of @%s on %s (length %d):\n",
+                  B.getName().c_str(), MD->getName().c_str(), S.length());
+      for (size_t OI = 0; OI < B.size(); ++OI)
+        std::printf(";   cycle %3d  %s\n", S.cycleOf(OI),
+                    printOperation(Out, B.ops()[OI], C.PO).c_str());
+    }
+  }
+
+  if (C.CheckEquiv) {
+    if (oracleMismatched(Diags))
+      std::printf("\n; equivalence: MISMATCH; the session fell back to "
+                  "the baseline (see diagnostics)\n");
+    else
+      std::printf("\n; equivalence: baseline and output agree on this "
+                  "input\n");
+  }
+
+  if (!C.TraceOut.empty()) {
+    std::ofstream TOut(C.TraceOut);
+    if (!TOut) {
+      std::fprintf(stderr, "cprc: error: cannot write trace '%s'\n",
+                   C.TraceOut.c_str());
+      return exit_codes::Failure;
+    }
+    TOut << serializeBranchTrace(Session.baselineTrace());
+  }
+
+  if (!C.Estimate && !C.Simulate)
+    return Finish(exit_codes::Success);
+
+  // The per-machine and machine x predictor tables: the session's fan-out.
+  const size_t BaseEvents = C.Simulate ? Session.baselineTrace().size() : 0;
+  const size_t TreatedEvents = C.Simulate ? Session.treatedTrace().size() : 0;
+  std::unique_ptr<ThreadPool> Pool;
+  if (C.Threads != 1)
+    Pool = std::make_unique<ThreadPool>(C.Threads);
+  PipelineResult Res = Session.finish(Pool.get());
+
+  if (C.Estimate) {
+    std::printf("\n; estimated cycles (baseline -> this output):\n");
+    for (const MachineComparison &MC : Res.Machines)
+      std::printf(";   %-10s %10.0f -> %10.0f   (%.2fx)\n",
+                  MC.MachineName.c_str(), MC.BaselineCycles,
+                  MC.TreatedCycles, MC.speedup());
+  }
+
+  if (C.Simulate) {
+    std::printf("\n; dynamic simulation (baseline -> this output, "
+                "%zu/%zu branch events):\n",
+                BaseEvents, TreatedEvents);
+    const bool FE = C.Frontend.UseBTB || C.Frontend.Decoupled;
+    std::printf(";   %-10s %-9s %12s %9s %6s  -> %12s %9s %6s %8s",
+                "machine", "pred", "cycles", "mispred", "MPKI", "cycles",
+                "mispred", "MPKI", "speedup");
+    if (FE)
+      std::printf(" %9s %12s", "BTB-MPKI", "stalls");
+    std::printf("\n");
+    for (const SimComparison &SC : Res.Sim) {
+      std::printf(";   %-10s %-9s %12.0f %9llu %6.2f  -> %12.0f %9llu "
+                  "%6.2f %7.2fx",
+                  SC.MachineName.c_str(), SC.PredictorName.c_str(),
+                  SC.Baseline.TotalCycles,
+                  static_cast<unsigned long long>(SC.Baseline.Mispredicts),
+                  SC.Baseline.mpki(), SC.Treated.TotalCycles,
+                  static_cast<unsigned long long>(SC.Treated.Mispredicts),
+                  SC.Treated.mpki(), SC.speedup());
+      if (FE)
+        // Treated-side frontend detail: target-miss rate and fetch-stall
+        // cycles of the output being measured.
+        std::printf(" %9.2f %12llu", SC.Treated.btbMpki(),
+                    static_cast<unsigned long long>(
+                        SC.Treated.FetchStallCycles));
+      std::printf("\n");
+    }
+  }
+  return Finish(exit_codes::Success);
 }
 
 } // namespace
@@ -428,6 +655,34 @@ int main(int argc, char **argv) {
   }
   C.InputPath = Positional[0];
 
+  // Usage errors come before any work: the other mode's flags, and the
+  // combinations the one session cannot serve.
+  const bool Server = !C.Server.empty();
+  std::string Misuse;
+  if (std::string_view Flag = firstGiven(
+          argc, argv, Server ? LocalOnlyFlags : ServerOnlyFlags);
+      !Flag.empty())
+    Misuse = std::string(Flag) +
+             (Server ? " is a local-compile flag; --server does not take it"
+                     : " only applies with --server");
+  else if (C.Phase != "frp" && C.Phase != "speculate" && C.Phase != "cpr" &&
+           C.Phase != "all" && C.Phase != "none")
+    Misuse = "unknown phase '" + C.Phase + "'";
+  else if (C.Lint && C.Phase != "cpr" && C.Phase != "all")
+    Misuse = "--lint checks the transform stage (--phase=all or cpr); run "
+             "cpr-lint on the --phase=" + C.Phase + " output instead";
+  else if (!C.ProfileIn.empty() && (C.Simulate || !C.TraceOut.empty()))
+    Misuse = "--profile-in cannot be combined with --simulate or "
+             "--trace-out: traces come from the session's own profiling "
+             "run, whose profile would differ from the loaded one";
+  else if (!C.ScheduleFor.empty() &&
+           !MachineDesc::findPaperModel(C.ScheduleFor))
+    Misuse = "unknown machine '" + C.ScheduleFor + "'";
+  if (!Misuse.empty()) {
+    std::fprintf(stderr, "cprc: %s\n", Misuse.c_str());
+    return exit_codes::UsageError;
+  }
+
   std::ifstream In(C.InputPath);
   if (!In) {
     std::fprintf(stderr, "cprc: error: cannot open '%s'\n",
@@ -436,377 +691,20 @@ int main(int argc, char **argv) {
   }
   std::stringstream Buf;
   Buf << In.rdbuf();
-
-  if (!C.Server.empty())
-    return runServerMode(C, Buf.str());
-
-  ParseResult PR = parseFunction(Buf.str());
-  if (!PR) {
-    std::fprintf(stderr, "%s:%u: error: %s\n", C.InputPath.c_str(), PR.Line,
-                 PR.Error.c_str());
+  // One reader for both modes: the file's `; reg` / `; mem` directives
+  // are the program's inputs, and the flags append to them.
+  FuzzParseResult FP = parseFuzzProgram(Buf.str());
+  if (!FP) {
+    std::fprintf(stderr, "%s: error: %s\n", C.InputPath.c_str(),
+                 FP.Error.c_str());
     return exit_codes::ParseError;
   }
-  std::unique_ptr<Function> F = std::move(PR.Func);
-  std::vector<std::string> Errors = verifyFunction(*F);
-  if (!Errors.empty()) {
-    for (const std::string &E : Errors)
-      std::fprintf(stderr, "%s: error: verifier: %s\n", C.InputPath.c_str(),
-                   E.c_str());
-    return exit_codes::VerifyError;
-  }
+  for (const RegBinding &B : C.InitRegs)
+    FP.Program.InitRegs.push_back(B);
+  for (const auto &Cell : C.InitMem.sortedCells())
+    FP.Program.InitMem.store(Cell.first, Cell.second);
 
-  // Optional preparation passes (applied to the shared baseline, as the
-  // paper's IMPACT preprocessing was).
-  if (C.IfConvert) {
-    IfConversionStats IS = ifConvert(*F);
-    verifyOrDie(*F, "after if-conversion");
-    std::fprintf(stderr, "if-convert: %u branch(es) folded, %u ops "
-                 "predicated\n",
-                 IS.BranchesConverted, IS.OpsPredicated);
-  }
-  if (C.UnrollFactor >= 2) {
-    unsigned Unrolled = 0;
-    for (size_t I = 0; I < F->numBlocks(); ++I)
-      if (unrollLoop(*F, F->block(I), C.UnrollFactor).Unrolled)
-        ++Unrolled;
-    verifyOrDie(*F, "after unrolling");
-    std::fprintf(stderr, "unroll: %u loop(s) unrolled x%u\n", Unrolled,
-                 C.UnrollFactor);
-  }
-  if (C.Simplify || C.UnrollFactor >= 2) {
-    SimplifyStats SS = simplifyFunction(*F);
-    eliminateDeadCode(*F);
-    verifyOrDie(*F, "after simplify");
-    std::fprintf(stderr,
-                 "simplify: %u folded, %u copies propagated, %u CSE\n",
-                 SS.ConstantsFolded, SS.CopiesPropagated,
-                 SS.ExpressionsReused);
-  }
-
-  // One staged session over the prepared baseline. Phase transformation
-  // happens outside the session (cprc's --phase selection is finer than
-  // the pipeline's transform stage) and is injected via setTreated; the
-  // session then reuses one baseline profile/trace across equivalence,
-  // every machine estimate, and every predictor simulation.
-  const bool NeedTrace = C.Simulate || !C.TraceOut.empty();
-  StatsRegistry Stats;
-  StatsRegistry *StatsPtr = C.StatsJSON.empty() ? nullptr : &Stats;
-  DiagnosticEngine Diags(StatsPtr, F->getName() + "/");
-  PipelineOptions SessionOpts;
-  SessionOpts.CPR = C.CPR;
-  SessionOpts.Simulate = NeedTrace;
-  SessionOpts.MispredictPenalty = C.MispredictPenalty;
-  SessionOpts.Frontend = C.Frontend;
-  SessionOpts.CheckEquivalence = false; // driven explicitly below
-  SessionOpts.FailSafe = C.FailSafe;
-  SessionOpts.RegionEquivalence = C.RegionEquiv;
-  SessionOpts.InterpMaxSteps = C.InterpMaxSteps;
-  SessionOpts.TransformBudget.MaxSteps = C.TransformSteps;
-  SessionOpts.TransformBudget.MaxWallMs = C.TransformMs;
-  SessionOpts.Diags = &Diags;
-
-  KernelProgram Program;
-  Program.Func = F->clone();
-  Program.InitRegs = C.InitRegs;
-  Program.InitMem = C.InitMem;
-  PipelineRun Session(std::move(Program), SessionOpts, StatsPtr,
-                      F->getName() + "/");
-
-  // A profile is required for the ICBM phase; load one or obtain it from
-  // the session's baseline profiling run. A loaded profile is injected
-  // into the session only when no branch trace is needed -- traces only
-  // exist for profiling runs the session performs itself.
-  ProfileData LoadedProfile;
-  bool HaveLoaded = false;
-  if (!C.ProfileIn.empty()) {
-    std::ifstream PIn(C.ProfileIn);
-    if (!PIn) {
-      std::fprintf(stderr, "cprc: error: cannot open profile '%s'\n",
-                   C.ProfileIn.c_str());
-      return exit_codes::Failure;
-    }
-    std::stringstream PBuf;
-    PBuf << PIn.rdbuf();
-    ProfileParseResult PP = parseProfile(PBuf.str());
-    if (!PP) {
-      std::fprintf(stderr, "%s: error: %s\n", C.ProfileIn.c_str(),
-                   PP.Error.c_str());
-      return exit_codes::ParseError;
-    }
-    LoadedProfile = std::move(PP.Profile);
-    HaveLoaded = true;
-    if (!NeedTrace)
-      Session.setBaselineProfile(LoadedProfile);
-  }
-
-  const bool NeedProfile = C.Phase == "cpr" || C.Phase == "all" ||
-                           C.Estimate || !C.ProfileOut.empty();
-  const ProfileData *PhaseProfile = nullptr;
-  if (HaveLoaded)
-    PhaseProfile = &LoadedProfile;
-  else if (NeedProfile)
-    PhaseProfile = &Session.baselineProfile();
-
-  if (!C.ProfileOut.empty()) {
-    std::ofstream POut(C.ProfileOut);
-    if (!POut) {
-      std::fprintf(stderr, "cprc: error: cannot write profile '%s'\n",
-                   C.ProfileOut.c_str());
-      return exit_codes::Failure;
-    }
-    POut << serializeProfile(*PhaseProfile, *F);
-  }
-
-  // Static semantic checks (docs/LINT.md), differential around the
-  // phases: pre-phase findings belong to the input and only downgrade
-  // the post-phase policy; new post-phase findings are the transform's.
-  LintDriver Linter;
-  bool BaselineLintClean = true;
-  if (C.Lint) {
-    LintResult LR = Linter.run(*F, nullptr, &C.InitRegs);
-    reportLintFindings(LR, Diags);
-    BaselineLintClean = LR.errorCount() == 0;
-    std::fprintf(stderr, "lint: input: %zu finding(s)\n",
-                 LR.Findings.size());
-  }
-
-  // Phases.
-  if (C.Phase == "frp" || C.Phase == "speculate") {
-    for (size_t I = 0; I < F->numBlocks(); ++I)
-      if (!F->block(I).isCompensation())
-        convertToFRP(*F, F->block(I));
-    if (C.Phase == "speculate")
-      for (size_t I = 0; I < F->numBlocks(); ++I)
-        if (!F->block(I).isCompensation())
-          speculatePredicates(*F, F->block(I));
-  } else if (C.Phase == "cpr" || C.Phase == "all") {
-    // Strict by default (legacy fatal-on-failure); --fail-safe swaps in
-    // the transactional context: rollback on faults, optional per-region
-    // equivalence re-check against the prepared baseline, and budgets.
-    CPRContext Ctx;
-    Ctx.FailSafe = C.FailSafe;
-    Ctx.Diags = &Diags;
-    Budget TransformLimit;
-    TransformLimit.MaxSteps = C.TransformSteps;
-    TransformLimit.MaxWallMs = C.TransformMs;
-    BudgetTracker TransformBudget(TransformLimit);
-    if (!TransformLimit.unlimited())
-      Ctx.Budget = &TransformBudget;
-    if (C.FailSafe && C.Lint && BaselineLintClean)
-      Ctx.RegionLint = [&Linter, &C](const Function &Candidate) -> Status {
-        return lintStatus(Linter.run(Candidate, nullptr, &C.InitRegs));
-      };
-    // The per-region re-check runs each candidate once against the
-    // baseline's final state, recorded here with one run, both under the
-    // session's step cap.
-    std::unique_ptr<Function> OracleBaseline;
-    RunState OracleBaselineFinal;
-    const uint64_t StepCap = sessionStepCap(C.InterpMaxSteps);
-    if (C.FailSafe && C.RegionEquiv) {
-      OracleBaseline = F->clone();
-      OracleBaselineFinal =
-          recordRun(*OracleBaseline, C.InitMem, C.InitRegs, StepCap);
-      Ctx.RegionOracle = [&](const Function &Candidate) -> Status {
-        return checkRegionEquivalence(*OracleBaseline, OracleBaselineFinal,
-                                      Candidate, C.InitMem, C.InitRegs,
-                                      StepCap);
-      };
-    }
-    CPRResult CR = runControlCPR(*F, *PhaseProfile, C.CPR, Ctx);
-    std::fprintf(stderr,
-                 "cpr: %u region(s), %u CPR block(s) formed, %u "
-                 "transformed (%u taken variation), %u ops moved "
-                 "off-trace, %u split\n",
-                 CR.RegionsProcessed, CR.CPRBlocksFormed,
-                 CR.CPRBlocksTransformed, CR.TakenVariants,
-                 CR.OpsMovedOffTrace, CR.OpsSplit);
-    if (CR.BlocksRolledBack > 0 || CR.RegionsSkippedBudget > 0)
-      std::fprintf(stderr,
-                   "cpr: fail-safe: %u block(s) rolled back in %u "
-                   "region(s), %u region(s) skipped on budget\n",
-                   CR.BlocksRolledBack, CR.RegionsRolledBack,
-                   CR.RegionsSkippedBudget);
-    if (StatsPtr) {
-      // The phase transform runs outside the session (it is injected via
-      // setTreated below), so mirror its outcome counters into the stats
-      // document by hand -- same keys the pipeline's transform stage uses.
-      const std::string P = F->getName() + "/";
-      StatsPtr->addCount(P + "cpr/regions", CR.RegionsProcessed);
-      StatsPtr->addCount(P + "cpr/blocks_formed", CR.CPRBlocksFormed);
-      StatsPtr->addCount(P + "cpr/blocks_transformed",
-                         CR.CPRBlocksTransformed);
-      StatsPtr->addCount(P + "cpr/branches_merged", CR.BranchesCovered);
-      StatsPtr->addCount(P + "cpr/ops_moved_off_trace", CR.OpsMovedOffTrace);
-      StatsPtr->addCount(P + "cpr/ops_split", CR.OpsSplit);
-      StatsPtr->addCount(P + "cpr/liveness_solves", CR.LivenessSolves);
-      StatsPtr->addCount(P + "cpr/blocks_rolled_back", CR.BlocksRolledBack);
-      StatsPtr->addCount(P + "cpr/regions_rolled_back",
-                         CR.RegionsRolledBack);
-      StatsPtr->addCount(P + "cpr/regions_skipped_budget",
-                         CR.RegionsSkippedBudget);
-      StatsPtr->addCount(P + "budget/transform_exhausted",
-                         CR.BudgetExhausted ? 1 : 0);
-    }
-  } else if (C.Phase != "none") {
-    std::fprintf(stderr, "unknown phase '%s'\n", C.Phase.c_str());
-    return exit_codes::UsageError;
-  }
-  verifyOrDie(*F, "cprc output");
-
-  if (C.Lint) {
-    LintResult LR = Linter.run(*F, nullptr, &C.InitRegs);
-    // Findings the input already had are not re-reported as new errors;
-    // any error here on a lint-clean input is a transform regression.
-    if (BaselineLintClean)
-      reportLintFindings(LR, Diags);
-    std::fprintf(stderr, "lint: output: %zu finding(s)\n",
-                 LR.Findings.size());
-  }
-
-  std::printf("%s", printFunction(*F, C.PO).c_str());
-
-  const bool NeedTreated = C.Estimate || C.Simulate || C.CheckEquiv;
-  if (NeedTreated)
-    Session.setTreated(F->clone());
-
-  if (C.Run) {
-    Memory Mem = C.InitMem;
-    RunResult R = interpret(*F, Mem, C.InitRegs);
-    std::printf("\n; run: %s after %llu steps",
-                R.halted() ? "halted" : R.ErrorMsg.c_str(),
-                static_cast<unsigned long long>(R.Steps));
-    if (!R.Observed.empty()) {
-      std::printf("; observables:");
-      for (size_t I = 0; I < R.Observed.size(); ++I)
-        std::printf(" %s=%lld", F->observableRegs()[I].str().c_str(),
-                    static_cast<long long>(R.Observed[I]));
-    }
-    std::printf("\n");
-  }
-
-  std::vector<MachineDesc> Machines = MachineDesc::paperModels();
-  if (!C.ScheduleFor.empty()) {
-    const MachineDesc *MD = findMachine(Machines, C.ScheduleFor);
-    if (!MD) {
-      std::fprintf(stderr, "unknown machine '%s'\n", C.ScheduleFor.c_str());
-      return 2;
-    }
-    for (size_t BI = 0; BI < F->numBlocks(); ++BI) {
-      const Block &B = F->block(BI);
-      if (B.empty())
-        continue;
-      Schedule S = scheduleBlockWithAnalyses(*F, B, *MD);
-      std::printf("\n; schedule of @%s on %s (length %d):\n",
-                  B.getName().c_str(), MD->getName().c_str(), S.length());
-      for (size_t OI = 0; OI < B.size(); ++OI)
-        std::printf(";   cycle %3d  %s\n", S.cycleOf(OI),
-                    printOperation(*F, B.ops()[OI], C.PO).c_str());
-    }
-  }
-
-  if (C.CheckEquiv) {
-    Session.checkEquivalence(); // fatal on mismatch unless --fail-safe
-    if (Session.fellBack())
-      std::printf("\n; equivalence: MISMATCH; the session fell back to "
-                  "the baseline (see diagnostics)\n");
-    else
-      std::printf("\n; equivalence: baseline and output agree on this "
-                  "input\n");
-  }
-
-  ThreadPool *Pool = nullptr;
-  std::unique_ptr<ThreadPool> PoolStorage;
-  if (NeedTreated && C.Threads != 1) {
-    PoolStorage = std::make_unique<ThreadPool>(C.Threads);
-    Pool = PoolStorage.get();
-  }
-
-  if (C.Estimate) {
-    Session.prepare();
-    std::vector<MachineComparison> Rows(Machines.size());
-    parallelFor(Pool, Machines.size(), [&](size_t I) {
-      Rows[I] = Session.estimateMachine(Machines[I]);
-    });
-    std::printf("\n; estimated cycles (baseline -> this output):\n");
-    for (const MachineComparison &MC : Rows)
-      std::printf(";   %-10s %10.0f -> %10.0f   (%.2fx)\n",
-                  MC.MachineName.c_str(), MC.BaselineCycles,
-                  MC.TreatedCycles,
-                  MC.TreatedCycles > 0
-                      ? MC.BaselineCycles / MC.TreatedCycles
-                      : 0.0);
-  }
-
-  if (!C.TraceOut.empty()) {
-    std::ofstream TOut(C.TraceOut);
-    if (!TOut) {
-      std::fprintf(stderr, "cprc: error: cannot write trace '%s'\n",
-                   C.TraceOut.c_str());
-      return exit_codes::Failure;
-    }
-    TOut << serializeBranchTrace(Session.baselineTrace());
-  }
-
-  if (C.Simulate) {
-    if (C.Predictors.empty())
-      C.Predictors = allPredictorKinds();
-    Session.prepare();
-
-    std::printf("\n; dynamic simulation (baseline -> this output, "
-                "%llu/%llu branch events):\n",
-                static_cast<unsigned long long>(
-                    Session.baselineTrace().size()),
-                static_cast<unsigned long long>(
-                    Session.treatedTrace().size()));
-    const bool FE = C.Frontend.UseBTB || C.Frontend.Decoupled;
-    std::printf(";   %-10s %-9s %12s %9s %6s  -> %12s %9s %6s %8s",
-                "machine", "pred", "cycles", "mispred", "MPKI", "cycles",
-                "mispred", "MPKI", "speedup");
-    if (FE)
-      std::printf(" %9s %12s", "BTB-MPKI", "stalls");
-    std::printf("\n");
-    size_t NumP = C.Predictors.size();
-    std::vector<SimComparison> Sims(Machines.size() * NumP);
-    parallelFor(Pool, Sims.size(), [&](size_t I) {
-      Sims[I] = Session.simulate(Machines[I / NumP],
-                                 C.Predictors[I % NumP]);
-    });
-    for (const SimComparison &SC : Sims) {
-      std::printf(";   %-10s %-9s %12.0f %9llu %6.2f  -> %12.0f %9llu "
-                  "%6.2f %7.2fx",
-                  SC.MachineName.c_str(), SC.PredictorName.c_str(),
-                  SC.Baseline.TotalCycles,
-                  static_cast<unsigned long long>(SC.Baseline.Mispredicts),
-                  SC.Baseline.mpki(), SC.Treated.TotalCycles,
-                  static_cast<unsigned long long>(SC.Treated.Mispredicts),
-                  SC.Treated.mpki(), SC.speedup());
-      if (FE)
-        // Treated-side frontend detail: target-miss rate and fetch-stall
-        // cycles of the output being measured.
-        std::printf(" %9.2f %12llu", SC.Treated.btbMpki(),
-                    static_cast<unsigned long long>(
-                        SC.Treated.FetchStallCycles));
-      std::printf("\n");
-    }
-  }
-
-  if (!C.StatsJSON.empty()) {
-    std::string Error;
-    if (!writeStatsJSONFile(Stats, C.StatsJSON, &Error)) {
-      std::fprintf(stderr, "cprc: error: %s\n", Error.c_str());
-      return exit_codes::Failure;
-    }
-  }
-
-  // Fail-safe epilogue: every failure above was recovered, but the
-  // compile may have been degraded (rollbacks, budget skips, baseline
-  // fallback). Surface the collected diagnostics and report the
-  // degradation through a distinct nonzero-but-clean exit.
-  for (const Diagnostic &D : Diags.diagnostics())
-    std::fprintf(stderr, "cprc: %s\n", D.str().c_str());
-  if (Diags.errorCount() > 0)
-    return exit_codes::Failure;
-  if (C.Werror && Diags.count(DiagSeverity::Warning) > 0)
-    return exit_codes::Failure;
-  return exit_codes::Success;
+  if (Server)
+    return runServerMode(C, FP.Program);
+  return runLocal(C, std::move(FP.Program));
 }

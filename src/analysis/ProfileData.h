@@ -7,8 +7,8 @@
 /// \file
 /// Execution profiles: per-block entry counts and per-branch reach/taken
 /// counts, keyed by ids that survive transformation. The ICBM match
-/// heuristics (exit-weight and predict-taken tests) and the performance
-/// model both consume this structure; the interpreter-based profiler and
+/// heuristics (exit-weight and predict-taken tests) and the Table 2
+/// estimate both consume this structure; the interpreter-based profiler and
 /// the synthetic workload generators both produce it.
 ///
 //===----------------------------------------------------------------------===//

@@ -28,7 +28,6 @@
 #define PIPELINE_COMPILERPIPELINE_H
 
 #include "cpr/ControlCPR.h"
-#include "sched/PerfModel.h"
 #include "sim/TraceSimulator.h"
 #include "workloads/Kernels.h"
 

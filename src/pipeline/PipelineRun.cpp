@@ -323,7 +323,9 @@ const Function &PipelineRun::treated() {
       PassTimer LT(Stats, Prefix + "lint_treated");
       LintResult LR =
           Linter.run(*Treated, TreatedFA.get(), &Program.InitRegs);
-      if (Opts.Diags)
+      // On a lint-dirty input the findings repeat the baseline's, which
+      // were reported above.
+      if (Opts.Diags && BaselineLintClean)
         reportLintFindings(LR, *Opts.Diags);
       if (Stats)
         Stats->addCount(Prefix + "lint/treated_findings",
@@ -516,13 +518,14 @@ MachineComparison PipelineRun::estimateMachine(const MachineDesc &MD) const {
   // The shared analysis bundles were solved serially by prepare(), with
   // one dependence graph per block for the branch latency of
   // Opts.Machines' first machine. A machine of another latency builds its
-  // own graphs, and a caller that forced the stages by hand may have no
-  // bundles, in which case the estimator also solves its own liveness
-  // (same result -- both are pure functions of the IR).
-  PerfEstimate Base = estimatePerformance(
+  // own graphs for the blocks the profile entered, and a caller that
+  // forced the stages by hand may have no bundles, in which case the
+  // estimator also solves its own liveness (same result -- both are pure
+  // functions of the IR).
+  SimEstimate Base = estimatePerformance(
       *Program.Func, MD, BaseRun.Profile, Opts.Perf,
       BaseFA ? &BaseFA->LV : nullptr, BaseFA ? BaseFA->graphs() : nullptr);
-  PerfEstimate Treat = estimatePerformance(
+  SimEstimate Treat = estimatePerformance(
       *Treated, MD, TreatedRun.Profile, Opts.Perf,
       TreatedFA ? &TreatedFA->LV : nullptr,
       TreatedFA ? TreatedFA->graphs() : nullptr);

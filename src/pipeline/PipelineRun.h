@@ -137,8 +137,8 @@ public:
   /// of the prepared baseline / treated function, with one dependence
   /// graph per non-empty block for the branch latency of
   /// Opts.Machines.front() (none when it is empty): computed once,
-  /// serially, then shared const by the lint stage, the performance model,
-  /// and the simulator. Pure functions of the IR, so sharing never changes
+  /// serially, then shared const by the lint stage, the estimates and the
+  /// simulations. Pure functions of the IR, so sharing never changes
   /// any downstream output.
   const FunctionAnalyses &baselineAnalyses();
   const FunctionAnalyses &treatedAnalyses();

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The result of scheduling one block: an issue cycle per operation and the
-/// derived timing queries the performance model needs (block length and
-/// per-exit departure cycles).
+/// derived timing queries cycle pricing needs (block length and per-exit
+/// departure cycles).
 ///
 //===----------------------------------------------------------------------===//
 

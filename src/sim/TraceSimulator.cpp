@@ -22,7 +22,7 @@ namespace {
 /// Schedules blocks on demand: pricing asks only for the blocks a replay
 /// entered. Shared graphs that fit the machine are scheduled as they are;
 /// otherwise each block builds its own, over the shared liveness or one
-/// solved on first need.
+/// solved on first need, and counts it.
 class BlockScheduler {
 public:
   BlockScheduler(const Function &F, const MachineDesc &MD,
@@ -39,8 +39,11 @@ public:
       return scheduleBlock(B, *Graphs->graph(LayoutIdx), MD);
     RegionPQS PQS(F, B);
     DepGraph DG(F, B, MD, PQS, liveness(), DOpts);
+    ++GraphsBuilt;
     return scheduleBlock(B, DG, MD);
   }
+
+  size_t graphsBuilt() const { return GraphsBuilt; }
 
 private:
   const Liveness &liveness() {
@@ -57,6 +60,7 @@ private:
   const Liveness *LV;
   std::unique_ptr<Liveness> Owned;
   const BlockGraphs *Graphs;
+  size_t GraphsBuilt = 0;
 };
 
 } // namespace
@@ -88,6 +92,7 @@ TraceReplay cpr::replayTrace(const Function &F, const BranchTrace &Trace,
     R.BTBGeometry = FE.BTB;
   }
 
+  const std::vector<int> Layout = layoutIndexMap(F);
   size_t Cursor = 0; // next unconsumed trace event
   size_t BI = 0;     // layout index of the current block
 
@@ -159,7 +164,7 @@ TraceReplay cpr::replayTrace(const Function &F, const BranchTrace &Trace,
         if (TargetBuffer && !TargetBuffer->access(Op.getId(), Target) &&
             Predicted == Ev.Taken)
           ++RB.BTBMisses;
-        int TargetIdx = F.layoutIndex(Target);
+        int TargetIdx = Target < Layout.size() ? Layout[Target] : -1;
         if (TargetIdx < 0)
           return fail("branch id " + std::to_string(Op.getId()) +
                       " targets a block outside the function");
@@ -179,6 +184,37 @@ TraceReplay cpr::replayTrace(const Function &F, const BranchTrace &Trace,
                   B.getName());
     ++BI;
   }
+}
+
+TraceReplay cpr::replayProfile(const Function &F, const ProfileData &Profile,
+                               PerfModelOptions::Mode WeightMode) {
+  TraceReplay R;
+  R.Blocks.resize(F.numBlocks());
+  R.HaltBlock = F.numBlocks(); // halting entries are fall-throughs here
+  for (size_t BI = 0; BI < F.numBlocks(); ++BI) {
+    const Block &B = F.block(BI);
+    ReplayBlock &RB = R.Blocks[BI];
+    RB.Entries = Profile.blockEntries(B.getId());
+    R.BlockEntries += RB.Entries;
+    if (RB.Entries == 0 || WeightMode == PerfModelOptions::Mode::BlockLength) {
+      RB.FallThroughs = RB.Entries;
+      continue;
+    }
+    RB.Departures.assign(B.size(), 0);
+    uint64_t Departed = 0;
+    for (const BlockExit &E : blockExits(F, BI)) {
+      if (E.isFallThrough())
+        continue;
+      const Operation &Op = B.ops()[static_cast<size_t>(E.OpIdx)];
+      if (!Op.isBranch())
+        continue; // a halt or trap: its entries are fall-throughs
+      uint64_t Taken = Profile.branchTaken(Op.getId());
+      RB.Departures[static_cast<size_t>(E.OpIdx)] = Taken;
+      Departed += Taken;
+    }
+    RB.FallThroughs = RB.Entries > Departed ? RB.Entries - Departed : 0;
+  }
+  return R;
 }
 
 SimEstimate cpr::priceReplay(const TraceReplay &R, const Function &F,
@@ -253,8 +289,7 @@ SimEstimate cpr::priceReplay(const TraceReplay &R, const Function &F,
     for (size_t OI = 0; OI < RB.Departures.size(); ++OI)
       if (uint64_t N = RB.Departures[OI])
         charge(N, S.departureCycle(OI, B, MD), OI + 1);
-    // A fall-through, like a halt exit, is charged the full block length
-    // (as in the ExitAware performance model).
+    // A fall-through, like a halt exit, is charged the full block length.
     if (RB.FallThroughs != 0)
       charge(RB.FallThroughs, S.length(), B.size());
     if (BI == R.HaltBlock)
@@ -273,6 +308,7 @@ SimEstimate cpr::priceReplay(const TraceReplay &R, const Function &F,
     Est.TotalCycles += BS.Cycles;
     Est.Blocks.push_back(std::move(BS));
   }
+  Est.DepGraphsBuilt = Scheduler.graphsBuilt();
   return Est;
 }
 
@@ -282,5 +318,18 @@ SimEstimate cpr::simulateTrace(const Function &F, const MachineDesc &MD,
                                const SimOptions &Opts, const Liveness *LV,
                                const BlockGraphs *Graphs) {
   return priceReplay(replayTrace(F, Trace, Pred, Opts.Frontend), F, MD, Opts,
+                     LV, Graphs);
+}
+
+SimEstimate cpr::estimatePerformance(const Function &F,
+                                     const MachineDesc &MD,
+                                     const ProfileData &Profile,
+                                     const PerfModelOptions &Opts,
+                                     const Liveness *LV,
+                                     const BlockGraphs *Graphs) {
+  SimOptions SO;
+  SO.MispredictPenalty = 0;
+  SO.AllowSpeculation = Opts.AllowSpeculation;
+  return priceReplay(replayProfile(F, Profile, Opts.WeightMode), F, MD, SO,
                      LV, Graphs);
 }

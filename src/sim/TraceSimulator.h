@@ -5,30 +5,34 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A trace-driven cycle-level simulator: replays one interpreter run's
-/// branch stream (interp/BranchTrace.h) over the scheduled blocks of a
-/// function, charging schedule-accurate cycles per block entry -- the same
-/// departure-cycle accounting as the ExitAware performance model -- plus a
-/// configurable pipeline-restart penalty on every branch a pluggable
-/// predictor gets wrong.
+/// Cycle pricing, trace-driven and static. One pricer, priceReplay(),
+/// charges a per-block count table (TraceReplay) on one machine: every
+/// exit costs its schedule cycles times how often control left through
+/// it, plus a configurable pipeline-restart penalty on every branch a
+/// pluggable predictor got wrong, BTB-miss penalties and fetch stalls.
+/// Two builders fill the table, and neither depends on the machine:
 ///
-/// Simulation is two steps. replayTrace() walks the trace through the
-/// function's layout, the predictor and (optionally) the BTB, and counts,
-/// per block, entries, mispredicts, BTB misses and departures per exit;
-/// none of that depends on the machine. priceReplay() then prices those
-/// counts on one machine: every exit costs its schedule cycles times how
-/// often control left through it, plus the penalties and fetch stalls.
-/// One replay thus serves every machine, and the predictor -- the costly
+///  - replayTrace() walks one interpreter run's branch stream
+///    (interp/BranchTrace.h) through the function's layout, the predictor
+///    and (optionally) the BTB, and counts, per block, entries,
+///    mispredicts, BTB misses and departures per exit;
+///  - replayProfile() reads a profile's block entries and branch taken
+///    counts: the profiled frequencies the paper's Section 7 weights
+///    schedules by.
+///
+/// One table thus serves every machine, and the predictor -- the costly
 /// part, even with TAGE's O(1) folded histories (sim/frontend/TAGE.h) --
-/// runs once per trace. simulateTrace() is the two in sequence.
+/// runs once per trace. simulateTrace() is replayTrace() and priceReplay()
+/// in sequence; estimatePerformance(), the Table 2 estimate, is
+/// replayProfile() priced with a zero penalty and the flat frontend.
 ///
-/// With a zero penalty (and the frontend model off) the produced
-/// SimEstimate::TotalCycles is exactly the ExitAware
-/// PerfEstimate::TotalCycles for the same run: the simulator is the
-/// dynamic refinement of the paper's Section 7 static formula, not a
-/// different model. The delta between the two is therefore purely the
-/// misprediction cost the paper ignores -- the quantity of interest when
-/// judging control CPR's predictable-branches-for-one-bypass trade.
+/// A zero-penalty, flat-frontend simulation of a run and the estimate from
+/// the same run's profile therefore price equal counts through the same
+/// code, and their TotalCycles are equal by construction: the simulator is
+/// the dynamic refinement of the paper's Section 7 static formula, not a
+/// different model. The delta between the two is purely the misprediction
+/// cost the paper ignores -- the quantity of interest when judging control
+/// CPR's predictable-branches-for-one-bypass trade.
 ///
 /// The optional decoupled-frontend model (FrontendOptions) refines the
 /// flat penalty further, charging three separate cost classes
@@ -48,6 +52,7 @@
 #ifndef SIM_TRACESIMULATOR_H
 #define SIM_TRACESIMULATOR_H
 
+#include "analysis/ProfileData.h"
 #include "interp/BranchTrace.h"
 #include "machine/MachineDesc.h"
 #include "sim/BranchPredictor.h"
@@ -62,9 +67,9 @@ namespace cpr {
 class BlockGraphs;
 class Liveness;
 
-/// The decoupled-frontend cost model, off by default (the legacy flat
-/// mispredict-penalty accounting, which preserves the penalty-0 ==
-/// ExitAware invariant above).
+/// The decoupled-frontend cost model, off by default (the flat
+/// mispredict-penalty accounting the estimate prices with, which keeps
+/// the zero-penalty simulation equal to the estimate).
 struct FrontendOptions {
   /// Model fetch bandwidth: every block entry is limited to FetchWidth
   /// operations fetched per cycle, and a taken branch breaks the fetch
@@ -95,6 +100,24 @@ struct SimOptions {
   FrontendOptions Frontend;
 };
 
+/// Options of the Table 2 estimate (estimatePerformance).
+struct PerfModelOptions {
+  enum class Mode {
+    /// The paper's literal formula: every entry of a block is charged
+    /// the block's schedule length.
+    BlockLength,
+    /// An entry that departs through a taken exit is charged up to that
+    /// exit's departure cycle instead of the full block length. This
+    /// realizes the exit-delay penalties Section 7 discusses (delayed
+    /// exit branches hurting narrow machines) that the literal formula
+    /// cannot express.
+    ExitAware,
+  };
+  Mode WeightMode = Mode::ExitAware;
+  /// Passed through to block scheduling (superblock speculation).
+  bool AllowSpeculation = true;
+};
+
 /// Per-block simulation detail.
 struct SimBlockStats {
   BlockId Id = InvalidBlockId;
@@ -106,8 +129,7 @@ struct SimBlockStats {
   double Cycles = 0.0; ///< includes penalty cycles charged in this block
 };
 
-/// Whole-run dynamic estimate, parallel to sched/PerfModel.h's
-/// PerfEstimate.
+/// A priced count table: a simulation, or the Table 2 estimate.
 struct SimEstimate {
   double TotalCycles = 0.0;
   /// Cycles of TotalCycles attributable to misprediction penalties.
@@ -129,7 +151,11 @@ struct SimEstimate {
   uint64_t FetchStallCycles = 0;
   /// Final predictor counters (Lookups == Branches on success).
   PredictorStats Pred;
+  /// One row per entered block, in layout order.
   std::vector<SimBlockStats> Blocks;
+  /// Dependence graphs pricing built itself: 0 when the given BlockGraphs
+  /// fit the machine, else one per entered non-empty block.
+  size_t DepGraphsBuilt = 0;
   /// Non-empty when the trace could not be replayed against the function
   /// (diverged ids, missing terminal, ...); the
   /// counters are then unspecified.
@@ -159,15 +185,16 @@ struct ReplayBlock {
   uint64_t BTBMisses = 0;
   /// Entries that fell through the end of the block.
   uint64_t FallThroughs = 0;
-  /// Taken departures per operation index (sized to the block once it is
-  /// entered, empty before).
+  /// Taken departures per operation index (empty while there are none to
+  /// record: before the first entry, or in a BlockLength profile table).
   std::vector<uint64_t> Departures;
 };
 
 /// A trace replayed through a function's layout, a predictor and
 /// optionally a BTB: everything the simulator counts that does not depend
 /// on the machine. Depends on the trace, the function, the predictor (kind
-/// and configuration) and the BTB geometry, nothing else.
+/// and configuration) and the BTB geometry, nothing else. replayProfile()
+/// fills the same table from a profile.
 struct TraceReplay {
   /// As SimEstimate::Error; the counters are unspecified when set.
   std::string Error;
@@ -179,7 +206,9 @@ struct TraceReplay {
   uint64_t Mispredicts = 0;
   uint64_t BlockEntries = 0;
   uint64_t OpsDispatched = 0;
-  /// Layout index and operation index of the terminal halt or trap.
+  /// Layout index and operation index of the terminal halt or trap; a
+  /// HaltBlock past the last block means none (a profile table counts
+  /// halting entries as fall-throughs).
   size_t HaltBlock = 0;
   size_t HaltOp = 0;
   /// Per layout index.
@@ -198,15 +227,24 @@ TraceReplay replayTrace(const Function &F, const BranchTrace &Trace,
                         BranchPredictor &Pred,
                         const FrontendOptions &FE = FrontendOptions());
 
+/// The count table of profile \p Profile of \p F: each block's entries and,
+/// in ExitAware mode, each branch's taken count as its departures; the
+/// rest of the entries, halting ones included, fall through (none when a
+/// block's taken counts exceed its entries). In BlockLength mode every
+/// entry falls through. Branch, predictor and dispatch counters stay 0.
+TraceReplay replayProfile(const Function &F, const ProfileData &Profile,
+                          PerfModelOptions::Mode WeightMode);
+
 /// Prices replay \p R of \p F on \p MD: schedules the entered blocks and
 /// charges each exit's cycles times its count, plus mispredict penalties,
 /// BTB-miss penalties (when \p Opts.Frontend.UseBTB, in which case \p R
 /// must have been replayed with the same BTB geometry) and fetch stalls.
 /// A failed replay yields its Error. \p LV and \p Graphs, when given,
 /// are a pre-solved liveness and pre-built dependence graphs for \p F
-/// (e.g. from a shared analysis/AnalysisCache.h bundle); as in
-/// estimatePerformance, graphs that do not fit \p MD are ignored and
-/// whatever is missing is computed.
+/// (e.g. from a shared analysis/AnalysisCache.h bundle); graphs built for
+/// another branch latency or speculation mode are ignored, and whatever
+/// is missing is computed. Both are pure functions of the IR, so sharing
+/// never changes the result.
 SimEstimate priceReplay(const TraceReplay &R, const Function &F,
                         const MachineDesc &MD,
                         const SimOptions &Opts = SimOptions(),
@@ -224,6 +262,17 @@ SimEstimate simulateTrace(const Function &F, const MachineDesc &MD,
                           const SimOptions &Opts = SimOptions(),
                           const Liveness *LV = nullptr,
                           const BlockGraphs *Graphs = nullptr);
+
+/// The paper's Section 7 estimate of \p F on \p MD under \p Profile (Table
+/// 2): priceReplay(replayProfile(F, Profile, Opts.WeightMode), F, MD, ...)
+/// with a zero penalty and the flat frontend, \p LV and \p Graphs as there.
+/// Blocks the profile never entered are not scheduled.
+SimEstimate estimatePerformance(const Function &F, const MachineDesc &MD,
+                                const ProfileData &Profile,
+                                const PerfModelOptions &Opts =
+                                    PerfModelOptions(),
+                                const Liveness *LV = nullptr,
+                                const BlockGraphs *Graphs = nullptr);
 
 } // namespace cpr
 

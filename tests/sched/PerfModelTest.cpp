@@ -1,10 +1,13 @@
-//===- tests/sched/PerfModelTest.cpp - Performance model tests ------------===//
+//===- tests/sched/PerfModelTest.cpp - Table 2 estimate tests -------------===//
 //
 // Part of the control-cpr project (PLDI 1999 Control CPR reproduction).
 //
+// estimatePerformance (sim/TraceSimulator.h), the paper's Section 7
+// estimate, against hand computations and the machine ordering.
+//
 //===----------------------------------------------------------------------===//
 
-#include "sched/PerfModel.h"
+#include "sim/TraceSimulator.h"
 
 #include "interp/Profiler.h"
 #include "ir/IRParser.h"
@@ -31,13 +34,14 @@ block @A:
 
   PerfModelOptions Opts;
   Opts.WeightMode = PerfModelOptions::Mode::BlockLength;
-  PerfEstimate E =
+  SimEstimate E =
       estimatePerformance(*F, MachineDesc::infinite(), P, Opts);
   // Serial adds complete at cycles 1,2,3 (the halt has no dependence on
   // pure arithmetic and does not extend the schedule): length 3, ten
   // entries -> 30 cycles.
   ASSERT_EQ(E.Blocks.size(), 1u);
-  EXPECT_EQ(E.Blocks[0].ScheduleLength, 3);
+  EXPECT_EQ(E.Blocks[0].Entries, 10u);
+  EXPECT_DOUBLE_EQ(E.Blocks[0].Cycles, 30.0);
   EXPECT_DOUBLE_EQ(E.TotalCycles, 30.0);
 }
 
@@ -66,12 +70,12 @@ block @X:
   P.addBranchTaken(Br, 100); // always taken
 
   PerfModelOptions ExitAware;
-  PerfEstimate EA =
+  SimEstimate EA =
       estimatePerformance(*F, MachineDesc::medium(), P, ExitAware);
 
   PerfModelOptions BlockLen;
   BlockLen.WeightMode = PerfModelOptions::Mode::BlockLength;
-  PerfEstimate BL =
+  SimEstimate BL =
       estimatePerformance(*F, MachineDesc::medium(), P, BlockLen);
 
   // Every entry leaves at the branch: the exit-aware estimate must be
@@ -120,10 +124,14 @@ block @Cold:
 )");
   ProfileData P;
   P.addBlockEntry(F->block(0).getId(), 5);
-  PerfEstimate E = estimatePerformance(*F, MachineDesc::medium(), P);
-  ASSERT_EQ(E.Blocks.size(), 2u);
-  EXPECT_EQ(E.Blocks[1].Cycles, 0.0);
+  SimEstimate E = estimatePerformance(*F, MachineDesc::medium(), P);
+  // The cold block has no row and is not scheduled: the one graph built
+  // is @A's.
+  ASSERT_EQ(E.Blocks.size(), 1u);
+  EXPECT_EQ(E.Blocks[0].Name, "A");
   EXPECT_GT(E.Blocks[0].Cycles, 0.0);
+  EXPECT_EQ(E.TotalCycles, E.Blocks[0].Cycles);
+  EXPECT_EQ(E.DepGraphsBuilt, 1u);
 }
 
 TEST(PerfModelTest, WiderMachinesEstimateNoSlower) {

@@ -458,6 +458,27 @@ TEST(CompileService, InterpStepCapIsClamped) {
   EXPECT_FALSE(Res.Diagnostics.empty());
 }
 
+/// A lint request on a lint-dirty input answers each of the input's
+/// findings once: the treated function's findings repeat them and are
+/// not reported.
+TEST(CompileService, LintFindingOfTheInputIsReportedOnce) {
+  FuzzParseResult FP = loadFuzzProgramFile(std::string(CPR_LINT_FIXTURE_DIR) +
+                                           "/bad_frp.ir");
+  ASSERT_TRUE(FP) << FP.Error;
+  CompileRequest Req = requestFor(serializeFuzzProgram(FP.Program), "lint");
+  Req.Lint = true;
+  CompileService Service;
+  CompileResponse Res = Service.compile(Req);
+  ASSERT_TRUE(Res.ok()) << Res.Status;
+  unsigned Lint = 0, FrpConsistency = 0;
+  for (const WireDiagnostic &D : Res.Diagnostics) {
+    Lint += D.Site.rfind("lint.", 0) == 0;
+    FrpConsistency += D.Site == "lint.frp-consistency";
+  }
+  EXPECT_EQ(FrpConsistency, 1u);
+  EXPECT_EQ(Lint, 1u);
+}
+
 TEST(CompileService, FailedBaselineProfileIsReportedOnce) {
   CompileService Service;
   CompileRequest Req =

@@ -112,7 +112,9 @@ TEST(SimPipelineTest, SharedGraphsMatchAFreshSimulation) {
 TEST(SimPipelineTest, ZeroPenaltyStaticSimMatchesTable2Estimate) {
   // With no misprediction penalty the dynamic simulation degenerates to
   // the ExitAware static estimate, so the "Table 2-dyn" speedup must
-  // equal the Table 2 speedup on every machine.
+  // equal the Table 2 speedup on every machine. Both price through one
+  // pricer: this checks that the session's profile counts equal its trace
+  // replay's.
   KernelProgram P = buildGrepKernel(4, 2048);
   PipelineOptions Opts = simOptions();
   Opts.Predictors = {PredictorKind::Static};

@@ -8,7 +8,6 @@
 
 #include "interp/Profiler.h"
 #include "ir/IRParser.h"
-#include "sched/PerfModel.h"
 #include "workloads/Kernels.h"
 
 #include <gtest/gtest.h>
@@ -120,8 +119,8 @@ block @Loop:
 }
 
 // The simulator's core contract: with a zero misprediction penalty it
-// reproduces the ExitAware performance model exactly -- same departure
-// cycles, same fall-through charges, same dynamic weights.
+// reproduces the ExitAware estimate exactly. Both price through one
+// pricer, so this checks that the profile's counts equal the replay's.
 TEST(TraceSimulatorTest, PenaltyZeroMatchesExitAwarePerfModel) {
   for (auto Build : {buildWcKernel, buildStrcpyKernel}) {
     KernelProgram P = Build(4, 1024, 11);
@@ -134,7 +133,7 @@ TEST(TraceSimulatorTest, PenaltyZeroMatchesExitAwarePerfModel) {
       SimEstimate E = simulateTrace(*P.Func, MD, Run.Trace, *Pred, SO);
       ASSERT_TRUE(E.ok()) << E.Error;
 
-      PerfEstimate Static = estimatePerformance(*P.Func, MD, Run.Profile);
+      SimEstimate Static = estimatePerformance(*P.Func, MD, Run.Profile);
       EXPECT_DOUBLE_EQ(E.TotalCycles, Static.TotalCycles)
           << P.Func->getName() << " on " << MD.getName();
       EXPECT_EQ(E.OpsDispatched, Run.Stats.OpsDispatched);

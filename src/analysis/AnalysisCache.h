@@ -8,8 +8,9 @@
 /// A bundle of the solved whole-function analyses several pipeline stages
 /// consume: lint (predicate-aware checks) and cycle pricing (the Table 2
 /// estimate and the trace simulator). (The ICBM driver keeps its own
-/// LivenessCache, analysis/Liveness.h, and re-solves liveness only after a
-/// phase actually edited the function.) PipelineRun computes one FunctionAnalyses per
+/// LivenessCache, analysis/Liveness.h, whose one solution it updates in
+/// place after each edit, re-solving only the registers the edit touched
+/// when it can.) PipelineRun computes one FunctionAnalyses per
 /// side *serially, before any parallel stage*, and hands const references
 /// to every consumer -- so the work is done once, and the pipeline's
 /// output stays byte-identical at any `--threads` (the analyses are pure

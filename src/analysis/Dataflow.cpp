@@ -17,25 +17,43 @@ using namespace cpr;
 //===----------------------------------------------------------------------===//
 
 RegNumbering::RegNumbering(const Function &F) {
-  auto Add = [&](Reg R) {
-    // The always-true predicate is never defined and never tracked by any
-    // client (every transfer skips it as a guard), so it earns no bit.
-    if (!R.isValid() || R.isTruePred())
-      return;
-    if (Index.try_emplace(R, Regs.size()).second)
-      Regs.push_back(R);
-  };
   for (Reg R : F.observableRegs())
-    Add(R);
+    insert(R);
   for (size_t L = 0, E = F.numBlocks(); L != E; ++L)
     for (const Operation &Op : F.block(L).ops()) {
-      Add(Op.getGuard());
+      insert(Op.getGuard());
       for (const Operand &S : Op.srcs())
         if (S.isReg())
-          Add(S.getReg());
+          insert(S.getReg());
       for (const DefSlot &D : Op.defs())
-        Add(D.R);
+        insert(D.R);
     }
+}
+
+int RegNumbering::insert(Reg R) {
+  if (!R.isValid() || R.isTruePred())
+    return -1;
+  std::vector<uint32_t> &Dir = PageOf[classIdx(R)];
+  uint32_t P = R.getId() >> PageBits;
+  if (P >= Dir.size())
+    Dir.resize(static_cast<size_t>(P) + 1, NoPage);
+  if (Dir[P] == NoPage) {
+    Dir[P] = static_cast<uint32_t>(Slots.size());
+    Slots.resize(Slots.size() + PageSize, -1);
+  }
+  int32_t &Slot = Slots[Dir[P] + (R.getId() & (PageSize - 1))];
+  if (Slot < 0) {
+    Slot = static_cast<int32_t>(Regs.size());
+    Regs.push_back(R);
+  }
+  return Slot;
+}
+
+size_t RegNumbering::tableBytes() const {
+  size_t Bytes = Slots.size() * sizeof(int32_t);
+  for (const std::vector<uint32_t> &Dir : PageOf)
+    Bytes += Dir.size() * sizeof(uint32_t);
+  return Bytes;
 }
 
 //===----------------------------------------------------------------------===//
@@ -71,8 +89,26 @@ WriteKind cpr::predicatedWriteKind(const Operation &Op, const DefSlot &D,
 // DataflowSolver
 //===----------------------------------------------------------------------===//
 
-DataflowSolver::DataflowSolver(const Function &F, const DataflowProblem &P) {
-  const size_t NBlocks = F.numBlocks();
+namespace {
+
+/// \p F's CFG in the solver's terms.
+DataflowSolver::ExitLists exitLists(const Function &F) {
+  DataflowSolver::ExitLists Exits(F.numBlocks());
+  std::vector<int> LayoutOf = layoutIndexMap(F);
+  for (size_t L = 0, E = F.numBlocks(); L != E; ++L)
+    for (const BlockExit &X : blockExits(F, L))
+      Exits[L].push_back(X.Target < LayoutOf.size() ? LayoutOf[X.Target] : -1);
+  return Exits;
+}
+
+} // namespace
+
+DataflowSolver::DataflowSolver(const Function &F, const DataflowProblem &P)
+    : DataflowSolver(exitLists(F), P) {}
+
+DataflowSolver::DataflowSolver(const ExitLists &ExitTargets,
+                               const DataflowProblem &P) {
+  const size_t NBlocks = ExitTargets.size();
   const size_t Universe = P.universeSize();
   const bool Forward = P.direction() == DataflowProblem::Direction::Forward;
   const bool Union = P.meet() == DataflowProblem::Meet::Union;
@@ -86,19 +122,12 @@ DataflowSolver::DataflowSolver(const Function &F, const DataflowProblem &P) {
 
   // Merge inputs per block: predecessors (forward) or exits (backward,
   // with function-leaving exits contributing the boundary value).
-  std::vector<std::vector<size_t>> Preds(NBlocks);
-  // Per block: layout indices of exit targets; -1 = boundary (halt/trap/
-  // fall-off-end).
-  std::vector<std::vector<int>> ExitTargets(NBlocks);
-  std::vector<int> LayoutOf = layoutIndexMap(F);
-  for (size_t L = 0; L < NBlocks; ++L) {
-    for (const BlockExit &E : blockExits(F, L)) {
-      int T = E.Target < LayoutOf.size() ? LayoutOf[E.Target] : -1;
-      ExitTargets[L].push_back(T);
-      if (T >= 0)
-        Preds[static_cast<size_t>(T)].push_back(L);
-    }
-  }
+  std::vector<std::vector<size_t>> Preds(Forward ? NBlocks : 0);
+  if (Forward)
+    for (size_t L = 0; L < NBlocks; ++L)
+      for (int T : ExitTargets[L])
+        if (T >= 0)
+          Preds[static_cast<size_t>(T)].push_back(L);
 
   // Intersection problems start interior blocks at top (full) so the meet
   // can only descend; union problems start empty. A no-predecessor,
@@ -141,8 +170,8 @@ DataflowSolver::DataflowSolver(const Function &F, const DataflowProblem &P) {
         Merged = InSets[L];
         P.transfer(L, Merged, InSets);
         if (Merged != OutSets[L]) {
-          OutSets[L] = std::move(Merged);
-          Merged = BitVector(Universe);
+          // Merged's old contents are overwritten before their next read.
+          std::swap(OutSets[L], Merged);
           Changed = true;
         }
       } else {
@@ -169,12 +198,30 @@ DataflowSolver::DataflowSolver(const Function &F, const DataflowProblem &P) {
         Merged = OutSets[L];
         P.transfer(L, Merged, InSets);
         if (Merged != InSets[L]) {
-          InSets[L] = std::move(Merged);
-          Merged = BitVector(Universe);
+          std::swap(InSets[L], Merged);
           Changed = true;
         }
       }
     }
+  }
+}
+
+void DataflowSolver::patch(const DataflowSolver &Sub, const BitVector &Bits) {
+  assert(Sub.InSets.size() == InSets.size() && "solvers over other CFGs");
+  std::vector<size_t> Index;
+  for (size_t I = Bits.findFirst(); I != BitVector::npos;
+       I = Bits.findNext(I + 1))
+    Index.push_back(I);
+  auto Copy = [&](const BitVector &From, BitVector &To) {
+    To.resize(Bits.size());
+    To.andNot(Bits);
+    for (size_t K = From.findFirst(); K != BitVector::npos;
+         K = From.findNext(K + 1))
+      To.set(Index[K]);
+  };
+  for (size_t L = 0, E = InSets.size(); L != E; ++L) {
+    Copy(Sub.InSets[L], InSets[L]);
+    Copy(Sub.OutSets[L], OutSets[L]);
   }
 }
 

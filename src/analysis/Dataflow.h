@@ -22,7 +22,7 @@
 /// (analysis/Liveness.h); this layer is its dense block-level companion.
 ///
 /// Clients in this file:
-///  - RegNumbering       dense Reg <-> index mapping for one function
+///  - RegNumbering       dense Reg <-> index mapping that only grows
 ///  - ReachingDefBlocks  "some def of R in another block reaches this
 ///                       block's entry" (forward/union), the framework
 ///                       host for lint's defReachesEntry exemption
@@ -44,31 +44,57 @@
 #include "ir/Function.h"
 #include "support/BitVector.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace cpr {
 
 class RegionPQS;
 
-/// Dense numbering of every register mentioned by one function (guards,
-/// sources, definitions, observables), in first-appearance order over the
-/// layout. The numbering is the bit universe of every dataflow problem
-/// below.
+/// Dense numbering of registers, the bit universe of every dataflow
+/// problem below. RegNumbering(F) numbers every register \p F mentions
+/// (guards, sources, definitions, observables) in first-appearance order
+/// over the layout; insert() appends further registers, so a numbering
+/// only grows and an index, once given, never changes.
+///
+/// Lookup goes through one paged id table per register class: a page of
+/// PageSize slots exists only once a register with an id in its range is
+/// numbered, so a function naming an id near MaxRegId pays one page (plus
+/// a directory of one entry per page up to that id), not a slot for every
+/// id below it.
 class RegNumbering {
 public:
   explicit RegNumbering(const Function &F);
 
   size_t size() const { return Regs.size(); }
-  /// Dense index of \p R, or -1 when \p R does not appear in the function.
+  /// Dense index of \p R, or -1 when \p R is not numbered.
   int indexOf(Reg R) const {
-    auto It = Index.find(R);
-    return It == Index.end() ? -1 : static_cast<int>(It->second);
+    const std::vector<uint32_t> &Dir = PageOf[classIdx(R)];
+    uint32_t P = R.getId() >> PageBits;
+    if (P >= Dir.size() || Dir[P] == NoPage)
+      return -1;
+    return Slots[Dir[P] + (R.getId() & (PageSize - 1))];
   }
+  /// Index of \p R, numbering it first when it is new. The hardwired true
+  /// predicate and the invalid register get no index (-1): the predicate
+  /// is never defined and no transfer tracks it.
+  int insert(Reg R);
   Reg regOf(size_t I) const { return Regs[I]; }
 
+  /// Bytes held by the id tables (directories and pages).
+  size_t tableBytes() const;
+
 private:
-  std::unordered_map<Reg, size_t> Index;
+  static constexpr unsigned PageBits = 10;
+  static constexpr uint32_t PageSize = 1u << PageBits;
+  static constexpr uint32_t NoPage = ~0u;
+  static unsigned classIdx(Reg R) {
+    return static_cast<unsigned>(R.getClass());
+  }
+
+  /// Per class: page number -> offset of the page in Slots, or NoPage.
+  std::vector<uint32_t> PageOf[NumRegClasses];
+  /// The pages; a slot holds a register's index, or -1.
+  std::vector<int32_t> Slots;
   std::vector<Reg> Regs;
 };
 
@@ -119,15 +145,33 @@ public:
                         const std::vector<BitVector> &InSets) const = 0;
 };
 
-/// Runs \p P over \p F to a fixed point. Results are per layout index.
+/// Runs \p P to a fixed point over a CFG, starting every set from the
+/// initial value (empty for union, full for intersection). Results are
+/// per layout index.
 class DataflowSolver {
 public:
+  /// Per block, the layout indices of its exit targets in the order
+  /// blockExits() lists them; -1 for an exit that leaves the function
+  /// (halt, trap, falling off the end, or a target with no block).
+  using ExitLists = std::vector<std::vector<int>>;
+
+  /// Solves over \p F's blocks and exits.
   DataflowSolver(const Function &F, const DataflowProblem &P);
+  /// Solves over the CFG \p Exits, which a caller that keeps it across
+  /// solves (analysis/Liveness.h) need not rebuild from the IR.
+  DataflowSolver(const ExitLists &Exits, const DataflowProblem &P);
 
   const BitVector &in(size_t LayoutIdx) const { return InSets[LayoutIdx]; }
   const BitVector &out(size_t LayoutIdx) const { return OutSets[LayoutIdx]; }
   /// Number of full passes over the block list until the fixed point.
   unsigned iterations() const { return Iterations; }
+
+  /// Copies the solution of a problem over a sub-universe into this one.
+  /// \p Bits is the sub-universe as a set over this universe: its K-th
+  /// set bit is bit K of \p Sub's sets. Every set first grows to
+  /// Bits.size() bits, then takes \p Sub's values on \p Bits and keeps
+  /// its own elsewhere. Both solvers must cover the same blocks.
+  void patch(const DataflowSolver &Sub, const BitVector &Bits);
 
 private:
   std::vector<BitVector> InSets;

@@ -27,130 +27,254 @@ bool defAlwaysWrites(const Operation &Op, const DefSlot &D) {
   return Op.getGuard().isTruePred() || Op.isFrpGuard();
 }
 
+} // namespace
+
 /// Backward/union liveness over the dense dataflow solver
-/// (analysis/Dataflow.h). The transfer folds interior exits at their op
-/// positions. Each block's transfer is compiled once, before the solve,
-/// into a list of bit operations in reverse op order; iterations of the
-/// fixed point then touch no IR.
-class LivenessProblem : public DataflowProblem {
+/// (analysis/Dataflow.h): each block runs its compiled steps, which fold
+/// interior exits in at their op positions. The steps of block L are
+/// Blocks[L].first up to Blocks[L].second: a full solve runs the cached
+/// transfers, a partial one their projection onto the dirty registers.
+class Liveness::Problem : public DataflowProblem {
 public:
-  LivenessProblem(const Function &F, const RegNumbering &N,
-                  const BitVector &Observable,
-                  const std::vector<int> &LayoutOf)
-      : N(N), Observable(Observable) {
-    Begin.reserve(F.numBlocks() + 1);
-    for (size_t L = 0, E = F.numBlocks(); L != E; ++L) {
-      Begin.push_back(Steps.size());
-      compile(F, L, LayoutOf);
-    }
-    Begin.push_back(Steps.size());
-  }
+  using Span = std::pair<const Step *, const Step *>;
+
+  Problem(const Liveness &L, const std::vector<Span> &Blocks,
+          const BitVector &Observable)
+      : L(L), Blocks(Blocks), Observable(Observable) {}
 
   Direction direction() const override { return Direction::Backward; }
   Meet meet() const override { return Meet::Union; }
-  size_t universeSize() const override { return N.size(); }
+  size_t universeSize() const override { return Observable.size(); }
   void boundary(BitVector &V) const override { V.orWith(Observable); }
 
   void transfer(size_t LayoutIdx, BitVector &V,
                 const std::vector<BitVector> &InSets) const override {
-    for (size_t I = Begin[LayoutIdx], E = Begin[LayoutIdx + 1]; I != E; ++I) {
-      const Step &S = Steps[I];
-      switch (S.K) {
+    for (const Step *S = Blocks[LayoutIdx].first,
+                    *E = Blocks[LayoutIdx].second;
+         S != E; ++S) {
+      switch (S->K) {
       case Step::OrObservable:
         V.orWith(Observable);
         break;
       case Step::OrTarget:
-        V.orWith(InSets[S.Idx]);
+        if (int T = L.layoutOf(S->Idx); T >= 0)
+          V.orWith(InSets[static_cast<size_t>(T)]);
         break;
       case Step::Kill:
-        V.reset(S.Idx);
+        V.reset(S->Idx);
         break;
       case Step::Gen:
-        V.set(S.Idx);
+        V.set(S->Idx);
         break;
       }
     }
   }
 
 private:
-  /// One bit operation of a compiled block transfer.
-  struct Step {
-    enum Kind : uint8_t { OrObservable, OrTarget, Kill, Gen } K;
-    /// Target layout index (OrTarget) or register bit (Kill, Gen).
-    uint32_t Idx;
-  };
-
-  /// Appends block \p LayoutIdx's transfer to Steps.
-  void compile(const Function &F, size_t LayoutIdx,
-               const std::vector<int> &LayoutOf) {
-    const Block &B = F.block(LayoutIdx);
-    std::vector<BlockExit> Exits = blockExits(F, LayoutIdx);
-    auto Add = [&](Step::Kind K, Reg R) {
-      int I = N.indexOf(R);
-      if (I >= 0)
-        Steps.push_back(Step{K, static_cast<uint32_t>(I)});
-    };
-    for (size_t OI = B.size(); OI-- > 0;) {
-      const Operation &Op = B.ops()[OI];
-      // Interior exits add their targets' live-ins at the exit point.
-      if (Op.isControl()) {
-        for (const BlockExit &E : Exits) {
-          if (E.OpIdx != static_cast<int>(OI))
-            continue;
-          if (E.Target == InvalidBlockId) {
-            Steps.push_back(Step{Step::OrObservable, 0});
-            continue;
-          }
-          int T = E.Target < LayoutOf.size() ? LayoutOf[E.Target] : -1;
-          if (T >= 0)
-            Steps.push_back(Step{Step::OrTarget, static_cast<uint32_t>(T)});
-        }
-      }
-      // Backward transfer: kill sure definitions, then gen reads.
-      for (const DefSlot &D : Op.defs())
-        if (defAlwaysWrites(Op, D))
-          Add(Step::Kill, D.R);
-      if (!Op.getGuard().isTruePred())
-        Add(Step::Gen, Op.getGuard());
-      for (const Operand &S : Op.srcs())
-        if (S.isReg())
-          Add(Step::Gen, S.getReg());
-    }
-  }
-
-  const RegNumbering &N;
+  const Liveness &L;
+  const std::vector<Span> &Blocks;
   const BitVector &Observable;
-  /// Every block's compiled transfer, in reverse op order; block L's steps
-  /// are Steps[Begin[L]] up to Steps[Begin[L + 1]].
-  std::vector<Step> Steps;
-  std::vector<size_t> Begin;
 };
 
-/// The observable registers of \p F as a set over \p N.
-BitVector observableBits(const Function &F, const RegNumbering &N) {
-  BitVector V(N.size());
-  for (Reg R : F.observableRegs()) {
-    int I = N.indexOf(R);
-    if (I >= 0)
-      V.set(static_cast<size_t>(I));
-  }
-  return V;
+namespace {
+
+/// True when \p A and \p B hold the same exit targets, in any order and
+/// multiplicity.
+bool sameTargets(std::vector<BlockId> A, std::vector<BlockId> B) {
+  std::sort(A.begin(), A.end());
+  A.erase(std::unique(A.begin(), A.end()), A.end());
+  std::sort(B.begin(), B.end());
+  B.erase(std::unique(B.begin(), B.end()), B.end());
+  return A == B;
 }
 
 } // namespace
 
-Liveness::Liveness(const Function &F)
-    : N(F), Observable(observableBits(F, N)), LayoutOf(layoutIndexMap(F)),
-      Solution(F, LivenessProblem(F, N, Observable, LayoutOf)) {}
+Liveness::Liveness(const Function &F) : N(F), Observable(N.size()) {
+  for (Reg R : F.observableRegs())
+    if (int I = N.indexOf(R); I >= 0)
+      Observable.set(static_cast<size_t>(I));
+  readLayout(F);
+  for (size_t L = 0, E = Layout.size(); L != E; ++L)
+    Transfers[Layout[L]] = compile(F, L);
+  solveAll();
+}
+
+Liveness::Transfer Liveness::compile(const Function &F, size_t LayoutIdx) {
+  const Block &B = F.block(LayoutIdx);
+  std::vector<BlockExit> BlockExits = blockExits(F, LayoutIdx);
+  Transfer T;
+  T.Compiled = true;
+  for (const BlockExit &E : BlockExits) {
+    T.Exits.push_back(E.Target);
+    T.FallsThrough |= E.isFallThrough();
+  }
+  auto Add = [&](Step::Kind K, Reg R) {
+    int I = N.insert(R);
+    if (I >= 0)
+      T.Steps.push_back(Step{K, static_cast<uint32_t>(I)});
+  };
+  for (size_t OI = B.size(); OI-- > 0;) {
+    const Operation &Op = B.ops()[OI];
+    // Interior exits add their targets' live-ins at the exit point.
+    if (Op.isControl()) {
+      for (const BlockExit &E : BlockExits) {
+        if (E.OpIdx != static_cast<int>(OI))
+          continue;
+        T.Steps.push_back(E.Target == InvalidBlockId
+                              ? Step{Step::OrObservable, 0}
+                              : Step{Step::OrTarget, E.Target});
+      }
+    }
+    // Backward transfer: kill sure definitions, then gen reads.
+    for (const DefSlot &D : Op.defs())
+      if (defAlwaysWrites(Op, D))
+        Add(Step::Kill, D.R);
+    if (!Op.getGuard().isTruePred())
+      Add(Step::Gen, Op.getGuard());
+    for (const Operand &S : Op.srcs())
+      if (S.isReg())
+        Add(Step::Gen, S.getReg());
+  }
+  return T;
+}
+
+bool Liveness::readLayout(const Function &F) {
+  bool Changed = Layout.size() != F.numBlocks();
+  Layout.resize(F.numBlocks());
+  for (size_t L = 0, E = Layout.size(); L != E; ++L) {
+    BlockId Id = F.block(L).getId();
+    Changed |= Layout[L] != Id;
+    Layout[L] = Id;
+  }
+  if (!Changed)
+    return false;
+  LayoutOf.assign(LayoutOf.size(), -1);
+  for (size_t L = 0, E = Layout.size(); L != E; ++L) {
+    if (Layout[L] >= LayoutOf.size())
+      LayoutOf.resize(static_cast<size_t>(Layout[L]) + 1, -1);
+    LayoutOf[Layout[L]] = static_cast<int>(L);
+  }
+  // Drop the transfers of removed blocks; make room for new ones.
+  Transfers.resize(LayoutOf.size());
+  for (size_t Id = 0, E = Transfers.size(); Id != E; ++Id)
+    if (LayoutOf[Id] < 0)
+      Transfers[Id] = Transfer();
+  return true;
+}
+
+void Liveness::solveAll() {
+  Observable.resize(N.size());
+  Exits.resize(Layout.size());
+  std::vector<Problem::Span> Blocks;
+  for (size_t L = 0, E = Layout.size(); L != E; ++L) {
+    const Transfer &T = Transfers[Layout[L]];
+    Exits[L].clear();
+    for (BlockId Target : T.Exits)
+      Exits[L].push_back(layoutOf(Target));
+    Blocks.emplace_back(T.Steps.data(), T.Steps.data() + T.Steps.size());
+  }
+  Solution.emplace(Exits, Problem(*this, Blocks, Observable));
+}
+
+void Liveness::solveSome(const BitVector &Dirty) {
+  Observable.resize(N.size());
+  // Dirty register I is bit Sub[I] of the sub-problem.
+  std::vector<int32_t> Sub(N.size(), -1);
+  int32_t SubSize = 0;
+  BitVector SubObservable(Dirty.count());
+  for (size_t I = Dirty.findFirst(); I != BitVector::npos;
+       I = Dirty.findNext(I + 1)) {
+    if (Observable.test(I))
+      SubObservable.set(static_cast<size_t>(SubSize));
+    Sub[I] = SubSize++;
+  }
+  // Project every block's steps onto the dirty registers once, so the
+  // fixed point iterates over the few steps that can change them.
+  std::vector<Step> Steps;
+  std::vector<size_t> Begin;
+  for (BlockId Id : Layout) {
+    Begin.push_back(Steps.size());
+    for (const Step &S : Transfers[Id].Steps) {
+      if (S.K == Step::OrObservable || S.K == Step::OrTarget)
+        Steps.push_back(S);
+      else if (Sub[S.Idx] >= 0)
+        Steps.push_back(Step{S.K, static_cast<uint32_t>(Sub[S.Idx])});
+    }
+  }
+  Begin.push_back(Steps.size());
+  std::vector<Problem::Span> Blocks;
+  for (size_t L = 0, E = Layout.size(); L != E; ++L)
+    Blocks.emplace_back(Steps.data() + Begin[L], Steps.data() + Begin[L + 1]);
+  DataflowSolver Solved(Exits, Problem(*this, Blocks, SubObservable));
+  Solution->patch(Solved, Dirty);
+}
+
+Liveness::Update Liveness::update(const Function &F,
+                                  const std::vector<BlockId> &Edited) {
+  bool Full = readLayout(F);
+
+  // Recompile the reported blocks, the new ones, and those whose layout
+  // successor changed (their fall-through exit moved).
+  std::vector<size_t> Stale;
+  for (size_t L = 0, E = Layout.size(); L != E; ++L) {
+    const Transfer &T = Transfers[Layout[L]];
+    BlockId Next = L + 1 < E ? Layout[L + 1] : InvalidBlockId;
+    if (!T.Compiled || (T.FallsThrough && T.Exits.back() != Next))
+      Stale.push_back(L);
+  }
+  for (BlockId Id : Edited)
+    if (int L = layoutOf(Id); L >= 0)
+      Stale.push_back(static_cast<size_t>(L));
+  std::sort(Stale.begin(), Stale.end());
+  Stale.erase(std::unique(Stale.begin(), Stale.end()), Stale.end());
+
+  std::vector<uint32_t> Touched;
+  auto NoteRegs = [&](const Transfer &T) {
+    for (const Step &S : T.Steps)
+      if (S.K == Step::Kill || S.K == Step::Gen)
+        Touched.push_back(S.Idx);
+  };
+  for (size_t L : Stale) {
+    Transfer New = compile(F, L);
+    Transfer &Old = Transfers[Layout[L]];
+    if (Old.Compiled && Old.Steps == New.Steps && Old.Exits == New.Exits)
+      continue;
+    if (!Old.Compiled || !sameTargets(Old.Exits, New.Exits))
+      Full = true;
+    if (!Full) {
+      NoteRegs(Old);
+      NoteRegs(New);
+      Exits[L].clear();
+      for (BlockId T : New.Exits)
+        Exits[L].push_back(layoutOf(T));
+    }
+    Old = std::move(New);
+  }
+
+  if (Full) {
+    solveAll();
+    return Update::Full;
+  }
+  BitVector Dirty(N.size());
+  for (uint32_t I : Touched)
+    Dirty.set(I);
+  // No edit killed or gen'd a register: at most interior exits moved
+  // within their blocks, which changes no register's equations.
+  if (Dirty.none())
+    return Update::None;
+  solveSome(Dirty);
+  return Update::Partial;
+}
 
 LiveSet Liveness::liveIn(BlockId B) const {
   int L = layoutOf(B);
-  return L < 0 ? LiveSet() : LiveSet(Solution.in(static_cast<size_t>(L)), N);
+  return L < 0 ? LiveSet() : LiveSet(Solution->in(static_cast<size_t>(L)), N);
 }
 
 LiveSet Liveness::liveOut(BlockId B) const {
   int L = layoutOf(B);
-  return L < 0 ? LiveSet() : LiveSet(Solution.out(static_cast<size_t>(L)), N);
+  return L < 0 ? LiveSet() : LiveSet(Solution->out(static_cast<size_t>(L)), N);
 }
 
 LiveSet Liveness::liveAtExit(const Block &B, size_t OpIdx) const {
@@ -166,12 +290,23 @@ LiveSet Liveness::liveAtExit(const Block &B, size_t OpIdx) const {
 }
 
 const Liveness &LivenessCache::get() {
-  std::optional<Liveness> &Current = Editing ? Tentative : Committed;
-  if (!Current) {
-    Current.emplace(F);
+  if (!L) {
+    L = std::make_unique<Liveness>(F);
     ++Solves;
+  } else {
+    switch (L->update(F, Edited)) {
+    case Liveness::Update::Full:
+      ++Solves;
+      break;
+    case Liveness::Update::Partial:
+      ++PartialSolves;
+      break;
+    case Liveness::Update::None:
+      break;
+    }
   }
-  return *Current;
+  Edited.clear();
+  return *L;
 }
 
 //===----------------------------------------------------------------------===//
@@ -180,28 +315,26 @@ const Liveness &LivenessCache::get() {
 
 PredicatedLiveness::PredicatedLiveness(const Function &F, const Block &B,
                                        RegionPQS &PQS, const Liveness &L)
-    : N(L.numbering()) {
+    : N(L.numbering()), NumPoints(B.size() + 1) {
   BDD &Mgr = PQS.bdd();
   const std::vector<Operation> &Ops = B.ops();
-  LiveBeforeOp.resize(Ops.size() + 1);
 
   // The state at the current program point, dense over the numbering:
-  // Cur[I] is the condition under which register I is live, and Live
-  // marks the entries that are not False. The true predicate has no
-  // index; it is never written, so no query asks about it.
+  // Cur[I] is the condition under which register I is live. Each change
+  // is logged with the point it takes effect at. The true predicate has
+  // no index; it is never written, so no query asks about it.
   std::vector<BDD::NodeRef> Cur(N.size(), BDD::False);
-  BitVector Live(N.size());
-  auto Set = [&](size_t I, BDD::NodeRef Cond) {
-    Cur[I] = Cond;
-    if (Cond == BDD::False)
-      Live.reset(I);
-    else
-      Live.set(I);
+  struct Logged {
+    uint32_t Idx;
+    Change C;
   };
-  auto Snapshot = [&](std::vector<LiveCond> &Out) {
-    for (size_t I = Live.findFirst(); I != BitVector::npos;
-         I = Live.findNext(I + 1))
-      Out.push_back(LiveCond{static_cast<uint32_t>(I), Cur[I]});
+  std::vector<Logged> Walk;
+  uint32_t Point = static_cast<uint32_t>(Ops.size());
+  auto Set = [&](size_t I, BDD::NodeRef Cond) {
+    if (Cur[I] == Cond)
+      return;
+    Cur[I] = Cond;
+    Walk.push_back(Logged{static_cast<uint32_t>(I), Change{Point, Cond}});
   };
 
   // Block-end state: the layout successor's live-in, but only when control
@@ -216,11 +349,12 @@ PredicatedLiveness::PredicatedLiveness(const Function &F, const Block &B,
   }
   if (FallsThrough && LayoutIdx >= 0 &&
       static_cast<size_t>(LayoutIdx) + 1 < F.numBlocks()) {
+    BitVector Live(N.size());
     L.liveIn(F.block(static_cast<size_t>(LayoutIdx) + 1).getId())
         .orInto(Live);
     for (size_t I = Live.findFirst(); I != BitVector::npos;
          I = Live.findNext(I + 1))
-      Cur[I] = BDD::True;
+      Set(I, BDD::True);
   } else if (FallsThrough) {
     for (Reg R : F.observableRegs()) {
       int I = N.indexOf(R);
@@ -228,7 +362,6 @@ PredicatedLiveness::PredicatedLiveness(const Function &F, const Block &B,
         Set(static_cast<size_t>(I), BDD::True);
     }
   }
-  Snapshot(LiveBeforeOp[Ops.size()]);
 
   auto OrInto = [&](Reg R, BDD::NodeRef Cond) {
     int I = N.indexOf(R);
@@ -243,6 +376,7 @@ PredicatedLiveness::PredicatedLiveness(const Function &F, const Block &B,
   for (size_t I = Ops.size(); I-- > 0;) {
     const Operation &Op = Ops[I];
     BDD::NodeRef G = PQS.guardExpr(I);
+    Point = static_cast<uint32_t>(I);
 
     // Exits merge in their target's live set under the exit condition.
     if (Op.isBranch()) {
@@ -298,29 +432,43 @@ PredicatedLiveness::PredicatedLiveness(const Function &F, const Block &B,
         if (S.isReg())
           OrInto(S.getReg(), G);
     }
-
-    Snapshot(LiveBeforeOp[I]);
   }
+
+  // Group the log by register, keeping walk order within each register.
+  Begin.assign(N.size() + 1, 0);
+  for (const Logged &E : Walk)
+    ++Begin[E.Idx + 1];
+  for (size_t I = 1; I < Begin.size(); ++I)
+    Begin[I] += Begin[I - 1];
+  Log.resize(Walk.size());
+  for (const Logged &E : Walk)
+    Log[Begin[E.Idx]++] = E.C;
+  // Each Begin[I] now holds register I's end; shift back to starts.
+  for (size_t I = Begin.size() - 1; I > 0; --I)
+    Begin[I] = Begin[I - 1];
+  Begin[0] = 0;
 }
 
 BDD::NodeRef PredicatedLiveness::get(size_t Point, Reg R) const {
   int I = N.indexOf(R);
-  if (I < 0)
+  if (I < 0 || static_cast<size_t>(I) + 1 >= Begin.size())
     return BDD::False;
-  const std::vector<LiveCond> &At = LiveBeforeOp[Point];
-  auto It = std::lower_bound(
-      At.begin(), At.end(), static_cast<uint32_t>(I),
-      [](const LiveCond &C, uint32_t Idx) { return C.Idx < Idx; });
-  return It != At.end() && It->Idx == static_cast<uint32_t>(I) ? It->Cond
-                                                               : BDD::False;
+  auto First = Log.begin() + Begin[static_cast<size_t>(I)];
+  auto Last = Log.begin() + Begin[static_cast<size_t>(I) + 1];
+  // The changes at points from Point on come first; the last of them
+  // holds at Point.
+  auto It = std::partition_point(First, Last, [&](const Change &C) {
+    return C.Point >= Point;
+  });
+  return It == First ? BDD::False : std::prev(It)->Cond;
 }
 
 BDD::NodeRef PredicatedLiveness::liveAfter(size_t OpIdx, Reg R) const {
-  assert(OpIdx + 1 < LiveBeforeOp.size());
+  assert(OpIdx + 1 < NumPoints);
   return get(OpIdx + 1, R);
 }
 
 BDD::NodeRef PredicatedLiveness::liveBefore(size_t OpIdx, Reg R) const {
-  assert(OpIdx < LiveBeforeOp.size());
+  assert(OpIdx < NumPoints);
   return get(OpIdx, R);
 }

@@ -12,14 +12,15 @@
 ///    elimination. Predicated definitions under a non-true guard do not
 ///    kill (conservative). The solution stays in the dense solver's
 ///    bitsets (analysis/Dataflow.h): every query returns a LiveSet, a
-///    non-owning view of one solved set over the function's RegNumbering.
+///    non-owning view of one solved set over the solution's RegNumbering.
 ///    A LiveSet points into the Liveness that returned it and must not
 ///    outlive it; Liveness is neither copyable nor movable so that views
 ///    never dangle behind a relocation.
 ///
-///    LivenessCache shares one solution among the phases of a pass that
-///    edits its function region by region (the ICBM driver) and solves
-///    again only after an edit the pass reports.
+///    LivenessCache keeps one solution for a pass that edits its function
+///    region by region (the ICBM driver and DCE) and updates it in place
+///    after the edits the pass reports, re-solving only the registers an
+///    edit touched when it can (see LivenessCache).
 ///
 ///  - Predicated (expression-valued) intra-block liveness, following the
 ///    predicate-aware dataflow of [JS96] that the paper's predicate
@@ -38,6 +39,7 @@
 #include "ir/Function.h"
 
 #include <iterator>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -110,8 +112,17 @@ private:
 };
 
 /// Function-level set liveness.
+///
+/// Each block's transfer is compiled once into a list of bit operations in
+/// reverse op order (kill one register, gen one register, or OR in an exit
+/// target's live-in or the observable set) and kept per block id with the
+/// block's exit targets, so the fixed point iterates without touching IR
+/// and an update recompiles only the blocks that changed.
 class Liveness {
 public:
+  /// Solves \p F from scratch. The numbering holds every register \p F
+  /// mentions, in first-appearance order (RegNumbering(F)), so views
+  /// iterate in that order.
   explicit Liveness(const Function &F);
 
   // LiveSet views point into this object.
@@ -132,78 +143,131 @@ public:
   const RegNumbering &numbering() const { return N; }
 
 private:
+  friend class LivenessCache;
+  class Problem;
+
+  /// One bit operation of a compiled block transfer.
+  struct Step {
+    enum Kind : uint8_t { OrObservable, OrTarget, Kill, Gen } K;
+    /// Target block id (OrTarget) or register bit (Kill, Gen).
+    uint32_t Idx;
+    bool operator==(const Step &) const = default;
+  };
+  /// A block's compiled transfer and its exits as blockExits() lists
+  /// their targets (InvalidBlockId for an exit that leaves the function).
+  struct Transfer {
+    std::vector<Step> Steps;
+    std::vector<BlockId> Exits;
+    /// Whether Exits ends with the layout fall-through, and whether the
+    /// block has been compiled at all.
+    bool FallsThrough = false;
+    bool Compiled = false;
+  };
+  /// How update() brought the solution up to date.
+  enum class Update { None, Partial, Full };
+
   /// Layout index of \p B, or -1 when the function has no such block.
   int layoutOf(BlockId B) const {
     return B < LayoutOf.size() ? LayoutOf[B] : -1;
   }
+  /// Compiles block \p LayoutIdx of \p F, numbering new registers.
+  Transfer compile(const Function &F, size_t LayoutIdx);
+  /// Re-reads \p F's layout; true if it changed. Transfers of blocks
+  /// that left the layout are dropped.
+  bool readLayout(const Function &F);
+  /// Solves every register from the empty set over the cached transfers.
+  void solveAll();
+  /// Resets the registers in \p Dirty to the empty set and solves them
+  /// alone; every other register keeps its solution.
+  void solveSome(const BitVector &Dirty);
+  /// Brings the solution up to date with \p F after edits to the blocks
+  /// \p Edited (ids; blocks no longer in the layout are ignored).
+  Update update(const Function &F, const std::vector<BlockId> &Edited);
 
   RegNumbering N;
   BitVector Observable;
-  /// Block id -> layout index (-1 for ids without a block).
+  /// Block ids in layout order, and block id -> layout index (-1 for ids
+  /// without a block).
+  std::vector<BlockId> Layout;
   std::vector<int> LayoutOf;
-  DataflowSolver Solution;
+  /// Compiled transfers by block id (empty for ids without a block).
+  std::vector<Transfer> Transfers;
+  /// Every block's exit targets as layout indices, for the solver.
+  DataflowSolver::ExitLists Exits;
+  std::optional<DataflowSolver> Solution;
 };
 
-/// The function-level liveness of a function that a pass edits region by
-/// region (cpr/ControlCPR.h). It holds at most two solutions: the
-/// *committed* one, for the function as the pass has committed it so far,
-/// and a *tentative* one, for the current region's in-flight edits. get()
-/// returns the solution for the function as it is now, solving on first
-/// use. The pass reports every edit:
+/// The function-level liveness of a function that a pass edits block by
+/// block: one Liveness, updated in place. get() returns the solution for
+/// the function as it is now, solving from scratch on first use. The pass
+/// reports each block whose operations it changed with noteEdit(); blocks
+/// added, removed or moved in the layout need no report, since get()
+/// compares the layout with the one it last solved. The function's
+/// observable registers must not change while the cache is in use.
 ///
-///  - noteEdit(): the function changed; drops the tentative solution.
-///  - noteRestore(): every edit since the last commit was undone byte for
-///    byte; the committed solution is current again without a solve.
-///  - noteCommit(): the function as it is now is the committed one;
-///    drops both solutions.
+/// An update recompiles the reported blocks, the new ones, and those whose
+/// layout successor changed, keeping every other block's compiled
+/// transfer. A recompiled block whose steps and exits come out unchanged
+/// needs nothing more. Otherwise:
 ///
-/// Exactness: Liveness(F) is a deterministic function of F's blocks,
-/// operations and observable registers, so the solution of an unchanged
-/// function is the one a fresh solve would build -- same sets, same
-/// numbering, same iteration order. Only the reports need an argument:
-/// one must precede the next get() after any change to those inputs.
-/// Reporting an edit that changed nothing costs a solve, never a wrong
-/// answer.
+///  - *Partial re-solve*, when the layout and the set of exit targets of
+///    every recompiled block are unchanged: the registers that the old or
+///    the new transfer of a recompiled block kills or gens are reset to the
+///    empty set in every block and solved alone (a DataflowSolver over
+///    just those bits); the rest keep their solution. This is exact because liveness is bit-separable: every
+///    step ORs a target's live-in or the observable set bitwise, or kills
+///    or gens one bit. For any other register, no equation changed -- in
+///    a recompiled block its bit is the OR of the same exit targets'
+///    live-ins before and after -- so neither did its least fixed point.
+///    The dirty registers restart from the empty set rather than from
+///    their old solution: iterating from the old solution reaches *a*
+///    fixed point, but a register an edit no longer reads could stay live
+///    around a loop.
+///  - *Full re-solve* otherwise (restructure, motion's compensation
+///    blocks, rollback): every register from the empty set over the cached
+///    transfers.
 ///
-/// Lifetime: a report may destroy the solution it drops. A phase must not
-/// hold a Liveness & from get(), a LiveSet view into it or a
-/// PredicatedLiveness built on it across an edit report.
+/// The numbering only grows: registers an edit introduces are appended,
+/// and registers no longer mentioned keep a bit that stays clear unless
+/// observable. Views therefore iterate in numbering order, which after an
+/// edit is not the first-appearance order of a fresh Liveness(F); clients
+/// that depend on iteration order must solve afresh.
+///
+/// Lifetime: get() may rebuild the sets a view points into. A phase must
+/// not hold a LiveSet view, or a PredicatedLiveness built on the solution,
+/// across an edit report and a later get().
 class LivenessCache {
 public:
   explicit LivenessCache(const Function &F) : F(F) {}
 
-  /// The solution for the function as it is now; solves on first use.
+  /// The solution for the function as it is now.
   const Liveness &get();
 
-  void noteEdit() {
-    Tentative.reset();
-    Editing = true;
-  }
-  void noteRestore() {
-    Tentative.reset();
-    Editing = false;
-  }
-  void noteCommit() {
-    Committed.reset();
-    noteRestore();
-  }
+  /// Reports that block \p B's operations changed (or may have).
+  void noteEdit(const Block &B) { Edited.push_back(B.getId()); }
 
-  /// Liveness solves performed so far.
+  /// Full solves (the first one included) and partial re-solves so far.
   unsigned solves() const { return Solves; }
+  unsigned partialSolves() const { return PartialSolves; }
 
 private:
   const Function &F;
-  std::optional<Liveness> Committed;
-  std::optional<Liveness> Tentative;
-  /// True between an edit report and the next restore or commit.
-  bool Editing = false;
+  std::unique_ptr<Liveness> L;
+  std::vector<BlockId> Edited;
   unsigned Solves = 0;
+  unsigned PartialSolves = 0;
 };
 
 /// Predicated intra-block liveness: per operation index, the BDD
 /// condition under which each register is live *before* the operation
 /// executes. Registers are indexed by the function-level Liveness's
 /// numbering, so that Liveness must outlive this object.
+///
+/// The backward walk logs each change of a register's condition with the
+/// program point it takes effect at (the block-end state is logged at the
+/// last point), so memory is linear in the changes rather than in
+/// operations times live registers; a query binary-searches the
+/// register's log.
 class PredicatedLiveness {
 public:
   /// \param F the function; \p B the analyzed block; \p PQS expressions
@@ -219,19 +283,23 @@ public:
   BDD::NodeRef liveBefore(size_t OpIdx, Reg R) const;
 
 private:
-  /// A register (its numbering index) live under a condition other than
-  /// False at one program point.
-  struct LiveCond {
-    uint32_t Idx;
+  /// From program point Point (before op Point; the block end is point
+  /// size()) back to the register's next logged change, it is live under
+  /// Cond.
+  struct Change {
+    uint32_t Point;
     BDD::NodeRef Cond;
   };
-  /// \p R's condition at program point \p Point (before op \p Point).
+  /// \p R's condition at program point \p Point.
   BDD::NodeRef get(size_t Point, Reg R) const;
 
   const RegNumbering &N;
-  // LiveBeforeOp[I] = the registers live before op I, in numbering order.
-  // An extra trailing entry holds the block-end (fall-through) state.
-  std::vector<std::vector<LiveCond>> LiveBeforeOp;
+  size_t NumPoints;
+  /// Register I's changes are Log[Begin[I]] up to Log[Begin[I + 1]], in
+  /// walk order: points never increase, and of two changes at one point
+  /// the later holds.
+  std::vector<uint32_t> Begin;
+  std::vector<Change> Log;
 };
 
 } // namespace cpr

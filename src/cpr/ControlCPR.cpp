@@ -14,10 +14,53 @@
 #include "regions/FRPConversion.h"
 #include "ir/Verifier.h"
 #include "support/Error.h"
+#include "support/Statistics.h"
+
+#include <chrono>
 
 using namespace cpr;
 
 namespace {
+
+/// The timed phases of the driver and their StatsRegistry keys.
+enum Phase {
+  PhaseFRP,
+  PhaseSpeculate,
+  PhaseMatch,
+  PhaseRestructure,
+  PhaseMotion,
+  PhaseDCE,
+  NumPhases
+};
+const char *const PhaseKeys[NumPhases] = {
+    "transform/frp",         "transform/speculate", "transform/match",
+    "transform/restructure", "transform/motion",    "transform/dce"};
+
+/// Adds the wall time from construction to stop() (or destruction) to one
+/// phase's total. With null totals it reads no clock.
+class PhaseSpan {
+public:
+  PhaseSpan(double *Totals, Phase P) : Total(Totals ? &Totals[P] : nullptr) {
+    if (Total)
+      Start = std::chrono::steady_clock::now();
+  }
+  PhaseSpan(const PhaseSpan &) = delete;
+  PhaseSpan &operator=(const PhaseSpan &) = delete;
+  ~PhaseSpan() { stop(); }
+
+  void stop() {
+    if (!Total)
+      return;
+    *Total += std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - Start)
+                  .count();
+    Total = nullptr;
+  }
+
+private:
+  double *Total;
+  std::chrono::steady_clock::time_point Start;
+};
 
 /// Reports the failure that triggered a rollback plus a RegionRolledBack
 /// remark narrating the recovery.
@@ -52,9 +95,12 @@ void reportBudgetExhausted(const CPRContext &Ctx, CPRResult &Result,
 CPRResult cpr::runControlCPR(Function &F, const ProfileData &Profile,
                              const CPROptions &Opts, const CPRContext &Ctx) {
   CPRResult Result;
-  // Every edit below is reported to the cache, so each phase gets the
-  // solution for the function as it is when the phase runs.
+  // Every edit below is reported to the cache, block by block, so each
+  // phase gets the solution for the function as it is when the phase runs.
   LivenessCache LC(F);
+  // Per-phase wall time, summed over regions; null without a registry.
+  double PhaseMs[NumPhases] = {};
+  double *Clock = Ctx.Stats ? PhaseMs : nullptr;
 
   // Snapshot the regions to process: restructure appends compensation
   // blocks which must not themselves be processed.
@@ -86,27 +132,33 @@ CPRResult cpr::runControlCPR(Function &F, const ProfileData &Profile,
 
     // Phase 0: FRP conversion (paper Section 4.1) prepares the region.
     // It edits only B's operations (the register and op-id allocators it
-    // advances are not liveness inputs), so comparing them is exact.
-    convertToFRP(F, B);
+    // advances are not liveness inputs).
+    {
+      PhaseSpan S(Clock, PhaseFRP);
+      convertToFRP(F, B);
+    }
     if (B.ops() != Snapshot)
-      LC.noteEdit();
+      LC.noteEdit(B);
 
     // Phase 1: predicate speculation.
     SpeculationStats SS;
     if (Opts.EnablePredicateSpeculation) {
+      PhaseSpan S(Clock, PhaseSpeculate);
       SS = speculatePredicates(F, B, &LC);
     }
 
     // Phase 2: match.
+    PhaseSpan MatchSpan(Clock, PhaseMatch);
     std::vector<CPRBlockInfo> Blocks =
         matchCPRBlocks(F, B, Profile, Opts, &LC);
+    MatchSpan.stop();
     bool AnyTransformable = false;
     for (const CPRBlockInfo &Info : Blocks)
       AnyTransformable |= Info.Transformable;
     if (!AnyTransformable) {
-      // Only B's operations were edited: the committed function is back.
+      // Only B's operations were edited.
       B.ops() = std::move(Snapshot);
-      LC.noteRestore();
+      LC.noteEdit(B);
       Result.CPRBlocksFormed += static_cast<unsigned>(Blocks.size());
       for (const CPRBlockInfo &Info : Blocks)
         ++Result.StopReasons[static_cast<unsigned>(Info.StopReason)];
@@ -139,23 +191,32 @@ CPRResult cpr::runControlCPR(Function &F, const ProfileData &Profile,
       auto Fail = [&](Diagnostic Cause) {
         if (!Ctx.FailSafe)
           reportFatalError(Cause.Message);
+        // Rollback restores B and removes the appended blocks, which the
+        // cache notices in the layout.
         unsigned Removed = Txn.rollback();
+        LC.noteEdit(B);
         ++Result.BlocksRolledBack;
         RolledBackHere = true;
         reportRollback(Ctx, B.getId(), std::move(Cause), Removed);
       };
 
+      // Restructure edits B and may append a compensation block.
+      PhaseSpan RestructureSpan(Clock, PhaseRestructure);
       Expected<RestructurePlan> Plan = restructureCPRBlock(F, B, Info);
-      // Restructure always counts as an edit, so motion solves afresh.
-      // Motion and rollback edit too; the cache's next reader is the next
-      // block's motion, after this same report, or the next region, after
-      // the commit report below.
-      LC.noteEdit();
+      RestructureSpan.stop();
+      LC.noteEdit(B);
       if (!Plan) {
         Fail(Plan.takeDiagnostic());
         continue;
       }
+      // Motion edits B and fills the compensation block, also when it
+      // fails part-way.
+      PhaseSpan MotionSpan(Clock, PhaseMotion);
       Expected<MotionStats> MS = moveOffTrace(F, *Plan, &LC);
+      MotionSpan.stop();
+      LC.noteEdit(B);
+      if (const Block *Comp = F.blockById(Plan->CompBlock))
+        LC.noteEdit(*Comp);
       if (!MS) {
         Fail(MS.takeDiagnostic());
         continue;
@@ -196,16 +257,21 @@ CPRResult cpr::runControlCPR(Function &F, const ProfileData &Profile,
       // any committed): restore the pre-pass form, as for
       // untransformable regions -- FRP conversion alone is no benefit.
       B.ops() = std::move(Snapshot);
+      LC.noteEdit(B);
     }
-    // Conservatively, a region with a transformable block changed the
-    // function even when every block rolled back.
-    LC.noteCommit();
   }
-  Result.LivenessSolves = LC.solves();
 
   // Final cleanup, as in the paper: dead code elimination removes
   // operations computing predicates that are no longer referenced.
-  Result.DCE = eliminateDeadCode(F);
+  {
+    PhaseSpan S(Clock, PhaseDCE);
+    Result.DCE = eliminateDeadCode(F, &LC);
+  }
+  Result.LivenessSolves = LC.solves();
+  Result.LivenessPartialSolves = LC.partialSolves();
+  if (Ctx.Stats)
+    for (unsigned P = 0; P != NumPhases; ++P)
+      Ctx.Stats->recordTimeMs(PhaseKeys[P], PhaseMs[P]);
 
   // Unreachable-state shim, not a recoverable path: transactions re-verify
   // before committing, so an invalid function here is a driver bug.

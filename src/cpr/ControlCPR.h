@@ -37,6 +37,8 @@
 
 namespace cpr {
 
+class StatsRegistry;
+
 /// Summary of one ICBM run.
 struct CPRResult {
   unsigned RegionsProcessed = 0;
@@ -59,11 +61,12 @@ struct CPRResult {
   unsigned RegionsRolledBack = 0;
   unsigned RegionsSkippedBudget = 0;
   bool BudgetExhausted = false;
-  /// Whole-function liveness solves of the phases (the driver's
-  /// LivenessCache; DCE's own solves are not counted). A cost, not an
-  /// outcome: the service wire and the benchmark's session digest leave
-  /// it out.
+  /// Liveness solves of the phases and DCE through the driver's
+  /// LivenessCache: full solves over every register, and partial
+  /// re-solves of the registers an edit touched. A cost, not an outcome:
+  /// the service wire and the benchmark's session digest leave them out.
   unsigned LivenessSolves = 0;
+  unsigned LivenessPartialSolves = 0;
 };
 
 /// How the driver reacts to a failing transformation.
@@ -89,13 +92,18 @@ struct CPRContext {
   /// false: escalate the first failure to reportFatalError (legacy strict
   /// behavior; what the differential fuzzer relies on).
   bool FailSafe = true;
+  /// Optional sink for the per-phase wall times ("transform/frp",
+  /// "transform/speculate", "transform/match", "transform/restructure",
+  /// "transform/motion", "transform/dce"), each summed over the regions
+  /// and recorded once at the end. Without it no clock is read.
+  StatsRegistry *Stats = nullptr;
 };
 
 /// Runs ICBM over every non-compensation block of \p F, using \p Profile
 /// for the match heuristics. \p F is verified after the pass; in
 /// fail-safe mode the result is runnable even when regions rolled back.
-/// The phases share one liveness solution (analysis/Liveness.h,
-/// LivenessCache), solved again only after a phase edited the function.
+/// The phases and DCE share one liveness solution (analysis/Liveness.h,
+/// LivenessCache), updated in place after each edit.
 CPRResult runControlCPR(Function &F, const ProfileData &Profile,
                         const CPROptions &Opts, const CPRContext &Ctx);
 

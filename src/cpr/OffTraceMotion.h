@@ -48,7 +48,9 @@ struct MotionStats {
 /// \p F may be left mid-motion -- callers roll the enclosing region
 /// transaction back. \p Cache, when given, supplies the liveness of the
 /// restructured function (an ICBM driver's LivenessCache over \p F, told
-/// of the restructure); null solves with a local cache.
+/// of the restructure); null solves with a local cache. Motion reports no
+/// edits: the caller reports the region and the compensation block after
+/// it returns, whether it succeeded or not.
 Expected<MotionStats> moveOffTrace(Function &F, const RestructurePlan &Plan,
                                    LivenessCache *Cache = nullptr);
 

@@ -111,7 +111,7 @@ SpeculationStats cpr::speculatePredicates(Function &F, Block &B,
   }
   // Promotion changes guards only, and counts each change.
   if (Stats.Promoted)
-    LC.noteEdit();
+    LC.noteEdit(B);
 
   // --- Pass 2: demotion (bottom-up) -------------------------------------
   // Undo promotions that cannot reduce dependence height: if the
@@ -178,6 +178,6 @@ SpeculationStats cpr::speculatePredicates(Function &F, Block &B,
     }
   }
   if (Stats.Demoted)
-    LC.noteEdit();
+    LC.noteEdit(B);
   return Stats;
 }

@@ -238,6 +238,8 @@ void PipelineRun::recordTransformStats() {
   Stats->addCount(Prefix + "cpr/ops_moved_off_trace", CPR.OpsMovedOffTrace);
   Stats->addCount(Prefix + "cpr/ops_split", CPR.OpsSplit);
   Stats->addCount(Prefix + "cpr/liveness_solves", CPR.LivenessSolves);
+  Stats->addCount(Prefix + "cpr/liveness_partial_solves",
+                  CPR.LivenessPartialSolves);
   Stats->addCount(Prefix + "cpr/blocks_rolled_back", CPR.BlocksRolledBack);
   Stats->addCount(Prefix + "cpr/regions_rolled_back", CPR.RegionsRolledBack);
   Stats->addCount(Prefix + "cpr/regions_skipped_budget",
@@ -316,8 +318,14 @@ const Function &PipelineRun::treated() {
         countRuns(Runs);
         return S;
       };
+    // The driver's phase timers, recorded under this session's prefix.
+    StatsRegistry PhaseTimes;
+    if (Stats)
+      Ctx.Stats = &PhaseTimes;
     CPR = runControlCPR(*Treated, Profile, Opts.CPR, Ctx);
     T.stop();
+    if (Stats)
+      Stats->mergeFrom(PhaseTimes, Prefix);
     if (Opts.Lint) {
       treatedAnalyses(); // the transform is done mutating *Treated
       PassTimer LT(Stats, Prefix + "lint_treated");

@@ -13,9 +13,10 @@ using namespace cpr;
 
 namespace {
 
-/// One DCE sweep. Returns true if anything changed.
-bool sweepOnce(Function &F, DCEStats &Stats) {
-  Liveness LV(F);
+/// One DCE sweep over the solution \p LC holds at its start; reports the
+/// blocks it edited afterwards. Returns true if anything changed.
+bool sweepOnce(Function &F, LivenessCache &LC, DCEStats &Stats) {
+  const Liveness &LV = LC.get();
   const RegNumbering &N = LV.numbering();
   // The working set is over the liveness numbering, which holds every
   // register the function mentions except the hardwired true predicate;
@@ -30,7 +31,7 @@ bool sweepOnce(Function &F, DCEStats &Stats) {
     if (I >= 0)
       Live.set(static_cast<size_t>(I));
   };
-  bool Changed = false;
+  std::vector<const Block *> Edited;
 
   for (size_t BI = 0, BE = F.numBlocks(); BI != BE; ++BI) {
     Block &B = F.block(BI);
@@ -96,6 +97,7 @@ bool sweepOnce(Function &F, DCEStats &Stats) {
     }
 
     // Apply removals (backward so indices stay valid).
+    bool Changed = false;
     for (size_t OI = B.size(); OI-- > 0;) {
       if (RemoveOp[OI]) {
         B.ops().erase(B.ops().begin() + static_cast<ptrdiff_t>(OI));
@@ -114,15 +116,22 @@ bool sweepOnce(Function &F, DCEStats &Stats) {
         }
       }
     }
+    if (Changed)
+      Edited.push_back(&B);
   }
-  return Changed;
+  // Reported only now, so that the whole sweep read one solution.
+  for (const Block *B : Edited)
+    LC.noteEdit(*B);
+  return !Edited.empty();
 }
 
 } // namespace
 
-DCEStats cpr::eliminateDeadCode(Function &F) {
+DCEStats cpr::eliminateDeadCode(Function &F, LivenessCache *Cache) {
+  LivenessCache Local(F);
+  LivenessCache &LC = Cache ? *Cache : Local;
   DCEStats Stats;
-  while (sweepOnce(F, Stats)) {
+  while (sweepOnce(F, LC, Stats)) {
   }
   return Stats;
 }

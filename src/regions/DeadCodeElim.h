@@ -26,10 +26,15 @@ struct DCEStats {
   unsigned DestsRemoved = 0;
 };
 
+class LivenessCache;
+
 /// Removes dead operations and dead cmpp destinations from \p F, iterating
 /// to a fixed point. Side-effecting operations (stores, branches,
-/// terminators) and pbr operations feeding branches are always kept.
-DCEStats eliminateDeadCode(Function &F);
+/// terminators) and pbr operations feeding branches are always kept. Each
+/// sweep reads one liveness solution from \p Cache (a LivenessCache over
+/// \p F; null uses a local one) and reports the blocks it edited after
+/// the sweep.
+DCEStats eliminateDeadCode(Function &F, LivenessCache *Cache = nullptr);
 
 } // namespace cpr
 

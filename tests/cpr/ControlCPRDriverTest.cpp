@@ -173,14 +173,20 @@ block @D:
   EXPECT_EQ(R.RegionsProcessed, 4u);
   EXPECT_EQ(R.Promoted, 0u);
   EXPECT_EQ(R.LivenessSolves, 1u);
+  EXPECT_EQ(R.LivenessPartialSolves, 0u);
   EXPECT_EQ(printFunction(*F), Before);
 }
 
-/// Registers of \p S in iteration order.
-std::vector<Reg> regsOf(LiveSet S) { return {S.begin(), S.end()}; }
+/// The registers of \p S, sorted: the cache's views iterate in the order
+/// of its grown numbering, a fresh solve's in first-appearance order.
+std::vector<Reg> sortedRegs(LiveSet S) {
+  std::vector<Reg> V(S.begin(), S.end());
+  std::sort(V.begin(), V.end());
+  return V;
+}
 
-/// Expects the cache's current solution to iterate exactly the registers
-/// of a fresh solve, in the same order, for every block and exit of \p F.
+/// Expects the cache's current solution to hold exactly the registers of
+/// a fresh solve, for every block and exit of \p F.
 void expectFreshSolution(LivenessCache &LC, const Function &F,
                          const std::string &Where) {
   SCOPED_TRACE(Where);
@@ -188,32 +194,99 @@ void expectFreshSolution(LivenessCache &LC, const Function &F,
   Liveness Fresh(F);
   for (size_t L = 0; L < F.numBlocks(); ++L) {
     const Block &B = F.block(L);
-    ASSERT_EQ(regsOf(Cached.liveIn(B.getId())),
-              regsOf(Fresh.liveIn(B.getId())))
+    ASSERT_EQ(sortedRegs(Cached.liveIn(B.getId())),
+              sortedRegs(Fresh.liveIn(B.getId())))
         << "live-in of @" << B.getName();
-    ASSERT_EQ(regsOf(Cached.liveOut(B.getId())),
-              regsOf(Fresh.liveOut(B.getId())))
+    ASSERT_EQ(sortedRegs(Cached.liveOut(B.getId())),
+              sortedRegs(Fresh.liveOut(B.getId())))
         << "live-out of @" << B.getName();
     for (size_t OI = 0; OI < B.size(); ++OI) {
       if (!B.ops()[OI].isControl())
         continue;
-      ASSERT_EQ(regsOf(Cached.liveAtExit(B, OI)),
-                regsOf(Fresh.liveAtExit(B, OI)))
+      ASSERT_EQ(sortedRegs(Cached.liveAtExit(B, OI)),
+                sortedRegs(Fresh.liveAtExit(B, OI)))
           << "exit at op " << OI << " of @" << B.getName();
     }
   }
 }
 
-TEST(ControlCPRDriverTest, CachedLivenessMatchesAFreshSolveAtEveryHandOff) {
-  // Replays runControlCPR's region sequence and edit reports on generated
-  // programs, checking the solution at each point where a phase takes it
-  // from the cache. The demotion hand-off inside speculation reuses the
-  // solution checked before speculation whenever promotion changed
-  // nothing, which the replay checks as an operation-list identity. The
-  // replay must then agree with the driver on the output and on the
-  // number of solves, so a report the driver misses or adds shows up as
-  // a count mismatch.
+/// What a replay saw.
+struct ReplayCounts {
   unsigned HandOffs = 0, Restored = 0, Committed = 0;
+};
+
+/// Replays runControlCPR's region sequence and edit reports on \p F
+/// through \p LC, checking the solution at each point where a phase takes
+/// it from the cache, and after DCE. The demotion hand-off inside
+/// speculation reuses the solution checked before speculation whenever
+/// promotion changed nothing, which the replay checks as an
+/// operation-list identity.
+void replayDriver(Function &F, const ProfileData &Prof, LivenessCache &LC,
+                  ReplayCounts &C) {
+  std::vector<BlockId> Regions;
+  for (size_t I = 0; I < F.numBlocks(); ++I)
+    if (!F.block(I).isCompensation())
+      Regions.push_back(F.block(I).getId());
+  for (BlockId RId : Regions) {
+    Block &B = *F.blockById(RId);
+    if (B.empty())
+      continue;
+    const std::string Region = "region @" + B.getName();
+    std::vector<Operation> Snapshot = B.ops();
+    convertToFRP(F, B);
+    if (B.ops() != Snapshot)
+      LC.noteEdit(B);
+    expectFreshSolution(LC, F, Region + " before speculation");
+    ++C.HandOffs;
+    std::vector<Operation> BeforeSpeculation = B.ops();
+    SpeculationStats SS = speculatePredicates(F, B, &LC);
+    if (SS.Promoted == 0) {
+      EXPECT_EQ(B.ops(), BeforeSpeculation) << Region;
+    }
+    // Match takes the solution only for a region with a branch.
+    if (std::any_of(B.ops().begin(), B.ops().end(),
+                    [](const Operation &Op) { return Op.isBranch(); })) {
+      expectFreshSolution(LC, F, Region + " before match");
+      ++C.HandOffs;
+    }
+    std::vector<CPRBlockInfo> Blocks =
+        matchCPRBlocks(F, B, Prof, CPROptions(), &LC);
+    bool AnyTransformable = false, Kept = false;
+    for (const CPRBlockInfo &Info : Blocks) {
+      if (!Info.Transformable)
+        continue;
+      AnyTransformable = true;
+      RegionTransaction Txn(F, B.getId());
+      Expected<RestructurePlan> Plan = restructureCPRBlock(F, B, Info);
+      LC.noteEdit(B);
+      ASSERT_TRUE(Plan.ok()) << Region << ": " << Plan.diagnostic().str();
+      expectFreshSolution(LC, F, Region + " before motion");
+      ++C.HandOffs;
+      Expected<MotionStats> MS = moveOffTrace(F, *Plan, &LC);
+      LC.noteEdit(B);
+      if (const Block *Comp = F.blockById(Plan->CompBlock))
+        LC.noteEdit(*Comp);
+      ASSERT_TRUE(MS.ok()) << Region << ": " << MS.diagnostic().str();
+      Status V = Txn.verify("replay");
+      ASSERT_TRUE(V.ok()) << Region << ": " << V.diagnostic().str();
+      Kept = true;
+    }
+    if (!Kept) {
+      B.ops() = std::move(Snapshot);
+      LC.noteEdit(B);
+    }
+    ++(AnyTransformable ? C.Committed : C.Restored);
+  }
+  eliminateDeadCode(F, &LC);
+  expectFreshSolution(LC, F, "after DCE");
+}
+
+TEST(ControlCPRDriverTest, CachedLivenessMatchesAFreshSolveAtEveryHandOff) {
+  // The replay must agree with the driver on the output and on the number
+  // of full and partial solves, so a report the driver misses or adds
+  // shows up as a count mismatch.
+  ReplayCounts C;
+  unsigned Partial = 0;
   for (unsigned MaxBlocks : {40u, 120u}) {
     GeneratorConfig Cfg;
     Cfg.MaxBlocks = MaxBlocks;
@@ -229,71 +302,66 @@ TEST(ControlCPRDriverTest, CachedLivenessMatchesAFreshSolveAtEveryHandOff) {
       std::unique_ptr<Function> Driven = P.Func->clone();
       CPRResult R = runControlCPR(*Driven, Prof, CPROptions());
 
-      Function &F = *P.Func;
-      LivenessCache LC(F);
-      std::vector<BlockId> Regions;
-      for (size_t I = 0; I < F.numBlocks(); ++I)
-        if (!F.block(I).isCompensation())
-          Regions.push_back(F.block(I).getId());
-      for (BlockId RId : Regions) {
-        Block &B = *F.blockById(RId);
-        if (B.empty())
-          continue;
-        const std::string Region = "region @" + B.getName();
-        std::vector<Operation> Snapshot = B.ops();
-        convertToFRP(F, B);
-        if (B.ops() != Snapshot)
-          LC.noteEdit();
-        expectFreshSolution(LC, F, Region + " before speculation");
-        ++HandOffs;
-        std::vector<Operation> BeforeSpeculation = B.ops();
-        SpeculationStats SS = speculatePredicates(F, B, &LC);
-        if (SS.Promoted == 0) {
-          EXPECT_EQ(B.ops(), BeforeSpeculation) << Region;
-        }
-        // Match takes the solution only for a region with a branch.
-        if (std::any_of(B.ops().begin(), B.ops().end(),
-                        [](const Operation &Op) { return Op.isBranch(); })) {
-          expectFreshSolution(LC, F, Region + " before match");
-          ++HandOffs;
-        }
-        std::vector<CPRBlockInfo> Blocks =
-            matchCPRBlocks(F, B, Prof, CPROptions(), &LC);
-        bool AnyTransformable = false, Kept = false;
-        for (const CPRBlockInfo &Info : Blocks) {
-          if (!Info.Transformable)
-            continue;
-          AnyTransformable = true;
-          RegionTransaction Txn(F, B.getId());
-          Expected<RestructurePlan> Plan = restructureCPRBlock(F, B, Info);
-          LC.noteEdit();
-          ASSERT_TRUE(Plan.ok()) << Region << ": " << Plan.diagnostic().str();
-          expectFreshSolution(LC, F, Region + " before motion");
-          ++HandOffs;
-          Expected<MotionStats> MS = moveOffTrace(F, *Plan, &LC);
-          ASSERT_TRUE(MS.ok()) << Region << ": " << MS.diagnostic().str();
-          Status V = Txn.verify("replay");
-          ASSERT_TRUE(V.ok()) << Region << ": " << V.diagnostic().str();
-          Kept = true;
-        }
-        if (!Kept)
-          B.ops() = std::move(Snapshot);
-        if (AnyTransformable) {
-          LC.noteCommit();
-          ++Committed;
-        } else {
-          LC.noteRestore();
-          ++Restored;
-        }
-      }
-      eliminateDeadCode(F);
-      EXPECT_EQ(printFunction(F), printFunction(*Driven));
+      LivenessCache LC(*P.Func);
+      replayDriver(*P.Func, Prof, LC, C);
+      if (HasFatalFailure())
+        return;
+      EXPECT_EQ(printFunction(*P.Func), printFunction(*Driven));
       EXPECT_EQ(LC.solves(), R.LivenessSolves);
+      EXPECT_EQ(LC.partialSolves(), R.LivenessPartialSolves);
+      Partial += R.LivenessPartialSolves;
     }
   }
-  EXPECT_GT(HandOffs, 1000u);
-  EXPECT_GT(Restored, 400u);
-  EXPECT_GT(Committed, 30u);
+  EXPECT_GT(C.HandOffs, 1000u);
+  EXPECT_GT(C.Restored, 400u);
+  EXPECT_GT(C.Committed, 30u);
+  EXPECT_GT(Partial, 300u);
+}
+
+TEST(ControlCPRDriverTest, RegistersAtMaxRegIdCostOnePageEach) {
+  // A transformable program that also names r1048575 and p1048575, ids at
+  // MaxRegId: the driver's output matches the replay whose every hand-off
+  // equals a fresh solve, and the numbering's id table stays a few pages.
+  SyntheticParams SP;
+  SP.Superblocks = 2;
+  SP.RungsPerSuperblock = 4;
+  SP.FallThroughBias = 0.99;
+  SP.Trips = 50;
+  SP.Seed = 406;
+  KernelProgram P = buildSyntheticProgram("maxid", SP);
+  Function &F = *P.Func;
+  const Reg Gpr = Reg::gpr(MaxRegId), Pred = Reg::pred(MaxRegId);
+  Block &Entry = F.entry();
+  Operation SetP = F.makeOp(Opcode::Mov);
+  SetP.addDef(Pred);
+  SetP.addSrc(Operand::imm(1));
+  Operation SetR = F.makeOp(Opcode::Mov);
+  SetR.addDef(Gpr);
+  SetR.addSrc(Operand::imm(5));
+  SetR.setGuard(Pred);
+  Entry.ops().insert(Entry.ops().begin(), {SetP, SetR});
+  F.observableRegs().push_back(Gpr);
+  ASSERT_NE(printFunction(F).find("p1048575"), std::string::npos);
+
+  Memory Mem = P.InitMem;
+  ProfileData Prof = profileRun(F, Mem, P.InitRegs);
+  std::unique_ptr<Function> Driven = F.clone();
+  CPRResult R = runControlCPR(*Driven, Prof, CPROptions());
+  EXPECT_GE(R.CPRBlocksTransformed, 2u);
+
+  LivenessCache LC(F);
+  ReplayCounts C;
+  replayDriver(F, Prof, LC, C);
+  ASSERT_FALSE(HasFatalFailure());
+  EXPECT_EQ(printFunction(F), printFunction(*Driven));
+  EXPECT_EQ(LC.solves(), R.LivenessSolves);
+  EXPECT_EQ(LC.partialSolves(), R.LivenessPartialSolves);
+  const RegNumbering &N = LC.get().numbering();
+  EXPECT_GE(N.indexOf(Gpr), 0);
+  EXPECT_GE(N.indexOf(Pred), 0);
+  // Per class: a 1,024-entry directory and the pages in use, far from
+  // the 4 MiB a slot per id up to MaxRegId would take.
+  EXPECT_LE(N.tableBytes(), 48u * 1024);
 }
 
 } // namespace

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace cpr;
 
 namespace {
@@ -210,12 +212,18 @@ block @A:
     SpeculationStats S = speculatePredicates(*F, A, &LC);
     EXPECT_EQ(S.Promoted, C.Promoted);
     EXPECT_EQ(S.Demoted, C.Demoted);
+    // Sets, not orders: the cache's grown numbering iterates otherwise.
     Liveness Fresh(*F);
     LiveSet Cached = LC.get().liveIn(A.getId());
     std::vector<Reg> After(Cached.begin(), Cached.end());
-    EXPECT_EQ(After, std::vector<Reg>(Fresh.liveIn(A.getId()).begin(),
-                                      Fresh.liveIn(A.getId()).end()));
-    EXPECT_EQ(LC.solves(), C.Solves) << "one solve per reported pass";
+    std::vector<Reg> Expected(Fresh.liveIn(A.getId()).begin(),
+                              Fresh.liveIn(A.getId()).end());
+    std::sort(After.begin(), After.end());
+    std::sort(Expected.begin(), Expected.end());
+    EXPECT_EQ(After, Expected);
+    EXPECT_EQ(LC.solves(), 1u);
+    EXPECT_EQ(LC.partialSolves(), C.Solves - 1)
+        << "one partial re-solve per reported pass";
   }
 }
 

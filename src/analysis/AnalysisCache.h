@@ -35,7 +35,6 @@
 #ifndef ANALYSIS_ANALYSISCACHE_H
 #define ANALYSIS_ANALYSISCACHE_H
 
-#include "analysis/Dataflow.h"
 #include "analysis/DepGraph.h"
 #include "analysis/Liveness.h"
 
@@ -52,7 +51,7 @@ struct FunctionAnalyses {
                             const MachineDesc *GraphMachine = nullptr,
                             const DepGraphOptions &GraphOpts =
                                 DepGraphOptions())
-      : LV(F), Reach(F, LV.numbering()) {
+      : LV(F) {
     if (GraphMachine)
       Graphs.emplace(F, LV, *GraphMachine, GraphOpts);
   }
@@ -65,10 +64,9 @@ struct FunctionAnalyses {
   const BlockGraphs *graphs() const { return Graphs ? &*Graphs : nullptr; }
 
   /// Backward/union liveness over the dense solver; its numbering is the
-  /// register universe every analysis in the bundle shares.
+  /// register universe the graphs and every borrower (lint's own
+  /// reaching definitions among them) share.
   Liveness LV;
-  /// Forward/union cross-block reaching definitions.
-  ReachingDefBlocks Reach;
   /// Per-block dependence graphs for one branch latency, if built.
   std::optional<BlockGraphs> Graphs;
 };

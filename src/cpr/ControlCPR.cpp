@@ -16,51 +16,9 @@
 #include "support/Error.h"
 #include "support/Statistics.h"
 
-#include <chrono>
-
 using namespace cpr;
 
 namespace {
-
-/// The timed phases of the driver and their StatsRegistry keys.
-enum Phase {
-  PhaseFRP,
-  PhaseSpeculate,
-  PhaseMatch,
-  PhaseRestructure,
-  PhaseMotion,
-  PhaseDCE,
-  NumPhases
-};
-const char *const PhaseKeys[NumPhases] = {
-    "transform/frp",         "transform/speculate", "transform/match",
-    "transform/restructure", "transform/motion",    "transform/dce"};
-
-/// Adds the wall time from construction to stop() (or destruction) to one
-/// phase's total. With null totals it reads no clock.
-class PhaseSpan {
-public:
-  PhaseSpan(double *Totals, Phase P) : Total(Totals ? &Totals[P] : nullptr) {
-    if (Total)
-      Start = std::chrono::steady_clock::now();
-  }
-  PhaseSpan(const PhaseSpan &) = delete;
-  PhaseSpan &operator=(const PhaseSpan &) = delete;
-  ~PhaseSpan() { stop(); }
-
-  void stop() {
-    if (!Total)
-      return;
-    *Total += std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - Start)
-                  .count();
-    Total = nullptr;
-  }
-
-private:
-  double *Total;
-  std::chrono::steady_clock::time_point Start;
-};
 
 /// Reports the failure that triggered a rollback plus a RegionRolledBack
 /// remark narrating the recovery.
@@ -97,10 +55,8 @@ CPRResult cpr::runControlCPR(Function &F, const ProfileData &Profile,
   CPRResult Result;
   // Every edit below is reported to the cache, block by block, so each
   // phase gets the solution for the function as it is when the phase runs.
+  // An edit that leaves a block's transfer unchanged costs it no solve.
   LivenessCache LC(F);
-  // Per-phase wall time, summed over regions; null without a registry.
-  double PhaseMs[NumPhases] = {};
-  double *Clock = Ctx.Stats ? PhaseMs : nullptr;
 
   // Snapshot the regions to process: restructure appends compensation
   // blocks which must not themselves be processed.
@@ -123,59 +79,54 @@ CPRResult cpr::runControlCPR(Function &F, const ProfileData &Profile,
       continue;
     ++Result.RegionsProcessed;
 
-    // Snapshot: when no CPR block in this region turns out to be
-    // transformable, the region is restored to its pre-pass form -- the
+    // When no CPR block in this region turns out to be transformable, or
+    // none commits, the region is rolled back to its pre-pass form -- the
     // paper's "code is left unchanged over an input subregion" policy.
     // (FRP conversion and speculation are only enablers for ICBM; left in
     // place without it they merely unchain exits for no benefit.)
-    std::vector<Operation> Snapshot = B.ops();
+    RegionTransaction RegionTxn(F, RId);
 
     // Phase 0: FRP conversion (paper Section 4.1) prepares the region.
     // It edits only B's operations (the register and op-id allocators it
     // advances are not liveness inputs).
     {
-      PhaseSpan S(Clock, PhaseFRP);
+      PassTimer T(Ctx.Stats, "transform/frp");
       convertToFRP(F, B);
     }
-    if (B.ops() != Snapshot)
-      LC.noteEdit(B);
+    LC.noteEdit(B);
 
     // Phase 1: predicate speculation.
     SpeculationStats SS;
     if (Opts.EnablePredicateSpeculation) {
-      PhaseSpan S(Clock, PhaseSpeculate);
+      PassTimer T(Ctx.Stats, "transform/speculate");
       SS = speculatePredicates(F, B, &LC);
     }
 
     // Phase 2: match.
-    PhaseSpan MatchSpan(Clock, PhaseMatch);
+    PassTimer MatchTimer(Ctx.Stats, "transform/match");
     std::vector<CPRBlockInfo> Blocks =
         matchCPRBlocks(F, B, Profile, Opts, &LC);
-    MatchSpan.stop();
+    MatchTimer.stop();
     bool AnyTransformable = false;
-    for (const CPRBlockInfo &Info : Blocks)
+    Result.CPRBlocksFormed += static_cast<unsigned>(Blocks.size());
+    for (const CPRBlockInfo &Info : Blocks) {
       AnyTransformable |= Info.Transformable;
+      ++Result.StopReasons[static_cast<unsigned>(Info.StopReason)];
+    }
     if (!AnyTransformable) {
-      // Only B's operations were edited.
-      B.ops() = std::move(Snapshot);
+      RegionTxn.rollback();
       LC.noteEdit(B);
-      Result.CPRBlocksFormed += static_cast<unsigned>(Blocks.size());
-      for (const CPRBlockInfo &Info : Blocks)
-        ++Result.StopReasons[static_cast<unsigned>(Info.StopReason)];
       continue;
     }
     Result.Promoted += SS.Promoted;
     Result.Demoted += SS.Demoted;
-    Result.CPRBlocksFormed += static_cast<unsigned>(Blocks.size());
-    for (const CPRBlockInfo &Info : Blocks)
-      ++Result.StopReasons[static_cast<unsigned>(Info.StopReason)];
 
     // Phases 3 and 4, CPR block by CPR block in program order: the
     // re-wiring performed by an earlier block's restructure establishes
     // the root predicate the next block's restructure reads. Each block
-    // transforms inside its own transaction; a failure rolls back just
-    // that block's changes (strict mode escalates to a fatal error
-    // instead).
+    // transforms inside its own transaction, nested in the region's; a
+    // failure rolls back just that block's changes (strict mode escalates
+    // to a fatal error instead).
     unsigned TransformedHere = 0;
     bool RolledBackHere = false;
     for (const CPRBlockInfo &Info : Blocks) {
@@ -201,9 +152,9 @@ CPRResult cpr::runControlCPR(Function &F, const ProfileData &Profile,
       };
 
       // Restructure edits B and may append a compensation block.
-      PhaseSpan RestructureSpan(Clock, PhaseRestructure);
+      PassTimer RestructureTimer(Ctx.Stats, "transform/restructure");
       Expected<RestructurePlan> Plan = restructureCPRBlock(F, B, Info);
-      RestructureSpan.stop();
+      RestructureTimer.stop();
       LC.noteEdit(B);
       if (!Plan) {
         Fail(Plan.takeDiagnostic());
@@ -211,9 +162,9 @@ CPRResult cpr::runControlCPR(Function &F, const ProfileData &Profile,
       }
       // Motion edits B and fills the compensation block, also when it
       // fails part-way.
-      PhaseSpan MotionSpan(Clock, PhaseMotion);
+      PassTimer MotionTimer(Ctx.Stats, "transform/motion");
       Expected<MotionStats> MS = moveOffTrace(F, *Plan, &LC);
-      MotionSpan.stop();
+      MotionTimer.stop();
       LC.noteEdit(B);
       if (const Block *Comp = F.blockById(Plan->CompBlock))
         LC.noteEdit(*Comp);
@@ -227,18 +178,11 @@ CPRResult cpr::runControlCPR(Function &F, const ProfileData &Profile,
         Fail(V.takeDiagnostic());
         continue;
       }
-      if (Ctx.RegionLint) {
-        if (Status LS = Ctx.RegionLint(F); !LS) {
-          Fail(LS.takeDiagnostic());
+      if (Ctx.RegionCheck)
+        if (Status C = Ctx.RegionCheck(F); !C) {
+          Fail(C.takeDiagnostic());
           continue;
         }
-      }
-      if (Ctx.RegionOracle) {
-        if (Status E = Ctx.RegionOracle(F); !E) {
-          Fail(E.takeDiagnostic());
-          continue;
-        }
-      }
 
       ++TransformedHere;
       ++Result.CPRBlocksTransformed;
@@ -254,9 +198,9 @@ CPRResult cpr::runControlCPR(Function &F, const ProfileData &Profile,
       ++Result.RegionsRolledBack;
     if (TransformedHere == 0) {
       // Every transformable block failed (or the budget ran out before
-      // any committed): restore the pre-pass form, as for
-      // untransformable regions -- FRP conversion alone is no benefit.
-      B.ops() = std::move(Snapshot);
+      // any committed): as for untransformable regions, FRP conversion
+      // alone is no benefit.
+      RegionTxn.rollback();
       LC.noteEdit(B);
     }
   }
@@ -264,14 +208,11 @@ CPRResult cpr::runControlCPR(Function &F, const ProfileData &Profile,
   // Final cleanup, as in the paper: dead code elimination removes
   // operations computing predicates that are no longer referenced.
   {
-    PhaseSpan S(Clock, PhaseDCE);
+    PassTimer T(Ctx.Stats, "transform/dce");
     Result.DCE = eliminateDeadCode(F, &LC);
   }
   Result.LivenessSolves = LC.solves();
   Result.LivenessPartialSolves = LC.partialSolves();
-  if (Ctx.Stats)
-    for (unsigned P = 0; P != NumPhases; ++P)
-      Ctx.Stats->recordTimeMs(PhaseKeys[P], PhaseMs[P]);
 
   // Unreachable-state shim, not a recoverable path: transactions re-verify
   // before committing, so an invalid function here is a driver bug.

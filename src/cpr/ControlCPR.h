@@ -13,13 +13,13 @@
 ///
 /// Fail-safe operation (docs/ROBUSTNESS.md): each CPR block's restructure
 /// plus motion runs inside a RegionTransaction. A TransformFault from a
-/// phase, a re-verification failure, an optional equivalence-oracle
-/// mismatch, or an exhausted stage budget rolls back just that region --
-/// the rest of the function keeps its treatment and the result is always
-/// runnable. Strict mode (CPRContext::FailSafe = false, the legacy
-/// default) instead escalates the first failure to reportFatalError so the
-/// differential fuzzer keeps observing compiler defects as crashes or
-/// oracle mismatches rather than silent rollbacks.
+/// phase, a re-verification failure, a failed CPRContext::RegionCheck
+/// (lint or the equivalence oracle), or an exhausted stage budget rolls
+/// back just that region -- the rest of the function keeps its treatment
+/// and the result is always runnable. Strict mode (CPRContext::FailSafe =
+/// false, the legacy default) instead escalates the first failure to
+/// reportFatalError so the differential fuzzer keeps observing compiler
+/// defects as crashes or oracle mismatches rather than silent rollbacks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,18 +73,13 @@ struct CPRResult {
 struct CPRContext {
   /// Optional sink for rollback remarks and stage errors.
   DiagnosticEngine *Diags = nullptr;
-  /// Optional per-region equivalence re-check, run on the whole function
-  /// after a transaction re-verifies. Return a failure Status (typically
-  /// DiagCode::OracleMismatch) to force a rollback. Expensive: each call
-  /// interprets the function; wire it up only when requested
+  /// Optional acceptance check of each CPR-block transaction, run on the
+  /// whole function after it re-verifies. Return a failure Status to roll
+  /// the transaction back. PipelineRun composes it from the static lint
+  /// (src/lint/, PipelineOptions::Lint) and then, only when lint passes,
+  /// the more expensive interpreter re-check that runs the function
   /// (PipelineOptions::RegionEquivalence).
-  std::function<Status(const Function &)> RegionOracle;
-  /// Optional static lint re-check (src/lint/), run on the whole function
-  /// after a transaction re-verifies and *before* the (more expensive)
-  /// RegionOracle. Return a failure Status (typically one of the
-  /// DiagCode::Lint* codes) to force a rollback. Unlike the oracle it
-  /// never executes the program; wire it up via PipelineOptions::Lint.
-  std::function<Status(const Function &)> RegionLint;
+  std::function<Status(const Function &)> RegionCheck;
   /// Optional transform budget; one step is one CPR-block transform.
   /// Exhaustion skips the remaining regions (baseline fallback).
   BudgetTracker *Budget = nullptr;
@@ -94,8 +89,8 @@ struct CPRContext {
   bool FailSafe = true;
   /// Optional sink for the per-phase wall times ("transform/frp",
   /// "transform/speculate", "transform/match", "transform/restructure",
-  /// "transform/motion", "transform/dce"), each summed over the regions
-  /// and recorded once at the end. Without it no clock is read.
+  /// "transform/motion", "transform/dce"), each summed over the regions;
+  /// a phase that never ran records none. Without it no clock is read.
   StatsRegistry *Stats = nullptr;
 };
 

@@ -12,12 +12,10 @@
 using namespace cpr;
 
 RegionTransaction::RegionTransaction(Function &F, BlockId Region)
-    : F(F), Region(Region) {
+    : F(F), Region(Region), NumBlocks(F.numBlocks()) {
   Block *B = F.blockById(Region);
   assert(B && "transaction on a block that does not exist");
   SnapshotOps = B->ops();
-  for (size_t I = 0, E = F.numBlocks(); I != E; ++I)
-    PreExistingBlocks.insert(F.block(I).getId());
 }
 
 Status RegionTransaction::verify(const std::string &Context,
@@ -52,19 +50,12 @@ unsigned RegionTransaction::rollback() {
   // Restore the region's operations first so no block references a
   // compensation block while we remove it.
   if (Block *B = F.blockById(Region))
-    B->ops() = SnapshotOps;
+    B->ops() = std::move(SnapshotOps);
 
-  // Remove blocks appended since the snapshot (compensation blocks of the
-  // failed transform). Collect ids first: removal shifts layout indices.
-  std::vector<BlockId> Appended;
-  for (size_t I = 0, E = F.numBlocks(); I != E; ++I) {
-    BlockId Id = F.block(I).getId();
-    if (!PreExistingBlocks.count(Id))
-      Appended.push_back(Id);
-  }
+  // Remove the blocks appended since the snapshot (compensation blocks of
+  // the failed transform), last first.
   unsigned Removed = 0;
-  for (BlockId Id : Appended)
-    if (F.removeBlock(Id))
-      ++Removed;
+  for (; F.numBlocks() > NumBlocks; ++Removed)
+    F.removeBlock(F.block(F.numBlocks() - 1).getId());
   return Removed;
 }

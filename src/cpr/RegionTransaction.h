@@ -6,19 +6,27 @@
 ///
 /// \file
 /// Transactional wrapper around one region's CPR transformation. The ICBM
-/// phases (restructure, off-trace motion) mutate exactly one region block
-/// plus any compensation blocks they append at the end of the function;
-/// a transaction therefore only needs to snapshot the region's operation
-/// list and the set of pre-existing block ids. On failure -- a phase
-/// returning a TransformFault, the re-verify rejecting the result, or the
-/// optional equivalence oracle observing divergence -- rollback() restores
-/// the region's operations and removes the appended blocks, leaving every
-/// *other* region's treatment intact. Leaked virtual register and
-/// operation ids are harmless (both are monotone allocators).
+/// phases (FRP conversion, speculation, restructure, off-trace motion)
+/// mutate exactly one region block, and restructure appends compensation
+/// blocks at the end of the function (Function::addBlock); a transaction
+/// therefore only needs to snapshot the region's operation list and the
+/// function's block count. On failure -- a phase returning a
+/// TransformFault, the re-verify rejecting the result, or the caller's
+/// acceptance check (lint, the equivalence oracle) vetoing it --
+/// rollback() restores the region's operations and removes the blocks
+/// past the count, leaving every *other* region's treatment intact.
+/// Leaked virtual register and operation ids are harmless (both are
+/// monotone allocators).
 ///
-/// The re-verify and oracle steps host the "ir.verify" and caller-side
-/// "interp.oracle" fault-injection sites (support/FaultInjector.h), so the
-/// rollback path itself is exercised by the fault campaign.
+/// Transactions nest. The ICBM driver wraps each region in one, rolled
+/// back when no CPR block of the region commits, and each CPR block's
+/// restructure plus motion in another. An inner transaction that commits
+/// leaves its compensation block to the outer one, whose rollback removes
+/// it along with the rest.
+///
+/// The re-verify step hosts the "ir.verify" fault-injection site and the
+/// caller-side oracle check hosts "interp.oracle" (support/FaultInjector.h),
+/// so the rollback path itself is exercised by the fault campaign.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,8 +36,6 @@
 #include "ir/Function.h"
 #include "support/Diagnostic.h"
 
-#include <unordered_set>
-
 namespace cpr {
 
 /// Snapshot of one region taken before a (possibly failing) transform.
@@ -38,7 +44,7 @@ namespace cpr {
 class RegionTransaction {
 public:
   /// Snapshots region \p Region of \p F (its operation list and the
-  /// current set of block ids).
+  /// current block count).
   RegionTransaction(Function &F, BlockId Region);
 
   RegionTransaction(const RegionTransaction &) = delete;
@@ -54,8 +60,9 @@ public:
   Status verify(const std::string &Context,
                 DiagnosticEngine *Diags = nullptr) const;
 
-  /// Restores the region's operations and removes every block appended
-  /// since the snapshot. Idempotent. Returns the number of blocks removed.
+  /// Restores the region's operations and removes every block past the
+  /// snapshot's count, i.e. every block appended since. Idempotent.
+  /// Returns the number of blocks removed.
   unsigned rollback();
 
   bool rolledBack() const { return RolledBack; }
@@ -65,7 +72,7 @@ private:
   Function &F;
   BlockId Region;
   std::vector<Operation> SnapshotOps;
-  std::unordered_set<BlockId> PreExistingBlocks;
+  size_t NumBlocks;
   bool RolledBack = false;
 };
 

@@ -127,7 +127,7 @@ EquivResult checkAgainstBaseline(const Function &Baseline,
                                  uint64_t *Runs = nullptr,
                                  uint64_t MaxSteps = 0);
 
-/// The per-region equivalence re-check (CPRContext::RegionOracle,
+/// The per-region equivalence re-check (part of CPRContext::RegionCheck,
 /// docs/ROBUSTNESS.md): checkAgainstBaseline of one fresh run of
 /// \p Candidate under a step cap of \p MaxSteps (0 = DefaultMaxSteps), the
 /// cap \p BaselineFinal was recorded under, as a Status at fault site

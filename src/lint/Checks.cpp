@@ -46,6 +46,7 @@
 
 #include "analysis/AnalysisCache.h"
 #include "analysis/CFG.h"
+#include "analysis/Dataflow.h"
 #include "analysis/DepGraph.h"
 #include "analysis/Liveness.h"
 #include "analysis/PQS.h"
@@ -148,9 +149,9 @@ namespace cpr {
 
 /// Per-run state handed to every check: the function, the options, and
 /// every shared fact, each built the first time a check asks for it.
-/// Function-level analyses (liveness, reaching definitions) are borrowed
-/// from the caller's FunctionAnalyses when given, as are its dependence
-/// graphs when they fit a machine. References handed out stay valid for
+/// Liveness is borrowed from the caller's FunctionAnalyses when given, as
+/// are its dependence graphs when they fit a machine; reaching definitions
+/// are built here over its numbering. References handed out stay valid for
 /// the whole run: per-block facts live in storage that is sized once and
 /// never moves.
 class LintContext {
@@ -191,10 +192,8 @@ public:
     return *LV;
   }
 
-  /// Cross-block reaching definitions.
+  /// Cross-block reaching definitions, over the liveness numbering.
   const ReachingDefBlocks &reachingDefs() {
-    if (Shared)
-      return Shared->Reach;
     if (!Reach)
       Reach.emplace(F, liveness().numbering());
     return *Reach;

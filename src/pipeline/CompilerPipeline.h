@@ -113,7 +113,7 @@ struct PipelineOptions {
   /// Stats. When the baseline is lint-clean, post-transform error
   /// findings mean the transform broke an invariant: with FailSafe each
   /// offending region rolls back as its transaction commits (via
-  /// CPRContext::RegionLint) and a finding that still survives falls the
+  /// CPRContext::RegionCheck) and a finding that still survives falls the
   /// session back to the baseline; in strict mode it is fatal. Purely
   /// static -- no interpreter runs, unlike RegionEquivalence.
   bool Lint = false;

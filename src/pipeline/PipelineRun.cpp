@@ -303,14 +303,20 @@ const Function &PipelineRun::treated() {
                         static_cast<double>(LR.Findings.size()));
       BaselineLintClean = LR.errorCount() == 0;
     }
-    if (Opts.Lint && Opts.FailSafe && BaselineLintClean)
-      Ctx.RegionLint = [this, &Linter](const Function &Candidate) -> Status {
-        return lintStatus(Linter.run(Candidate, nullptr, &Program.InitRegs));
-      };
-    // Each candidate runs once, under the session's step cap, against the
-    // baseline's final state.
-    if (Opts.FailSafe && Opts.RegionEquivalence)
-      Ctx.RegionOracle = [this, &Base](const Function &Candidate) -> Status {
+    // Each CPR-block transaction's acceptance check: lint first, then,
+    // only when lint passes, the oracle, which runs the candidate once,
+    // under the session's step cap, against the baseline's final state.
+    const bool CheckLint = Opts.Lint && Opts.FailSafe && BaselineLintClean;
+    const bool CheckOracle = Opts.FailSafe && Opts.RegionEquivalence;
+    if (CheckLint || CheckOracle)
+      Ctx.RegionCheck = [&](const Function &Candidate) -> Status {
+        if (CheckLint)
+          if (Status S = lintStatus(
+                  Linter.run(Candidate, nullptr, &Program.InitRegs));
+              !S)
+            return S;
+        if (!CheckOracle)
+          return Status::success();
         uint64_t Runs = 0;
         Status S = checkRegionEquivalence(
             Base, baselineFinal(), Candidate, Program.InitMem,
@@ -511,9 +517,12 @@ Status PipelineRun::tryPrepare() {
     fallbackToBaseline(D.Code, D.Message, "interp.profile");
   }
   // Solve the shared analysis bundles serially, before the concurrent
-  // per-machine stages consume them.
-  baselineAnalyses();
-  treatedAnalyses();
+  // per-machine stages consume them. A session without machines (cprd)
+  // has no such stage, and its lint stage, if any, forces them itself.
+  if (!Opts.Machines.empty()) {
+    baselineAnalyses();
+    treatedAnalyses();
+  }
   return Status::success();
 }
 

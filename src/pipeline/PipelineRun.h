@@ -17,8 +17,8 @@
 ///     -> checkEquivalence (interpreter oracle) [serial]
 ///        = profileTreated (profile + trace,
 ///                          final state)
-///     -> analyses         (liveness + one      [serial]
-///                          graph per block)
+///     -> analyses         (liveness + one      [serial, only with
+///                          graph per block)     machines]
 ///     -> estimateMachine(M)                    [parallel over machines]
 ///     -> simulate(M, P)                        [parallel over machine x
 ///          = replay (once per side x P)         predictor]
@@ -133,13 +133,13 @@ public:
   const DynStats &treatedDynStats();
   const BranchTrace &treatedTrace();
 
-  /// Solved whole-function dataflow analyses (analysis/AnalysisCache.h)
-  /// of the prepared baseline / treated function, with one dependence
-  /// graph per non-empty block for the branch latency of
-  /// Opts.Machines.front() (none when it is empty): computed once,
-  /// serially, then shared const by the lint stage, the estimates and the
-  /// simulations. Pure functions of the IR, so sharing never changes
-  /// any downstream output.
+  /// Solved whole-function liveness (analysis/AnalysisCache.h) of the
+  /// prepared baseline / treated function, with one dependence graph per
+  /// non-empty block for the branch latency of Opts.Machines.front()
+  /// (none when it is empty): computed once, serially, then shared const
+  /// by the lint stage, the estimates and the simulations. prepare()
+  /// forces them only when Opts.Machines is non-empty. Pure functions of
+  /// the IR, so sharing never changes any downstream output.
   const FunctionAnalyses &baselineAnalyses();
   const FunctionAnalyses &treatedAnalyses();
 

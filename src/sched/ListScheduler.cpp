@@ -9,7 +9,6 @@
 #include "support/Error.h"
 
 #include <algorithm>
-#include <memory>
 
 using namespace cpr;
 
@@ -114,22 +113,6 @@ Schedule cpr::scheduleBlock(const Block &B, const DepGraph &DG,
     ++Cur;
   }
   return Schedule(std::move(Cycle), B, MD);
-}
-
-Schedule cpr::scheduleBlockWithAnalyses(const Function &F, const Block &B,
-                                        const MachineDesc &MD,
-                                        bool AllowSpeculation,
-                                        const Liveness *LV) {
-  RegionPQS PQS(F, B);
-  std::unique_ptr<Liveness> Owned;
-  if (!LV) {
-    Owned = std::make_unique<Liveness>(F);
-    LV = Owned.get();
-  }
-  DepGraphOptions Opts;
-  Opts.AllowSpeculation = AllowSpeculation;
-  DepGraph DG(F, B, MD, PQS, *LV, Opts);
-  return scheduleBlock(B, DG, MD);
 }
 
 std::vector<std::string> cpr::checkScheduleLegality(const Block &B,

@@ -26,15 +26,6 @@ namespace cpr {
 Schedule scheduleBlock(const Block &B, const DepGraph &DG,
                        const MachineDesc &MD);
 
-/// Convenience: builds the analyses and dependence graph for block \p B,
-/// then schedules it. \p AllowSpeculation selects superblock speculation.
-/// \p LV, when given, is a pre-solved liveness for \p F (e.g. from a
-/// shared analysis/AnalysisCache.h bundle); otherwise one is computed.
-Schedule scheduleBlockWithAnalyses(const Function &F, const Block &B,
-                                   const MachineDesc &MD,
-                                   bool AllowSpeculation = true,
-                                   const Liveness *LV = nullptr);
-
 /// Checks that \p S respects every edge of \p DG and the resource limits of
 /// \p MD; returns a list of violations (empty when legal). Test helper.
 std::vector<std::string> checkScheduleLegality(const Block &B,

@@ -115,27 +115,30 @@ bool writeStatsJSONFile(const StatsRegistry &Registry,
                         const std::string &Path,
                         std::string *Error = nullptr);
 
-/// RAII wall-clock timer: records the elapsed time into \p Registry under
-/// \p Key on destruction (or at stop()). A null registry disables it.
+/// RAII wall-clock timer: adds the elapsed time to \p Key in \p Registry
+/// on destruction (or at stop()), so timers of one key sum. A null
+/// registry disables it: no clock is read.
 class PassTimer {
 public:
   PassTimer(StatsRegistry *Registry, std::string Key)
-      : Registry(Registry), Key(std::move(Key)),
-        Start(std::chrono::steady_clock::now()) {}
+      : Registry(Registry), Key(std::move(Key)) {
+    if (Registry)
+      Start = std::chrono::steady_clock::now();
+  }
   PassTimer(const PassTimer &) = delete;
   PassTimer &operator=(const PassTimer &) = delete;
   ~PassTimer() { stop(); }
 
-  /// Stops the timer and reports; idempotent. Returns elapsed ms.
+  /// Stops the timer and reports; idempotent. Returns elapsed ms (0 with
+  /// a null registry).
   double stop() {
-    if (Stopped)
-      return LastMs;
-    Stopped = true;
-    LastMs = std::chrono::duration<double, std::milli>(
-                 std::chrono::steady_clock::now() - Start)
-                 .count();
-    if (Registry)
+    if (Registry) {
+      LastMs = std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - Start)
+                   .count();
       Registry->recordTimeMs(Key, LastMs);
+      Registry = nullptr;
+    }
     return LastMs;
   }
 
@@ -143,7 +146,6 @@ private:
   StatsRegistry *Registry;
   std::string Key;
   std::chrono::steady_clock::time_point Start;
-  bool Stopped = false;
   double LastMs = 0.0;
 };
 

@@ -84,6 +84,39 @@ TEST(RegionTransactionTest, RollbackIsSurgical) {
   EXPECT_EQ(F->block(1).size(), OtherSize);
 }
 
+/// Transactions nest the way the ICBM driver uses them: one per region
+/// around one per CPR block. A committed inner transaction's compensation
+/// block survives a later inner rollback, which removes only its own, and
+/// goes with the outer rollback.
+TEST(RegionTransactionTest, NestedTransactionsRemoveOnlyTheirOwnBlocks) {
+  std::unique_ptr<Function> F = twoBlockFunc();
+  std::string Before = printFunction(*F);
+  size_t BlocksBefore = F->numBlocks();
+  BlockId Region = F->block(0).getId();
+
+  RegionTransaction Outer(*F, Region);
+  F->block(0).ops().pop_back(); // an enabler's edit, as FRP conversion's
+  {
+    RegionTransaction Committed(*F, Region);
+    F->block(0).ops().pop_back();
+    F->addBlock("A_cmp1").setCompensation(true);
+  }
+  std::string AfterCommit = printFunction(*F);
+  {
+    RegionTransaction Failed(*F, Region);
+    F->block(0).ops().clear();
+    F->addBlock("A_cmp2").setCompensation(true);
+    EXPECT_EQ(Failed.rollback(), 1u);
+  }
+  EXPECT_EQ(printFunction(*F), AfterCommit);
+  ASSERT_EQ(F->numBlocks(), BlocksBefore + 1);
+  EXPECT_EQ(F->block(BlocksBefore).getName(), "A_cmp1");
+
+  EXPECT_EQ(Outer.rollback(), 1u);
+  EXPECT_EQ(F->numBlocks(), BlocksBefore);
+  EXPECT_EQ(printFunction(*F), Before);
+}
+
 TEST(RegionTransactionTest, VerifyRejectsBrokenIR) {
   std::unique_ptr<Function> F = twoBlockFunc();
   RegionTransaction Txn(*F, F->block(0).getId());
@@ -228,7 +261,7 @@ TEST(RegionTransactionTest, PlantedDefectCaughtByRegionOracle) {
     Ctx.FailSafe = true;
     DiagnosticEngine Diags;
     Ctx.Diags = &Diags;
-    Ctx.RegionOracle = [&](const Function &Cand) -> Status {
+    Ctx.RegionCheck = [&](const Function &Cand) -> Status {
       EquivResult E = checkEquivalence(*Base, Cand, P.InitMem, P.InitRegs);
       if (!E.Equivalent)
         return Status::error(DiagCode::OracleMismatch, E.Detail,
@@ -273,7 +306,7 @@ TEST(RegionTransactionTest, RecordedBaselineOracleRollsBackTheSameRegions) {
         Ctx.FailSafe = true;
         DiagnosticEngine Diags;
         Ctx.Diags = &Diags;
-        Ctx.RegionOracle = [&](const Function &Cand) -> Status {
+        Ctx.RegionCheck = [&](const Function &Cand) -> Status {
           if (Recorded)
             return checkRegionEquivalence(*P.Func, Final, Cand, P.InitMem,
                                           P.InitRegs, 0, &O.Runs);

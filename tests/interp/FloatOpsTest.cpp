@@ -6,6 +6,7 @@
 
 #include "interp/Interpreter.h"
 
+#include "analysis/AnalysisCache.h"
 #include "ir/IRParser.h"
 #include "sched/ListScheduler.h"
 
@@ -90,8 +91,9 @@ block @A:
 )");
   // Narrow machine: one float unit, fadd latency 3; the dependent chain
   // costs 3 + 3 and the independent adds fill other cycles.
-  Schedule S = scheduleBlockWithAnalyses(*F, F->block(0),
-                                         MachineDesc::narrow());
+  MachineDesc Narrow = MachineDesc::narrow();
+  FunctionAnalyses FA(*F, &Narrow);
+  Schedule S = scheduleBlock(F->block(0), *FA.graphs()->graph(0), Narrow);
   EXPECT_EQ(S.cycleOf(1) - S.cycleOf(0), 3);
   EXPECT_NE(S.cycleOf(2), S.cycleOf(3)) << "single F unit serializes";
 }

@@ -93,7 +93,7 @@ TEST(LintRollback, WithoutHookDefectCommitsAndLintFlagsIt) {
   EXPECT_TRUE(HasCompFinding);
 }
 
-/// With the RegionLint hook the same defect becomes a per-region
+/// With lint as the region check the same defect becomes a per-region
 /// rollback, byte-exact on this single-region kernel (the TransactionTest
 /// contract, driven by a static finding instead of the interpreter).
 TEST(LintRollback, RegionLintHookRollsBackByteExactly) {
@@ -108,7 +108,7 @@ TEST(LintRollback, RegionLintHookRollsBackByteExactly) {
   Ctx.FailSafe = true;
   DiagnosticEngine Diags;
   Ctx.Diags = &Diags;
-  Ctx.RegionLint = [&Linter](const Function &Candidate) -> Status {
+  Ctx.RegionCheck = [&Linter](const Function &Candidate) -> Status {
     return lintStatus(Linter.run(Candidate));
   };
   CPRResult R = runControlCPR(*F, Prof, CPROptions(), Ctx);
@@ -150,6 +150,43 @@ TEST(LintRollback, PipelineLintStageRollsBackPlantedDefect) {
 
   EquivResult E = checkEquivalence(*Base, Treated, Mem, Regs);
   EXPECT_TRUE(E.Equivalent) << E.Detail;
+}
+
+/// The region check runs lint first and the interpreter oracle only on a
+/// candidate lint passes. Here lint vetoes every candidate, so a session
+/// with both on interprets exactly as often as the lint-only session,
+/// while the oracle-only session runs the oracle on each candidate.
+TEST(LintRollback, LintVetoRunsNoRegionOracle) {
+  fault::ScopedFault Skip("cpr.restructure.compensation",
+                          fault::EveryHit);
+  struct Outcome {
+    double Runs;
+    std::string IR;
+    CPRResult R;
+  };
+  auto Compile = [](bool Lint, bool Oracle) {
+    PipelineOptions Opts;
+    Opts.FailSafe = true;
+    Opts.Lint = Lint;
+    Opts.RegionEquivalence = Oracle;
+    StatsRegistry Stats;
+    PipelineRun Session(syntheticProgram(404), Opts, &Stats);
+    Outcome O;
+    O.IR = printFunction(Session.treated());
+    O.R = Session.cprResult();
+    O.Runs = Stats.count("interp/runs");
+    return O;
+  };
+  Outcome LintOnly = Compile(true, false);
+  Outcome OracleOnly = Compile(false, true);
+  Outcome Both = Compile(true, true);
+  ASSERT_GE(LintOnly.R.BlocksRolledBack, 1u);
+  ASSERT_EQ(LintOnly.R.CPRBlocksTransformed, 0u)
+      << "premise: lint vetoes every candidate";
+  EXPECT_GT(OracleOnly.Runs, LintOnly.Runs);
+  EXPECT_EQ(Both.Runs, LintOnly.Runs);
+  EXPECT_EQ(Both.IR, LintOnly.IR);
+  EXPECT_EQ(Both.R.BlocksRolledBack, LintOnly.R.BlocksRolledBack);
 }
 
 /// Strict mode has no transaction to roll back: a post-transform lint

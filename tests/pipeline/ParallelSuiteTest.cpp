@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace cpr;
 
 TEST(PipelineRun, ArtifactsAreLazyCachedAndShared) {
@@ -49,6 +51,38 @@ TEST(PipelineRun, ArtifactsAreLazyCachedAndShared) {
   EXPECT_GT(Stats.count("s/dyn_ops_baseline"), 0.0);
   EXPECT_GT(Stats.count("s/static_ops_treated"), 0.0);
   EXPECT_GT(Stats.timeMs("s/profile_baseline"), 0.0);
+}
+
+TEST(PipelineRun, TransformPhaseTimesLandUnderTheSessionPrefix) {
+  auto PhaseKeys = [](const StatsRegistry &Stats) {
+    std::vector<std::string> Keys;
+    for (const auto &KV : Stats.timesMs())
+      if (KV.first.find("transform/") != std::string::npos)
+        Keys.push_back(KV.first);
+    return Keys;
+  };
+  StatsRegistry Stats;
+  PipelineRun Run(buildStrcpyKernel(4, 256, 1), PipelineOptions(), &Stats,
+                  "s/");
+  ASSERT_GT(Run.cprResult().CPRBlocksTransformed, 0u)
+      << "every phase must run";
+  EXPECT_EQ(PhaseKeys(Stats),
+            (std::vector<std::string>{
+                "s/transform/dce", "s/transform/frp", "s/transform/match",
+                "s/transform/motion", "s/transform/restructure",
+                "s/transform/speculate"}));
+
+  // A phase that never runs records no time.
+  PipelineOptions NoSpeculation;
+  NoSpeculation.CPR.EnablePredicateSpeculation = false;
+  StatsRegistry Fewer;
+  PipelineRun Without(buildStrcpyKernel(4, 256, 1), NoSpeculation, &Fewer,
+                      "s/");
+  Without.treated();
+  std::vector<std::string> Keys = PhaseKeys(Fewer);
+  EXPECT_EQ(std::count(Keys.begin(), Keys.end(), "s/transform/speculate"),
+            0);
+  EXPECT_EQ(std::count(Keys.begin(), Keys.end(), "s/transform/frp"), 1);
 }
 
 TEST(PipelineRun, InjectedTreatedSkipsTransform) {

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
+#include <thread>
 
 using namespace cpr;
 
@@ -140,6 +142,13 @@ TEST(PassTimer, ReportsOnceAndOnlyWhenRegistryGiven) {
   EXPECT_EQ(R.timesMs().size(), 1u);
   { PassTimer T(nullptr, "ignored"); } // null registry: no-op
   EXPECT_EQ(R.timesMs().size(), 1u);
+}
+
+TEST(PassTimer, NullRegistryReadsNoClock) {
+  PassTimer T(nullptr, "ignored");
+  // Time passes, but a timer that reads no clock measures none of it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(T.stop(), 0.0);
 }
 
 TEST(JSON, WriterIsDeterministicAndParserStrict) {

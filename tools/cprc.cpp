@@ -27,6 +27,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/AnalysisCache.h"
 #include "analysis/ProfileIO.h"
 #include "cpr/PredicateSpeculation.h"
 #include "fuzz/Corpus.h"
@@ -539,11 +540,14 @@ int runLocal(const Config &C, KernelProgram Program) {
   }
 
   if (const MachineDesc *MD = MachineDesc::findPaperModel(C.ScheduleFor)) {
+    // One liveness solve and one dependence graph per non-empty block.
+    FunctionAnalyses FA(Out, MD);
     for (size_t BI = 0; BI < Out.numBlocks(); ++BI) {
-      const Block &B = Out.block(BI);
-      if (B.empty())
+      const DepGraph *DG = FA.graphs()->graph(BI);
+      if (!DG)
         continue;
-      Schedule S = scheduleBlockWithAnalyses(Out, B, *MD);
+      const Block &B = Out.block(BI);
+      Schedule S = scheduleBlock(B, *DG, *MD);
       std::printf("\n; schedule of @%s on %s (length %d):\n",
                   B.getName().c_str(), MD->getName().c_str(), S.length());
       for (size_t OI = 0; OI < B.size(); ++OI)

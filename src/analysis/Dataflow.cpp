@@ -206,14 +206,21 @@ DataflowSolver::DataflowSolver(const ExitLists &ExitTargets,
   }
 }
 
+void DataflowSolver::grow(size_t Bits) {
+  for (size_t L = 0, E = InSets.size(); L != E; ++L) {
+    InSets[L].resize(Bits);
+    OutSets[L].resize(Bits);
+  }
+}
+
 void DataflowSolver::patch(const DataflowSolver &Sub, const BitVector &Bits) {
   assert(Sub.InSets.size() == InSets.size() && "solvers over other CFGs");
+  grow(Bits.size());
   std::vector<size_t> Index;
   for (size_t I = Bits.findFirst(); I != BitVector::npos;
        I = Bits.findNext(I + 1))
     Index.push_back(I);
   auto Copy = [&](const BitVector &From, BitVector &To) {
-    To.resize(Bits.size());
     To.andNot(Bits);
     for (size_t K = From.findFirst(); K != BitVector::npos;
          K = From.findNext(K + 1))

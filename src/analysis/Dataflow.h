@@ -166,6 +166,8 @@ public:
   /// Number of full passes over the block list until the fixed point.
   unsigned iterations() const { return Iterations; }
 
+  /// Grows every set to \p Bits bits; the new bits are clear.
+  void grow(size_t Bits);
   /// Copies the solution of a problem over a sub-universe into this one.
   /// \p Bits is the sub-universe as a set over this universe: its K-th
   /// set bit is bit K of \p Sub's sets. Every set first grows to

@@ -90,6 +90,28 @@ bool sameTargets(std::vector<BlockId> A, std::vector<BlockId> B) {
 
 } // namespace
 
+std::vector<std::pair<uint32_t, uint32_t>>
+Liveness::equations(const std::vector<Step> &Steps) {
+  std::vector<std::pair<uint32_t, uint32_t>> Eqs;
+  uint32_t Ahead = 0;
+  // The steps run backward, so their reverse is program order.
+  for (auto S = Steps.rbegin(), E = Steps.rend(); S != E; ++S) {
+    if (S->K == Step::OrObservable || S->K == Step::OrTarget)
+      ++Ahead;
+    else
+      Eqs.emplace_back(S->Idx, S->K == Step::Gen ? 0 : Ahead + 1);
+  }
+  // Keep each register's first mention.
+  auto ByReg = [](const auto &A, const auto &B) { return A.first < B.first; };
+  std::stable_sort(Eqs.begin(), Eqs.end(), ByReg);
+  Eqs.erase(std::unique(Eqs.begin(), Eqs.end(),
+                        [](const auto &A, const auto &B) {
+                          return A.first == B.first;
+                        }),
+            Eqs.end());
+  return Eqs;
+}
+
 Liveness::Liveness(const Function &F) : N(F), Observable(N.size()) {
   for (Reg R : F.observableRegs())
     if (int I = N.indexOf(R); I >= 0)
@@ -166,6 +188,10 @@ bool Liveness::readLayout(const Function &F) {
 void Liveness::solveAll() {
   Observable.resize(N.size());
   Exits.resize(Layout.size());
+  // A register is upward-exposed in a block whose last step for it (its
+  // first mention in program order) is a gen.
+  Exposed.assign(N.size(), 0);
+  std::vector<uint32_t> SeenIn(N.size(), ~0u);
   std::vector<Problem::Span> Blocks;
   for (size_t L = 0, E = Layout.size(); L != E; ++L) {
     const Transfer &T = Transfers[Layout[L]];
@@ -173,12 +199,16 @@ void Liveness::solveAll() {
     for (BlockId Target : T.Exits)
       Exits[L].push_back(layoutOf(Target));
     Blocks.emplace_back(T.Steps.data(), T.Steps.data() + T.Steps.size());
+    for (auto S = T.Steps.rbegin(), SE = T.Steps.rend(); S != SE; ++S)
+      if ((S->K == Step::Kill || S->K == Step::Gen) && SeenIn[S->Idx] != L) {
+        SeenIn[S->Idx] = static_cast<uint32_t>(L);
+        Exposed[S->Idx] += S->K == Step::Gen;
+      }
   }
   Solution.emplace(Exits, Problem(*this, Blocks, Observable));
 }
 
 void Liveness::solveSome(const BitVector &Dirty) {
-  Observable.resize(N.size());
   // Dirty register I is bit Sub[I] of the sub-problem.
   std::vector<int32_t> Sub(N.size(), -1);
   int32_t SubSize = 0;
@@ -229,12 +259,10 @@ Liveness::Update Liveness::update(const Function &F,
   std::sort(Stale.begin(), Stale.end());
   Stale.erase(std::unique(Stale.begin(), Stale.end()), Stale.end());
 
+  // The registers whose equation changed in some recompiled block, and
+  // the changes to the upward-exposure counts.
   std::vector<uint32_t> Touched;
-  auto NoteRegs = [&](const Transfer &T) {
-    for (const Step &S : T.Steps)
-      if (S.K == Step::Kill || S.K == Step::Gen)
-        Touched.push_back(S.Idx);
-  };
+  std::vector<std::pair<uint32_t, int32_t>> Moves;
   for (size_t L : Stale) {
     Transfer New = compile(F, L);
     Transfer &Old = Transfers[Layout[L]];
@@ -243,8 +271,28 @@ Liveness::Update Liveness::update(const Function &F,
     if (!Old.Compiled || !sameTargets(Old.Exits, New.Exits))
       Full = true;
     if (!Full) {
-      NoteRegs(Old);
-      NoteRegs(New);
+      // With the same exits in the same order both transfers have the
+      // same exit steps, and a register's equation is its code in
+      // equations(); otherwise every register either mentions is dirty.
+      // Both lists are sorted by register: walk them together, with
+      // Unmentioned standing for the register past a list's end and for
+      // the code of a register a transfer does not mention.
+      bool SameExits = Old.Exits == New.Exits;
+      auto OldEqs = equations(Old.Steps), NewEqs = equations(New.Steps);
+      constexpr uint32_t Unmentioned = ~0u;
+      for (auto I = OldEqs.begin(), J = NewEqs.begin();
+           I != OldEqs.end() || J != NewEqs.end();) {
+        uint32_t R = std::min(I != OldEqs.end() ? I->first : Unmentioned,
+                              J != NewEqs.end() ? J->first : Unmentioned);
+        uint32_t Was = I != OldEqs.end() && I->first == R ? (I++)->second
+                                                          : Unmentioned;
+        uint32_t Is = J != NewEqs.end() && J->first == R ? (J++)->second
+                                                         : Unmentioned;
+        if (!SameExits || Was != Is)
+          Touched.push_back(R);
+        if ((Was == 0) != (Is == 0))
+          Moves.emplace_back(R, Is == 0 ? 1 : -1);
+      }
       Exits[L].clear();
       for (BlockId T : New.Exits)
         Exits[L].push_back(layoutOf(T));
@@ -256,13 +304,24 @@ Liveness::Update Liveness::update(const Function &F,
     solveAll();
     return Update::Full;
   }
+  // A register that is not observable and upward-exposed in no block is
+  // live at no block boundary; one that is so both before and after the
+  // edit keeps its all-clear solution.
+  Observable.resize(N.size());
+  Exposed.resize(N.size());
   BitVector Dirty(N.size());
   for (uint32_t I : Touched)
-    Dirty.set(I);
-  // No edit killed or gen'd a register: at most interior exits moved
-  // within their blocks, which changes no register's equations.
-  if (Dirty.none())
+    if (Observable.test(I) || Exposed[I] > 0)
+      Dirty.set(I);
+  for (auto [I, D] : Moves)
+    Exposed[I] += D;
+  for (uint32_t I : Touched)
+    if (Exposed[I] > 0)
+      Dirty.set(I);
+  if (Dirty.none()) {
+    Solution->grow(N.size());
     return Update::None;
+  }
   solveSome(Dirty);
   return Update::Partial;
 }

@@ -19,8 +19,9 @@
 ///
 ///    LivenessCache keeps one solution for a pass that edits its function
 ///    region by region (the ICBM driver and DCE) and updates it in place
-///    after the edits the pass reports, re-solving only the registers an
-///    edit touched when it can (see LivenessCache).
+///    after the edits the pass reports, re-solving only the registers
+///    whose block equation an edit changed when it can (see
+///    LivenessCache).
 ///
 ///  - Predicated (expression-valued) intra-block liveness, following the
 ///    predicate-aware dataflow of [JS96] that the paper's predicate
@@ -41,6 +42,7 @@
 #include <iterator>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace cpr {
@@ -172,10 +174,17 @@ private:
   }
   /// Compiles block \p LayoutIdx of \p F, numbering new registers.
   Transfer compile(const Function &F, size_t LayoutIdx);
+  /// The equation of each register \p Steps kill or gen, sorted by
+  /// register bit. Its first mention in program order fixes it: 0 for a
+  /// read (the register is upward-exposed), 1 + the number of exit steps
+  /// ahead of it for a sure write.
+  static std::vector<std::pair<uint32_t, uint32_t>>
+  equations(const std::vector<Step> &Steps);
   /// Re-reads \p F's layout; true if it changed. Transfers of blocks
   /// that left the layout are dropped.
   bool readLayout(const Function &F);
-  /// Solves every register from the empty set over the cached transfers.
+  /// Solves every register from the empty set over the cached transfers,
+  /// and recounts Exposed.
   void solveAll();
   /// Resets the registers in \p Dirty to the empty set and solves them
   /// alone; every other register keeps its solution.
@@ -194,6 +203,9 @@ private:
   std::vector<Transfer> Transfers;
   /// Every block's exit targets as layout indices, for the solver.
   DataflowSolver::ExitLists Exits;
+  /// Per register bit, the number of layout blocks it is upward-exposed
+  /// in.
+  std::vector<int32_t> Exposed;
   std::optional<DataflowSolver> Solution;
 };
 
@@ -211,18 +223,39 @@ private:
 /// needs nothing more. Otherwise:
 ///
 ///  - *Partial re-solve*, when the layout and the set of exit targets of
-///    every recompiled block are unchanged: the registers that the old or
-///    the new transfer of a recompiled block kills or gens are reset to the
-///    empty set in every block and solved alone (a DataflowSolver over
-///    just those bits); the rest keep their solution. This is exact because liveness is bit-separable: every
-///    step ORs a target's live-in or the observable set bitwise, or kills
-///    or gens one bit. For any other register, no equation changed -- in
-///    a recompiled block its bit is the OR of the same exit targets'
-///    live-ins before and after -- so neither did its least fixed point.
-///    The dirty registers restart from the empty set rather than from
-///    their old solution: iterating from the old solution reaches *a*
-///    fixed point, but a register an edit no longer reads could stay live
-///    around a loop.
+///    every recompiled block are unchanged. Liveness is bit-separable:
+///    every step ORs a target's live-in or the observable set bitwise, or
+///    kills or gens one bit, so each register has its own equations and
+///    its own least fixed point. Only registers whose equation changed in
+///    some recompiled block need solving again:
+///
+///    - *The equation.* A block's out-set is the OR of its exit targets'
+///      live-ins, the same before and after. Its live-in of a register is
+///      fixed by the register's first mention in program order: a read
+///      makes it live-in; a sure write makes it the OR of the live-ins of
+///      the exits ahead of that write; no mention passes the out-set
+///      through. So when the old and the new transfer have the same exits
+///      in the same order -- hence the same exit steps -- the equation is
+///      the register's code in Liveness::equations(), and a register is
+///      dirty when its code differs. Where the exits differ in order, a
+///      register's position among them may have changed unseen, and
+///      every register the old or the new transfer kills or gens is
+///      dirty.
+///    - *Live nowhere.* A register that is not observable and is
+///      upward-exposed (read before any sure write) in no block has the
+///      empty set as its least fixed point: no equation ever sets its
+///      bit. A dirty register that is so both before and after the edit
+///      keeps its all-clear solution and is dropped. A per-register count
+///      of the blocks it is upward-exposed in answers this; the full
+///      solve recounts it and each changed transfer adjusts it.
+///
+///    The registers left dirty are reset to the empty set in every block
+///    and solved alone (a DataflowSolver over just those bits); the rest
+///    keep their solution. They restart from the empty set rather than
+///    from their old solution: iterating from the old solution reaches
+///    *a* fixed point, but a register an edit no longer reads could stay
+///    live around a loop. When none is left, nothing is solved and the
+///    sets only grow to the numbering.
 ///  - *Full re-solve* otherwise (restructure, motion's compensation
 ///    blocks, rollback): every register from the empty set over the cached
 ///    transfers.

@@ -16,6 +16,8 @@
 #include "support/Error.h"
 #include "support/Statistics.h"
 
+#include <algorithm>
+
 using namespace cpr;
 
 namespace {
@@ -78,6 +80,11 @@ CPRResult cpr::runControlCPR(Function &F, const ProfileData &Profile,
     if (B.empty())
       continue;
     ++Result.RegionsProcessed;
+    // Without a branch, match forms no CPR block and FRP conversion
+    // allocates nothing, so the region would roll back to itself.
+    if (std::none_of(B.ops().begin(), B.ops().end(),
+                     [](const Operation &Op) { return Op.isBranch(); }))
+      continue;
 
     // When no CPR block in this region turns out to be transformable, or
     // none commits, the region is rolled back to its pre-pass form -- the

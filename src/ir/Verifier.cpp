@@ -10,7 +10,8 @@
 #include "support/Diagnostic.h"
 #include "support/Error.h"
 
-#include <unordered_set>
+#include <algorithm>
+#include <cstdint>
 
 using namespace cpr;
 
@@ -26,14 +27,14 @@ public:
       error(nullptr, nullptr, "function has no blocks");
       return std::move(Errors);
     }
-    std::unordered_set<OpId> SeenIds;
-    for (size_t BI = 0, BE = F.numBlocks(); BI != BE; ++BI) {
+    std::vector<bool> Duplicate = duplicateIds();
+    for (size_t BI = 0, BE = F.numBlocks(), Pos = 0; BI != BE; ++BI) {
       const Block &B = F.block(BI);
-      for (size_t OI = 0, OE = B.size(); OI != OE; ++OI) {
+      for (size_t OI = 0, OE = B.size(); OI != OE; ++OI, ++Pos) {
         const Operation &Op = B.ops()[OI];
         if (Op.getId() == InvalidOpId)
           error(&B, &Op, "operation has invalid id");
-        else if (!SeenIds.insert(Op.getId()).second)
+        else if (Duplicate[Pos])
           error(&B, &Op, "duplicate operation id");
         checkOp(B, OI, Op);
       }
@@ -45,6 +46,21 @@ public:
   }
 
 private:
+  /// Per operation in layout order, whether an earlier one has its id:
+  /// sorting (id, position) pairs puts each id's first position first.
+  std::vector<bool> duplicateIds() const {
+    std::vector<uint64_t> Keys;
+    for (size_t BI = 0, BE = F.numBlocks(); BI != BE; ++BI)
+      for (const Operation &Op : F.block(BI).ops())
+        Keys.push_back(uint64_t(Op.getId()) << 32 | Keys.size());
+    std::sort(Keys.begin(), Keys.end());
+    std::vector<bool> Duplicate(Keys.size());
+    for (size_t I = 1; I < Keys.size(); ++I)
+      if (Keys[I] >> 32 == Keys[I - 1] >> 32)
+        Duplicate[static_cast<uint32_t>(Keys[I])] = true;
+    return Duplicate;
+  }
+
   void error(const Block *B, const Operation *Op, const std::string &Msg) {
     std::string Out = Msg;
     if (B)

@@ -822,13 +822,108 @@ block @X:
   expectFreshSets(LC, *F);
 }
 
-/// One random edit of \p F, reported to \p LC: flip a guard, delete or
-/// insert an operation, append a block, or remove one.
+TEST(LivenessCacheTest, SureWriteMovedBehindAnExitIsResolved) {
+  // Guarding the first write of r5 leaves the second as its first sure
+  // write, now behind the branch to @X, which reads r5: r5 becomes live
+  // into @A although its first mention is a write before and after.
+  std::unique_ptr<Function> F = parseFunctionOrDie(R"(
+func @f {
+  observable r9
+block @A:
+  r5 = mov(1)
+  p1:un = cmpp.lt(r1, 5)
+  b1 = pbr(@X)
+  branch(p1, b1)
+  r5 = mov(2)
+  r9 = add(r5, 0)
+  halt
+block @X:
+  r9 = add(r5, 1)
+  halt
+}
+)");
+  Block &A = F->block(0);
+  LivenessCache LC(*F);
+  EXPECT_EQ(LC.get().liveIn(A.getId()).count(Reg::gpr(5)), 0u);
+  A.ops()[0].setGuard(Reg::pred(3));
+  LC.noteEdit(A);
+  EXPECT_EQ(LC.get().liveIn(A.getId()).count(Reg::gpr(5)), 1u);
+  EXPECT_EQ(LC.partialSolves(), 1u);
+  expectFreshSets(LC, *F);
+}
+
+TEST(LivenessCacheTest, ObservableRegisterReadNowhereIsResolved) {
+  // Nothing reads r9, but it is observable, so it is live into @A through
+  // the branch to @H's halt until a write ahead of that branch kills it.
+  std::unique_ptr<Function> F = parseFunctionOrDie(R"(
+func @f {
+  observable r9
+block @A:
+  p1:un = cmpp.lt(r1, 5)
+  b1 = pbr(@H)
+  branch(p1, b1)
+  r9 = mov(2)
+  halt
+block @H:
+  halt
+}
+)");
+  Block &A = F->block(0);
+  LivenessCache LC(*F);
+  EXPECT_EQ(LC.get().liveIn(A.getId()).count(Reg::gpr(9)), 1u);
+  Operation Op = F->makeOp(Opcode::Mov);
+  Op.addDef(Reg::gpr(9));
+  Op.addSrc(Operand::imm(1));
+  A.ops().insert(A.ops().begin(), std::move(Op));
+  LC.noteEdit(A);
+  EXPECT_EQ(LC.get().liveIn(A.getId()).count(Reg::gpr(9)), 0u);
+  EXPECT_EQ(LC.partialSolves(), 1u);
+  expectFreshSets(LC, *F);
+}
+
+TEST(LivenessCacheTest, ExitsSwappedAroundAWriteAreResolved) {
+  // r5's first mention is a write behind one exit before and after, but
+  // the exit ahead of it changes from @X, which reads r5, to @Y.
+  std::unique_ptr<Function> F = parseFunctionOrDie(R"(
+func @f {
+  observable r9
+block @A:
+  p1:un = cmpp.lt(r1, 5)
+  b1 = pbr(@X)
+  branch(p1, b1)
+  r5 = mov(3)
+  p2:un = cmpp.lt(r2, 5)
+  b2 = pbr(@Y)
+  branch(p2, b2)
+  r9 = add(r5, 0)
+  halt
+block @X:
+  r9 = add(r5, 1)
+  halt
+block @Y:
+  r9 = mov(0)
+  halt
+}
+)");
+  Block &A = F->block(0);
+  LivenessCache LC(*F);
+  EXPECT_EQ(LC.get().liveIn(A.getId()).count(Reg::gpr(5)), 1u);
+  std::swap_ranges(A.ops().begin(), A.ops().begin() + 3,
+                   A.ops().begin() + 4);
+  LC.noteEdit(A);
+  EXPECT_EQ(LC.get().liveIn(A.getId()).count(Reg::gpr(5)), 0u);
+  EXPECT_EQ(LC.solves(), 1u);
+  EXPECT_EQ(LC.partialSolves(), 1u);
+  expectFreshSets(LC, *F);
+}
+
+/// One random edit of \p F, reported to \p LC: flip a guard, delete,
+/// insert or swap operations, append a block, or remove one.
 void randomEdit(Function &F, LivenessCache &LC, RNG &Rng,
                 std::vector<Reg> &Pool) {
   auto PickReg = [&]() { return Pool[Rng.nextBelow(Pool.size())]; };
   Block &B = F.block(Rng.nextBelow(F.numBlocks()));
-  switch (Rng.nextBelow(10)) {
+  switch (Rng.nextBelow(12)) {
   case 0:
   case 1:
   case 2: { // flip a guard
@@ -884,6 +979,15 @@ void randomEdit(Function &F, LivenessCache &LC, RNG &Rng,
     if (Rng.nextBelow(2))
       New.ops().push_back(F.makeOp(Opcode::Halt));
     LC.noteEdit(New);
+    return;
+  }
+  case 9:
+  case 10: { // swap two adjacent operations
+    if (B.size() < 2)
+      return;
+    size_t I = Rng.nextBelow(B.size() - 1);
+    std::swap(B.ops()[I], B.ops()[I + 1]);
+    LC.noteEdit(B);
     return;
   }
   default: // remove a block; branches to it now leave the function

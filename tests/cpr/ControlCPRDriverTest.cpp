@@ -216,20 +216,21 @@ struct ReplayCounts {
 };
 
 /// Replays runControlCPR's region sequence and edit reports on \p F
-/// through \p LC, checking the solution at each point where a phase takes
-/// it from the cache, and after DCE. The demotion hand-off inside
-/// speculation reuses the solution checked before speculation whenever
-/// promotion changed nothing, which the replay checks as an
-/// operation-list identity.
+/// through \p LC, skipping a region without a branch as the driver does,
+/// and checks the solution at each point where a phase takes it from the
+/// cache, and after DCE. The demotion hand-off inside speculation reuses
+/// the solution checked before speculation whenever promotion changed
+/// nothing, which the replay checks as an operation-list identity.
 void replayDriver(Function &F, const ProfileData &Prof, LivenessCache &LC,
                   ReplayCounts &C) {
   std::vector<BlockId> Regions;
   for (size_t I = 0; I < F.numBlocks(); ++I)
     if (!F.block(I).isCompensation())
       Regions.push_back(F.block(I).getId());
+  auto IsBranch = [](const Operation &Op) { return Op.isBranch(); };
   for (BlockId RId : Regions) {
     Block &B = *F.blockById(RId);
-    if (B.empty())
+    if (B.empty() || std::none_of(B.ops().begin(), B.ops().end(), IsBranch))
       continue;
     const std::string Region = "region @" + B.getName();
     std::vector<Operation> Snapshot = B.ops();
@@ -243,12 +244,8 @@ void replayDriver(Function &F, const ProfileData &Prof, LivenessCache &LC,
     if (SS.Promoted == 0) {
       EXPECT_EQ(B.ops(), BeforeSpeculation) << Region;
     }
-    // Match takes the solution only for a region with a branch.
-    if (std::any_of(B.ops().begin(), B.ops().end(),
-                    [](const Operation &Op) { return Op.isBranch(); })) {
-      expectFreshSolution(LC, F, Region + " before match");
-      ++C.HandOffs;
-    }
+    expectFreshSolution(LC, F, Region + " before match");
+    ++C.HandOffs;
     std::vector<CPRBlockInfo> Blocks =
         matchCPRBlocks(F, B, Prof, CPROptions(), &LC);
     bool AnyTransformable = false, Kept = false;
@@ -315,7 +312,7 @@ TEST(ControlCPRDriverTest, CachedLivenessMatchesAFreshSolveAtEveryHandOff) {
   EXPECT_GT(C.HandOffs, 1000u);
   EXPECT_GT(C.Restored, 400u);
   EXPECT_GT(C.Committed, 30u);
-  EXPECT_GT(Partial, 300u);
+  EXPECT_GT(Partial, 20u);
 }
 
 TEST(ControlCPRDriverTest, RegistersAtMaxRegIdCostOnePageEach) {

@@ -149,15 +149,27 @@ TEST(VerifierTest, GuardMustBePredicate) {
 }
 
 TEST(VerifierTest, DuplicateOpIds) {
+  // One id on three operations across two blocks, an operation without an
+  // id, and another error in between: every later holder of the id is
+  // reported, in layout order among the other errors.
   Function F("bad");
   Block &A = F.addBlock("A");
-  Operation Op1 = F.makeOp(Opcode::Nop);
-  Operation Op2(Op1.getId(), Opcode::Nop); // reuse the id
-  A.ops().push_back(std::move(Op1));
-  A.ops().push_back(std::move(Op2));
-  std::vector<std::string> Errors = verifyFunction(F);
-  ASSERT_FALSE(Errors.empty());
-  EXPECT_NE(Errors.front().find("duplicate operation id"), std::string::npos);
+  Block &B = F.addBlock("B");
+  Operation First = F.makeOp(Opcode::Nop);
+  const OpId Id = First.getId();
+  A.ops().push_back(std::move(First));
+  A.ops().push_back(Operation(InvalidOpId, Opcode::Nop));
+  A.ops().push_back(F.makeOp(Opcode::Mov)); // no destination or source
+  A.ops().push_back(Operation(Id, Opcode::Nop));
+  B.ops().push_back(Operation(Id, Opcode::Halt));
+  EXPECT_EQ(verifyFunction(F),
+            (std::vector<std::string>{
+                "operation has invalid id in block @A: nop",
+                "mov needs one destination and one source in block @A: "
+                "mov()",
+                "duplicate operation id in block @A: nop",
+                "duplicate operation id in block @B: halt",
+            }));
 }
 
 TEST(VerifierTest, EmptyFunction) {

@@ -9,6 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ir/IRParser.h"
+#include "ir/IRPrinter.h"
 #include "pipeline/PipelineRun.h"
 #include "pipeline/Reports.h"
 #include "support/JSON.h"
@@ -83,6 +85,37 @@ TEST(PipelineRun, TransformPhaseTimesLandUnderTheSessionPrefix) {
   EXPECT_EQ(std::count(Keys.begin(), Keys.end(), "s/transform/speculate"),
             0);
   EXPECT_EQ(std::count(Keys.begin(), Keys.end(), "s/transform/frp"), 1);
+}
+
+TEST(PipelineRun, BranchlessFunctionRunsNoRegionPhases) {
+  // Without a branch no region has a CPR block to form: the driver counts
+  // each region but runs neither FRP conversion nor speculation on it.
+  KernelProgram P;
+  P.Func = parseFunctionOrDie(R"(
+func @f {
+  observable r9
+block @A:
+  p1:un, p2:uc = cmpp.lt(r1, 5)
+  r9 = mov(1) if p1
+  r9 = mov(2) if p2
+block @B:
+  r9 = add(r9, r1)
+  halt
+}
+)");
+  std::string Before = printFunction(*P.Func);
+  StatsRegistry Stats;
+  PipelineRun Run(std::move(P), PipelineOptions(), &Stats, "s/");
+  EXPECT_EQ(printFunction(Run.treated()), Before);
+  std::vector<std::string> Keys;
+  for (const auto &KV : Stats.timesMs())
+    if (KV.first.find("transform/") != std::string::npos)
+      Keys.push_back(KV.first);
+  EXPECT_EQ(Keys, std::vector<std::string>{"s/transform/dce"});
+  EXPECT_EQ(Stats.count("s/cpr/regions"), 2.0);
+  EXPECT_EQ(Stats.count("s/cpr/blocks_formed"), 0.0);
+  EXPECT_EQ(Stats.count("s/cpr/liveness_solves"), 1.0);
+  EXPECT_EQ(Stats.count("s/cpr/liveness_partial_solves"), 0.0);
 }
 
 TEST(PipelineRun, InjectedTreatedSkipsTransform) {
